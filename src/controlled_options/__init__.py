@@ -10,7 +10,6 @@ from .closed_form import (
     hypothesis_report,
     tail_strategy,
     tail_strategy_price,
-    uniform_strategy_price,
 )
 from .errors import (
     AdmissibilityError,
@@ -26,7 +25,6 @@ from .hjb import (
     ValueFunction,
     auto_variant,
     default_grid,
-    diffuse_terminal,
     export_policy_csv,
     export_value_csv,
     extract_policy,
@@ -34,18 +32,18 @@ from .hjb import (
     price_from_value,
     refine_grid,
     refinement_delta,
+    solve,
     solve_adapted,
     solve_linear_reduced,
     solve_normalized,
 )
-from .market import MarketParams, PathSet, bs_expected_payoff, norm_cdf, simulate_paths
-from .mc import builtin_policies, evaluate_policy, price_terminal_payoff
+from .market import MarketParams, bs_expected_payoff, norm_cdf
+from .mc import builtin_policies, evaluate_policy
 from .payoffs import (
     ControlBounds,
     PayoffSpec,
     eval_f,
     eval_g,
-    growth_bound_constant,
     payoff_adapted,
     payoff_normalized,
     validate_spec,
@@ -63,7 +61,6 @@ __all__ = [
     "MarketParams",
     "NumericalFailure",
     "ParameterError",
-    "PathSet",
     "PayoffSpec",
     "Policy",
     "PriceEstimate",
@@ -77,30 +74,26 @@ __all__ = [
     "build_family",
     "builtin_policies",
     "default_grid",
-    "diffuse_terminal",
     "eval_f",
     "eval_g",
     "evaluate_policy",
     "export_policy_csv",
     "export_value_csv",
     "extract_policy",
-    "growth_bound_constant",
     "hypothesis_report",
     "ladder_price",
     "norm_cdf",
     "payoff_adapted",
     "payoff_normalized",
     "price_from_value",
-    "price_terminal_payoff",
     "refine_grid",
     "refinement_delta",
-    "simulate_paths",
+    "solve",
     "solve_adapted",
     "solve_linear_reduced",
     "solve_normalized",
     "tail_strategy",
     "tail_strategy_price",
-    "uniform_strategy_price",
     "validate_spec",
     "__version__",
 ]

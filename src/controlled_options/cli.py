@@ -22,20 +22,17 @@ import numpy as np
 from .closed_form import TailStrategyConfig, tail_strategy_price
 from .errors import NumericalFailure, ParameterError, PricingError
 from .hjb import (
-    _SOLVERS,
-    auto_variant,
-    default_grid,
     export_policy_csv,
     export_value_csv,
     extract_policy,
     ladder_price,
     refinement_delta,
+    solve,
 )
 from .market import MarketParams
-from .smoothing import build_family
 from .mc import builtin_policies, evaluate_policy
 from .payoffs import ControlBounds, PayoffSpec, validate_spec
-from .results import PriceEstimate
+from .results import METHODS, PriceEstimate
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05)
 DEFAULT_GRID = {"nx": 41, "ny": 41, "nz": 81, "n_steps": 200}
@@ -52,59 +49,57 @@ class RunConfig:
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     grid: dict = field(default_factory=lambda: dict(DEFAULT_GRID))
     mc: dict = field(default_factory=lambda: dict(DEFAULT_MC))
-    methods: tuple[str, ...] = ("closed_form", "monte_carlo", "hjb")
+    methods: tuple[str, ...] = METHODS
     variant: str = "auto"
     rel_floor: float = DEFAULT_REL_FLOOR
     out_dir: str | None = None
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        def section(name, default=None):
-            value = doc.get(name, default)
-            if value is None:
-                raise ParameterError("missing section", field=name)
-            return value
-
-        m = section("market")
-        try:
-            params = MarketParams(
-                s0=float(m.get("s0", 0.0)), r=float(m.get("r", -1.0)),
-                sigma=float(m.get("sigma", 0.0)), t_horizon=float(m.get("t_horizon", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(str(exc), field="market") from exc
-        p = section("payoff")
-        bounds = ControlBounds(d0=float(p.get("d0", 0.0)), d1=float(p.get("d1", 0.0)))
+        if not isinstance(doc, dict):
+            raise ParameterError("must be a JSON object", field="config")
+        m = _section(doc, "market", required=True)
+        params = MarketParams(
+            s0=_number(m.get("s0", 0.0), "market.s0"), r=_number(m.get("r", -1.0), "market.r"),
+            sigma=_number(m.get("sigma", 0.0), "market.sigma"),
+            t_horizon=_number(m.get("t_horizon", 0.0), "market.t_horizon"),
+        )
+        p = _section(doc, "payoff", required=True)
+        bounds = ControlBounds(d0=_number(p.get("d0", 0.0), "payoff.d0"),
+                               d1=_number(p.get("d1", 0.0), "payoff.d1"))
         spec = PayoffSpec(
             f_kind=p.get("f_kind", "identity"),
-            f_strike=_opt_float(p.get("f_strike")),
+            f_strike=_opt_number(p.get("f_strike"), "payoff.f_strike"),
             payment_timing=p.get("payment_timing", "spot"),
             g_kind=p.get("g_kind", "identity"),
-            g_strike=_opt_float(p.get("g_strike")),
-            g_cap=_opt_float(p.get("g_cap")),
+            g_strike=_opt_number(p.get("g_strike"), "payoff.g_strike"),
+            g_cap=_opt_number(p.get("g_cap"), "payoff.g_cap"),
             weight_mode=p.get("weight_mode", "adapted_fixed_cumulative"),
             bounds=bounds,
         )
         validate_spec(spec, params)
-        grid = dict(DEFAULT_GRID)
-        grid.update(doc.get("grid", {}))
-        mc = dict(DEFAULT_MC)
-        mc.update(doc.get("mc", {}))
-        cfg = RunConfig(
+        g = _section(doc, "grid", required=False)
+        grid = {key: _count(g.get(key, n), f"grid.{key}") for key, n in DEFAULT_GRID.items()}
+        mc = {**DEFAULT_MC, **_section(doc, "mc", required=False)}
+        for key in ("n_paths", "n_steps", "seed"):
+            mc[key] = _count(mc[key], f"mc.{key}")
+        epsilons = doc.get("epsilons", DEFAULT_EPSILONS)
+        if not isinstance(epsilons, (list, tuple)):
+            raise ParameterError("must be a list of numbers", field="epsilons")
+        methods = doc.get("methods", METHODS)
+        if not isinstance(methods, (list, tuple)) or any(name not in METHODS for name in methods):
+            raise ParameterError(f"must be a list drawn from {METHODS}, not {methods!r}", field="methods")
+        return RunConfig(
             params=params,
             spec=spec,
-            epsilons=tuple(float(e) for e in doc.get("epsilons", DEFAULT_EPSILONS)),
+            epsilons=tuple(_number(e, "epsilons") for e in epsilons),
             grid=grid,
             mc=mc,
-            methods=tuple(doc.get("methods", ("closed_form", "monte_carlo", "hjb"))),
+            methods=tuple(methods),
             variant=doc.get("variant", "auto"),
-            rel_floor=float(doc.get("rel_floor", DEFAULT_REL_FLOOR)),
+            rel_floor=_number(doc.get("rel_floor", DEFAULT_REL_FLOOR), "rel_floor"),
             out_dir=doc.get("out_dir"),
         )
-        for m_name in cfg.methods:
-            if m_name not in ("closed_form", "monte_carlo", "hjb"):
-                raise ParameterError(f"unknown method {m_name!r}", field="methods")
-        return cfg
 
     def echo(self) -> dict:
         """The config with all defaults made explicit (for reports)."""
@@ -127,8 +122,30 @@ class RunConfig:
         }
 
 
-def _opt_float(v):
-    return None if v is None else float(v)
+def _section(doc: dict, name: str, required: bool) -> dict:
+    value = doc.get(name, None if required else {})
+    if not isinstance(value, dict):
+        raise ParameterError("missing section" if value is None else "must be a JSON object", field=name)
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; true and false are not numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ParameterError(f"must be a finite number, not {value!r}", field=where)
+    return float(value)
+
+
+def _opt_number(value, where: str) -> float | None:
+    return None if value is None else _number(value, where)
+
+
+def _count(value, where: str) -> int:
+    """A whole number >= 0 (10 or 10.0, not 10.7) as an int."""
+    if _number(value, where) != int(value) or value < 0:
+        raise ParameterError(f"must be a whole number >= 0, not {value!r}", field=where)
+    return int(value)
 
 
 def _closed_form_config(cfg: RunConfig) -> TailStrategyConfig:
@@ -149,21 +166,14 @@ def _closed_form_config(cfg: RunConfig) -> TailStrategyConfig:
 
 def _mc_policy(cfg: RunConfig, name: str):
     if name == "hjb":
-        fam = build_family(min(cfg.epsilons), cfg.spec, cfg.params)
-        variant = cfg.variant if cfg.variant != "auto" else auto_variant(cfg.spec)
-        grid = default_grid(cfg.params, cfg.spec, fam, variant, **_grid_kwargs(cfg))
-        vf = _SOLVERS[variant](cfg.params, cfg.spec, fam, grid, keep="all")
+        fam, vf = solve(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant,
+                        cfg.grid, keep="all")
         return extract_policy(vf, fam)
     for pol in builtin_policies(cfg.spec, cfg.params):
         if pol.name == name:
             return pol
     known = [p.name for p in builtin_policies(cfg.spec, cfg.params)] + ["hjb"]
     raise ParameterError(f"unknown policy {name!r}; known: {known}", field="mc.policy")
-
-
-def _grid_kwargs(cfg: RunConfig) -> dict:
-    g = cfg.grid
-    return {"nx": int(g["nx"]), "ny": int(g["ny"]), "nz": int(g["nz"]), "n_steps": int(g["n_steps"])}
 
 
 def run_price(cfg: RunConfig) -> dict:
@@ -175,14 +185,14 @@ def run_price(cfg: RunConfig) -> dict:
         policy = _mc_policy(cfg, cfg.mc.get("policy", "tail"))
         est = evaluate_policy(
             policy, cfg.spec, cfg.params,
-            n_paths=int(cfg.mc["n_paths"]), n_steps=int(cfg.mc["n_steps"]),
-            seed=int(cfg.mc["seed"]), antithetic=bool(cfg.mc["antithetic"]),
+            n_paths=cfg.mc["n_paths"], n_steps=cfg.mc["n_steps"],
+            seed=cfg.mc["seed"], antithetic=bool(cfg.mc["antithetic"]),
         )
         estimates["monte_carlo"] = _estimate_dict(est)
     if "hjb" in cfg.methods:
         est, raw = ladder_price(
             cfg.params, cfg.spec, epsilons=cfg.epsilons, variant=cfg.variant,
-            **_grid_kwargs(cfg),
+            **cfg.grid,
         )
         block = _estimate_dict(est)
         block["ladder"] = [_estimate_dict(r) for r in raw]
@@ -195,7 +205,10 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 
     Tolerance for a pair = 3 * combined stderr + the discretisation
     allowance of any grid method involved + ``rel_floor`` of the larger
-    price.  Returns (report, breach?).
+    price.  Monte Carlo prices one fixed policy, a lower bound on the
+    optimum, so a pair with ``monte_carlo`` breaches only when the MC
+    price exceeds the other by more than the tolerance; other pairs
+    breach on the absolute gap.  Returns (report, breach?).
     """
     if len(cfg.methods) < 2:
         raise ParameterError("compare needs at least two methods", field="methods")
@@ -204,7 +217,7 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
     if "hjb" in report["estimates"]:
         delta_grid = refinement_delta(
             cfg.params, cfg.spec, min(cfg.epsilons), variant=cfg.variant,
-            **_grid_kwargs(cfg),
+            **cfg.grid,
         )
         report["estimates"]["hjb"]["delta_grid"] = delta_grid
     rows = []
@@ -220,7 +233,11 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
             ratio = gap / tol if tol > 0 else math.inf
             rows.append({"method_a": a, "method_b": b_name, "gap": gap,
                          "tolerance": tol, "gap_over_tolerance": ratio})
-            breach = breach or gap > tol
+            excess = gap
+            if "monte_carlo" in (a, b_name):
+                mc, other = (ea, eb) if a == "monte_carlo" else (eb, ea)
+                excess = mc["value"] - other["value"]
+            breach = breach or excess > tol
     report["comparison"] = rows
     report["breach"] = breach
     return report, breach
@@ -229,12 +246,12 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 def run_convergence(cfg: RunConfig) -> dict:
     """Epsilon sweep plus one grid refinement at the finest epsilon."""
     est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons,
-                            variant=cfg.variant, **_grid_kwargs(cfg))
+                            variant=cfg.variant, **cfg.grid)
     values = [r.value for r in raw]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     ratios = [g0 / g1 if g1 > 0 else math.inf for g0, g1 in zip(gaps, gaps[1:])]
     delta_grid = refinement_delta(cfg.params, cfg.spec, min(cfg.epsilons),
-                                  variant=cfg.variant, **_grid_kwargs(cfg))
+                                  variant=cfg.variant, **cfg.grid)
     return {
         "config": cfg.echo(),
         "epsilons": [r.meta["epsilon"] for r in raw],
@@ -305,29 +322,26 @@ def write_convergence_csv(report: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
+    """Read the JSON config, lay the command-line overrides over it, and validate."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config: {exc}", field="config") from exc
-    cfg = RunConfig.from_dict(doc)
-    if getattr(overrides, "seed", None) is not None:
-        cfg.mc["seed"] = overrides.seed
-    if getattr(overrides, "out_dir", None) is not None:
-        cfg.out_dir = overrides.out_dir
-    if getattr(overrides, "epsilons", None):
-        cfg.epsilons = tuple(float(e) for e in overrides.epsilons.split(","))
-    if getattr(overrides, "methods", None):
-        cfg.methods = tuple(overrides.methods.split(","))
-    if getattr(overrides, "policy", None):
-        cfg.mc["policy"] = overrides.policy
-    if getattr(overrides, "n_paths", None):
-        cfg.mc["n_paths"] = overrides.n_paths
-    if getattr(overrides, "n_steps", None):
-        cfg.mc["n_steps"] = overrides.n_steps
-    if getattr(overrides, "variant", None):
-        cfg.variant = overrides.variant
-    return cfg
+    if not isinstance(doc, dict):
+        raise ParameterError("must be a JSON object", field="config")
+    given = {key: value for key, value in vars(overrides).items() if value is not None}
+    for key in ("out_dir", "epsilons", "methods", "variant"):
+        if key in given:
+            doc[key] = given[key]
+    mc = {key: given[key] for key in ("seed", "policy", "n_paths", "n_steps") if key in given}
+    if mc:
+        doc["mc"] = {**_section(doc, "mc", required=False), **mc}
+    return RunConfig.from_dict(doc)
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(e) for e in text.split(",")]
 
 
 def _emit(report: dict, cfg: RunConfig, name: str) -> None:
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price-hjb", help="epsilon-ladder grid price")
     common(p)
-    p.add_argument("--epsilons", default=None, help="comma list, e.g. 0.2,0.1,0.05")
+    p.add_argument("--epsilons", type=_float_list, default=None, help="comma list, e.g. 0.2,0.1,0.05")
     p.add_argument("--variant", default=None, choices=["auto", "adapted", "linear_reduced", "normalized"])
 
     p = sub.add_parser("price-mc", help="Monte Carlo policy price")
@@ -363,13 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cross-method table; exit 4 on tolerance breach")
     common(p)
-    p.add_argument("--methods", default=None, help="comma list of >= 2 methods")
-    p.add_argument("--epsilons", default=None)
+    p.add_argument("--methods", type=lambda text: text.split(","), default=None,
+                   help="comma list of >= 2 methods")
+    p.add_argument("--epsilons", type=_float_list, default=None)
     p.add_argument("--variant", default=None)
 
     p = sub.add_parser("convergence", help="epsilon and grid sweeps")
     common(p)
-    p.add_argument("--epsilons", default=None)
+    p.add_argument("--epsilons", type=_float_list, default=None)
     p.add_argument("--variant", default=None)
 
     p = sub.add_parser("export-value", help="CSV slice of the value function or policy")
@@ -410,10 +425,7 @@ def main(argv=None) -> int:
                 write_convergence_csv(report, os.path.join(cfg.out_dir, "convergence.csv"))
         elif args.command == "export-value":
             eps = args.epsilon if args.epsilon is not None else min(cfg.epsilons)
-            fam = build_family(eps, cfg.spec, cfg.params)
-            variant = cfg.variant if cfg.variant != "auto" else auto_variant(cfg.spec)
-            grid = default_grid(cfg.params, cfg.spec, fam, variant, **_grid_kwargs(cfg))
-            vf = _SOLVERS[variant](cfg.params, cfg.spec, fam, grid, keep="all")
+            fam, vf = solve(cfg.params, cfg.spec, eps, cfg.variant, cfg.grid, keep="all")
             if args.what == "value":
                 export_value_csv(vf, args.out, time_index=args.time_index)
             else:

@@ -12,9 +12,7 @@ evaluated here by adaptive Gauss-Legendre quadrature.
 
 The leading factor is L: the strategy pays at rate u = L over a window
 of length 1/L, so the weight in front of the average integrand is
-L * (1/L) = 1.  A 1/L variant of the constant circulates; it disagrees
-with direct Monte Carlo by a factor L^2, so this module reports it only
-as diagnostic metadata (``alt_inverse_factor_price``).
+L * (1/L) = 1.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalFailure, ParameterError
 from .hjb import Policy
 from .market import MarketParams, bs_expected_payoff
 from .results import PriceEstimate
@@ -54,11 +52,19 @@ class TailStrategyConfig:
             raise ParameterError(f"unknown h_kind {self.h_kind!r}", field="h_kind")
         if self.h_kind in ("call", "put") and not (self.strike or 0.0) > 0.0:
             raise ParameterError("call/put h needs a positive strike", field="strike")
+        if not self.switch_time < self.params.t_horizon:
+            raise ParameterError("the deferral window [T - 1/L, T] has zero width in floating "
+                                 "point at this horizon", field="t_horizon")
 
     @property
     def degenerate(self) -> bool:
         """cap * T <= 1: the budget cannot be exhausted, so u = L throughout."""
         return self.cap * self.params.t_horizon <= 1.0
+
+    @property
+    def switch_time(self) -> float:
+        """Start of the deferral window: T - 1/L, or 0 when degenerate."""
+        return 0.0 if self.degenerate else self.params.t_horizon - 1.0 / self.cap
 
 
 def hypothesis_report(cfg: TailStrategyConfig) -> dict:
@@ -87,8 +93,7 @@ def tail_strategy(cfg: TailStrategyConfig) -> Policy:
     When cap * T <= 1 the budget constraint cannot bind and the policy
     degenerates to u = L on all of [0, T] (flagged in meta).
     """
-    L, T = cfg.cap, cfg.params.t_horizon
-    switch = 0.0 if cfg.degenerate else T - 1.0 / L
+    L, switch = cfg.cap, cfg.switch_time
 
     def rule(t, x, y, s):
         u = L if t >= switch else 0.0
@@ -100,7 +105,7 @@ def tail_strategy(cfg: TailStrategyConfig) -> Policy:
         d1=L,
         name="tail",
         fn=rule,
-        t_horizon=T,
+        t_horizon=cfg.params.t_horizon,
         meta={"switch_time": switch, "degenerate": cfg.degenerate},
     )
 
@@ -112,6 +117,8 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL, depth: in
     left = _gl_panel(f, a, mid)
     right = _gl_panel(f, mid, b)
     refined = left + right
+    if not (math.isfinite(whole) and math.isfinite(refined)):  # would bisect to full depth
+        raise NumericalFailure(f"non-finite quadrature panel on [{a:.17g}, {b:.17g}]")
     if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 30:
         return refined
     return (_adaptive_gl(f, a, mid, rel_tol, depth + 1)
@@ -145,8 +152,7 @@ def tail_strategy_price(cfg: TailStrategyConfig) -> PriceEstimate:
             field="h_kind",
         )
     p = cfg.params
-    L, T = cfg.cap, p.t_horizon
-    lo = 0.0 if cfg.degenerate else T - 1.0 / L
+    L, T, lo = cfg.cap, p.t_horizon, cfg.switch_time
     integral = _adaptive_gl(lambda t: expected_payment_rate(cfg, t), lo, T)
     value = math.exp(-p.r * T) * L * integral
     return PriceEstimate(
@@ -158,18 +164,6 @@ def tail_strategy_price(cfg: TailStrategyConfig) -> PriceEstimate:
             "window": [lo, T],
             "degenerate": cfg.degenerate,
             "integral_factor": "L",
-            "alt_inverse_factor_price": value / (L * L),
             "hypotheses": report,
         },
-    )
-
-
-def uniform_strategy_price(cfg: TailStrategyConfig) -> PriceEstimate:
-    """Baseline: the constant weight u = 1/T, priced by the same quadrature."""
-    p = cfg.params
-    integral = _adaptive_gl(lambda t: expected_payment_rate(cfg, t), 0.0, p.t_horizon)
-    value = math.exp(-p.r * p.t_horizon) * integral / p.t_horizon
-    return PriceEstimate(
-        value=value, stderr=0.0, method="closed_form",
-        meta={"strategy": "uniform", "window": [0.0, p.t_horizon]},
     )

@@ -262,22 +262,6 @@ def _solve_z(ab: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T).reshape(values.shape)
 
 
-def diffuse_terminal(params: MarketParams, z_nodes: np.ndarray, n_steps: int,
-                     terminal: np.ndarray) -> np.ndarray:
-    """Pure drift-diffusion rollback of terminal z-data to t = 0.
-
-    Runs the exact z-step used by the full solvers with all control
-    transport disabled; the scheme-validation tests compare this against
-    the closed-form heat kernel.
-    """
-    dt = params.t_horizon / n_steps
-    ab = _z_step_matrix(params, np.asarray(z_nodes, dtype=float), dt)
-    v = np.asarray(terminal, dtype=float).copy()
-    for _ in range(n_steps):
-        v = _solve_z(ab, v[None, :])[0]
-    return v
-
-
 # ---------------------------------------------------------------------------
 # value functions
 # ---------------------------------------------------------------------------
@@ -579,6 +563,23 @@ _SOLVERS = {
 }
 
 
+def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
+          grid: StateGrid | dict, keep: str) -> tuple[SmoothingFamily, ValueFunction]:
+    """Solve the regularised problem at one epsilon; returns (family, value).
+
+    ``grid`` is a StateGrid or the ``default_grid`` node counts (nx, ny,
+    nz, n_steps); the solver is looked up in ``_SOLVERS`` at call time.
+    """
+    if variant == "auto":
+        variant = auto_variant(spec)
+    if variant not in VARIANTS:
+        raise ParameterError(f"unknown variant {variant!r}", field="variant")
+    fam = build_family(epsilon, spec, params)
+    if not isinstance(grid, StateGrid):
+        grid = default_grid(params, spec, fam, variant, **grid)
+    return fam, _SOLVERS[variant](params, spec, fam, grid, keep=keep)
+
+
 def ladder_price(
     params: MarketParams,
     spec: PayoffSpec,
@@ -589,7 +590,6 @@ def ladder_price(
     ny: int = 41,
     nz: int = 81,
     n_steps: int = 200,
-    keep: str = "initial",
 ) -> tuple[PriceEstimate, list[PriceEstimate]]:
     """Solve along a decreasing epsilon ladder and Richardson-extrapolate.
 
@@ -601,14 +601,11 @@ def ladder_price(
     epsilons = sorted(set(float(e) for e in epsilons), reverse=True)
     if not epsilons:
         raise ParameterError("need at least one epsilon", field="epsilons")
-    if variant == "auto":
-        variant = auto_variant(spec)
-    solver = _SOLVERS[variant]
+    if grid is None:
+        grid = {"nx": nx, "ny": ny, "nz": nz, "n_steps": n_steps}
     raw: list[PriceEstimate] = []
     for eps in epsilons:
-        fam = build_family(eps, spec, params)
-        g = grid if grid is not None else default_grid(params, spec, fam, variant, nx, ny, nz, n_steps)
-        vf = solver(params, spec, fam, g, keep=keep)
+        _, vf = solve(params, spec, eps, variant, grid, keep="initial")
         raw.append(price_from_value(vf, params))
     if len(raw) >= 2:
         e1, e2 = epsilons[-2], epsilons[-1]
@@ -621,7 +618,7 @@ def ladder_price(
         stderr=0.0,
         method="hjb",
         meta={
-            "variant": variant,
+            "variant": vf.variant,
             "epsilons": list(epsilons),
             "raw_values": [r.value for r in raw],
             "extrapolated": len(raw) >= 2,
@@ -644,15 +641,10 @@ def refinement_delta(
 ) -> float:
     """|price(grid) - price(refined grid)| at one epsilon: the empirical
     discretisation allowance used in cross-method tolerances."""
-    if variant == "auto":
-        variant = auto_variant(spec)
-    fam = build_family(epsilon, spec, params)
-    base = default_grid(params, spec, fam, variant, nx, ny, nz, n_steps)
-    fine = refine_grid(base)
-    solver = _SOLVERS[variant]
-    p0 = price_from_value(solver(params, spec, fam, base, keep="initial"), params)
-    p1 = price_from_value(solver(params, spec, fam, fine, keep="initial"), params)
-    return abs(p0.value - p1.value)
+    dims = {"nx": nx, "ny": ny, "nz": nz, "n_steps": n_steps}
+    _, base = solve(params, spec, epsilon, variant, dims, keep="initial")
+    _, fine = solve(params, spec, epsilon, variant, refine_grid(base.grid), keep="initial")
+    return abs(price_from_value(base, params).value - price_from_value(fine, params).value)
 
 
 # ---------------------------------------------------------------------------

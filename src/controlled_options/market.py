@@ -1,15 +1,18 @@
-"""Risk-neutral market model: GBM path simulation and Black-Scholes expectations.
+"""Risk-neutral market model: the Monte Carlo normal stream and Black-Scholes expectations.
 
 The engine prices everything under the risk-neutral measure, so the model
-carries no physical drift; log-price increments are exact,
+carries no physical drift; ``mc`` steps log-prices exactly,
 
     S(t_{i+1}) = S(t_i) * exp((r - sigma^2/2) dt + sigma sqrt(dt) Z_i),
 
 which keeps the simulated marginals free of time-discretisation bias.
 
-Normal draws come from a Philox counter-based generator keyed on
-(seed, block index) with a fixed block size, so enlarging ``n_paths``
-appends new blocks without reshuffling the draws of earlier paths.
+There is one path stream.  ``_block_normals`` draws the normals of one
+block of paths from a Philox counter-based generator keyed on
+(seed, block index); ``mc`` fills its blocks of ``mc.PAIR_BLOCK`` rows
+from it, drawing only the rows a block uses.  A shorter draw is the
+leading rows of a longer one, so enlarging ``n_paths`` appends paths
+without reshuffling the draws of earlier ones.
 """
 from __future__ import annotations
 
@@ -19,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-# Paths per substream block.  Fixed so that path i always consumes the same
-# normals regardless of the total path count.
-BLOCK_PATHS = 4096
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -41,6 +40,9 @@ class MarketParams:
     t_horizon: float
 
     def __post_init__(self):
+        for name in ("s0", "r", "sigma", "t_horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError("must be finite", field=name)
         if not self.s0 > 0.0:
             raise ParameterError("spot must be positive", field="s0")
         if not self.r >= 0.0:
@@ -50,30 +52,6 @@ class MarketParams:
             raise ParameterError("volatility must be strictly positive", field="sigma")
         if not self.t_horizon > 0.0:
             raise ParameterError("horizon must be positive", field="t_horizon")
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Simulated paths on a shared time grid.
-
-    ``values`` has shape (n_paths, n_times) with values[:, 0] == s0.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ParameterError("times must be strictly increasing", field="times")
-        if self.values.ndim != 2 or self.values.shape[1] != self.times.shape[0]:
-            raise ParameterError("values shape must be (n_paths, n_times)", field="values")
-        if not np.all(self.values > 0.0):
-            raise ParameterError("path values must be strictly positive", field="values")
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
 
 def norm_cdf(x: float) -> float:
@@ -117,44 +95,6 @@ def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals for one substream block, deterministic in (seed, block)."""
     bitgen = np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block)))
     return np.random.Generator(bitgen).standard_normal(shape)
-
-
-def draw_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """(n_paths, n_steps) standard normals with per-block substreams.
-
-    Row i is identical for every n_paths >= i + 1.
-    """
-    if n_paths < 1 or n_steps < 1:
-        raise ParameterError("n_paths and n_steps must be >= 1", field="n_paths")
-    blocks = []
-    n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
-    for b in range(n_blocks):
-        rows = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
-        z = _block_normals(seed, b, (BLOCK_PATHS, n_steps))
-        blocks.append(z[:rows])
-    return np.vstack(blocks)
-
-
-def gbm_paths_from_normals(params: MarketParams, normals: np.ndarray) -> np.ndarray:
-    """Exact GBM paths (n_paths, n_steps + 1) from given normal increments."""
-    n_steps = normals.shape[1]
-    dt = params.t_horizon / n_steps
-    drift = (params.r - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * math.sqrt(dt)
-    log_incr = drift + vol * normals
-    log_paths = np.cumsum(log_incr, axis=1)
-    out = np.empty((normals.shape[0], n_steps + 1))
-    out[:, 0] = params.s0
-    out[:, 1:] = params.s0 * np.exp(log_paths)
-    return out
-
-
-def simulate_paths(params: MarketParams, n_paths: int, n_steps: int, seed: int) -> PathSet:
-    """Simulate risk-neutral GBM paths on a uniform grid of n_steps steps."""
-    z = draw_normals(seed, n_paths, n_steps)
-    values = gbm_paths_from_normals(params, z)
-    times = np.linspace(0.0, params.t_horizon, n_steps + 1)
-    return PathSet(times=times, values=values, seed=seed)
 
 
 def bs_expected_payoff(params: MarketParams, h_kind: str, t: float, strike: float | None = None) -> float:

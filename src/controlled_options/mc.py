@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .closed_form import TailStrategyConfig, tail_strategy
 from .errors import ParameterError
 from .hjb import Policy
 from .market import MarketParams, _block_normals
@@ -80,7 +81,7 @@ def evaluate_policy(
     n_blocks = (n_rows_total + PAIR_BLOCK - 1) // PAIR_BLOCK
     for b in range(n_blocks):
         rows = min(PAIR_BLOCK, n_rows_total - b * PAIR_BLOCK)
-        z = _block_normals(seed, b, (PAIR_BLOCK, n_steps))[:rows]
+        z = _block_normals(seed, b, (rows, n_steps))
         payoffs = []
         for sign in signs:
             s = np.full(rows, params.s0)
@@ -133,59 +134,10 @@ def evaluate_policy(
     )
 
 
-def price_terminal_payoff(
-    spec: PayoffSpec,
-    params: MarketParams,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-    antithetic: bool = True,
-) -> PriceEstimate:
-    """e^{-rT} E*[g(f(S(T), T))] on exactly the engine's path stream.
-
-    This is the degenerate (all-zero weight) limit of the normalized
-    payoff, evaluated directly; it reproduces ``evaluate_policy`` with a
-    zero policy bit for bit, path for path.
-    """
-    T = params.t_horizon
-    dt = T / n_steps
-    drift = (params.r - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * math.sqrt(dt)
-    signs = (1.0, -1.0) if antithetic else (1.0,)
-    n_rows_total = (n_paths + 1) // 2 if antithetic else n_paths
-    disc = math.exp(-params.r * T)
-
-    sum_w = 0.0
-    sum_w2 = 0.0
-    n_obs = 0
-    n_blocks = (n_rows_total + PAIR_BLOCK - 1) // PAIR_BLOCK
-    for b in range(n_blocks):
-        rows = min(PAIR_BLOCK, n_rows_total - b * PAIR_BLOCK)
-        z = _block_normals(seed, b, (PAIR_BLOCK, n_steps))[:rows]
-        payoffs = []
-        for sign in signs:
-            s = np.full(rows, params.s0)
-            for i in range(n_steps):
-                s = s * np.exp(drift + vol * (sign * z[:, i]))
-            payoffs.append(eval_g(spec, eval_f(spec, params, s, T)))
-        w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
-        sum_w += float(np.sum(w))
-        sum_w2 += float(np.sum(w * w))
-        n_obs += rows
-
-    mean = sum_w / n_obs
-    var = max(sum_w2 - n_obs * mean * mean, 0.0) / max(n_obs - 1, 1)
-    stderr = max(math.sqrt(var / n_obs), 1e-16 * (1.0 + abs(mean)))
-    return PriceEstimate(
-        value=mean, stderr=stderr, method="monte_carlo",
-        meta={"policy": "terminal_payoff", "n_paths": n_obs * len(signs),
-              "n_steps": n_steps, "seed": seed, "antithetic": antithetic},
-    )
-
-
 def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
-    """Reference policies: uniform, tail (when d0 = 0), a small threshold
-    ladder on the payment rate, and the constant floor."""
+    """Reference policies: uniform, tail (``closed_form.tail_strategy``,
+    when d0 = 0 < d1), a small threshold ladder on the payment rate, and
+    the constant floor."""
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     T = params.t_horizon
     out = []
@@ -197,15 +149,9 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
         )
 
     out.append(_const(1.0 / T, "uniform"))
-    if d0 == 0.0:
-        switch = max(T - 1.0 / d1, 0.0) if d1 > 0 else 0.0
-
-        def tail_rule(t, x, y, s, switch=switch, level=d1):
-            u = level if t >= switch else 0.0
-            return np.full(np.shape(np.asarray(s)), u)
-
-        out.append(Policy(source="analytic", d0=d0, d1=d1, name="tail",
-                          fn=tail_rule, t_horizon=T, meta={"switch_time": switch}))
+    if d0 == 0.0 < d1:
+        out.append(tail_strategy(TailStrategyConfig(
+            params=params, cap=d1, h_kind=spec.f_kind, strike=spec.f_strike)))
     for q in (-0.5, 0.0, 0.5):
         level = params.s0 * math.exp(params.sigma * math.sqrt(T) * q)
         c = float(eval_f(spec, params, level, 0.5 * T))

@@ -168,16 +168,3 @@ def payoff_normalized(spec: PayoffSpec, params: MarketParams, times, s_values, u
         return float(eval_g(spec, terminal))
     f_vals = eval_f(spec, params, s_values, times)
     return float(eval_g(spec, np.trapezoid(u * f_vals, times) / total))
-
-
-def growth_bound_constant(spec: PayoffSpec, params: MarketParams) -> float:
-    """A constant C with |payoff| <= C * (1 + max_t S(t)) for either mode.
-
-    Both f kinds obey f(s, t) <= e^{rT} (s + K); the weight integral is
-    at most max(1, d1 T); g adds at most its own strike/cap.
-    """
-    k_f = spec.f_strike or 0.0
-    k_g = (spec.g_strike or 0.0) + (spec.g_cap or 0.0)
-    weight = max(1.0, spec.bounds.d1 * params.t_horizon)
-    comp = np.exp(params.r * params.t_horizon)
-    return float(comp * weight * (1.0 + k_f) + k_g)

@@ -10,7 +10,7 @@ from typing import Any
 
 from .errors import ParameterError
 
-METHODS = ("hjb", "closed_form", "monte_carlo")
+METHODS = ("closed_form", "monte_carlo", "hjb")
 
 
 @dataclass(frozen=True)

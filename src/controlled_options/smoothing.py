@@ -44,14 +44,6 @@ def smoothstep(t):
     return np.clip(t * t * t * (t * (6.0 * t - 15.0) + 10.0), 0.0, 1.0)
 
 
-def smoothstep_deriv(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    d = 30.0 * tc * tc * (1.0 - tc) ** 2
-    return np.where(inside, d, 0.0)
-
-
 def smoothstep_integral(t):
     """int_0^t smoothstep(s) ds; equals t - 1/2 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -75,27 +67,12 @@ def _pos_below(v, half_width):
     return np.where(v <= -d, 0.0, np.where(v >= d, v, blend))
 
 
-def _pos_below_deriv(v, half_width):
-    v = np.asarray(v, dtype=float)
-    d = half_width
-    s = np.clip(v / d, -1.0, 1.0)
-    blend = (v + d) / (2.0 * d) + s * (1.0 - s * s)
-    return np.where(v <= -d, 0.0, np.where(v >= d, 1.0, blend))
-
-
 def _pos_above(v, half_width):
     """C1 approximation of max(v, 0) from above: plain quadratic blend."""
     v = np.asarray(v, dtype=float)
     d = half_width
     blend = (v + d) ** 2 / (4.0 * d)
     return np.where(v <= -d, 0.0, np.where(v >= d, v, blend))
-
-
-def _pos_above_deriv(v, half_width):
-    v = np.asarray(v, dtype=float)
-    d = half_width
-    blend = (v + d) / (2.0 * d)
-    return np.where(v <= -d, 0.0, np.where(v >= d, 1.0, blend))
 
 
 def _softmin(a, cap, temperature):
@@ -136,10 +113,6 @@ class SmoothingFamily:
         eps = self.epsilon
         return 1.0 - smoothstep((np.asarray(y, dtype=float) - self.cutoff_start) / (eps * eps))
 
-    def budget_cutoff_deriv(self, y):
-        eps = self.epsilon
-        return -smoothstep_deriv((np.asarray(y, dtype=float) - self.cutoff_start) / (eps * eps)) / (eps * eps)
-
     def budget_cutoff_integral(self, y):
         """int_0^y xi(s) ds, exact; saturates at 1 - eps + eps^2/2."""
         eps2 = self.epsilon * self.epsilon
@@ -150,10 +123,6 @@ class SmoothingFamily:
     def terminal_ramp(self, t):
         eps = self.epsilon
         return smoothstep((np.asarray(t, dtype=float) - self.ramp_start) / (eps * eps))
-
-    def terminal_ramp_deriv(self, t):
-        eps = self.epsilon
-        return smoothstep_deriv((np.asarray(t, dtype=float) - self.ramp_start) / (eps * eps)) / (eps * eps)
 
     def terminal_ramp_integral(self, t):
         """int_0^t psi(s) ds, exact."""
@@ -200,24 +169,9 @@ class SmoothingFamily:
         # cap: min(M, x) = x - max(x - M, 0); the above-blend keeps it below.
         return x - _pos_above(x - spec.g_cap, self.epsilon * spec.g_cap)
 
-    def _kinkless_g_deriv(self, x):
-        spec = self.spec
-        x = np.asarray(x, dtype=float)
-        if spec.g_kind == "identity":
-            return np.ones_like(x)
-        if spec.g_kind == "call":
-            return _pos_below_deriv(x - spec.g_strike, self.epsilon * spec.g_strike)
-        if spec.g_kind == "put":
-            return -_pos_below_deriv(spec.g_strike - x, self.epsilon * spec.g_strike)
-        return 1.0 - _pos_above_deriv(x - spec.g_cap, self.epsilon * spec.g_cap)
-
     def terminal_reward(self, x):
         cap, d = self.reward_cap, self.epsilon * self.reward_scale
         return cap - _pos_above(cap - self._kinkless_g(x), d)
-
-    def terminal_reward_deriv(self, x):
-        cap, d = self.reward_cap, self.epsilon * self.reward_scale
-        return _pos_above_deriv(cap - self._kinkless_g(x), d) * self._kinkless_g_deriv(x)
 
     # -- two-argument terminal reward for the normalized mode -------------
     def ratio_substitute(self, x, y):

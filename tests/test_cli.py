@@ -159,6 +159,61 @@ def test_compare_csv_layout(tmp_path, recwarn):
     assert "method_a,method_b,gap,tolerance,gap_over_tolerance" in lines
 
 
+MALFORMED = {
+    "d0-string": (_doc(payoff={"d0": "abc"}), "payoff.d0"),
+    "payoff-list": (_doc(payoff=[1, 2]), "payoff"),
+    "market-string": (_doc(market="x"), "market"),
+    "top-level-list": ([1, 2], "config"),
+    "nx-string": (_doc(grid={"nx": "many"}), "grid.nx"),
+    "epsilons-string": (_doc(epsilons="abc"), "epsilons"),
+    "mc-steps-fraction": (_doc(mc={"n_steps": 10.7}), "mc.n_steps"),
+    "grid-steps-fraction": (_doc(grid={"n_steps": 50.5}), "grid.n_steps"),
+    "sigma-inf": (_doc(market={"sigma": float("inf")}), "market.sigma"),
+}
+
+
+@pytest.mark.parametrize("command", ["price-closed-form", "price-hjb"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, command, case):
+    doc, field = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+def test_zero_width_deferral_window_exits_2(tmp_path, capsys):
+    # T - 1/L rounds to T at T = 1e300; the price would integrate to 0.0
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_doc(market={"t_horizon": 1e300})))
+    assert main(["price-closed-form", "--config", str(path)]) == 2
+    assert "configuration error: t_horizon:" in capsys.readouterr().err
+
+
+def test_overflowing_quadrature_exits_3(tmp_path, capsys):
+    # E*[f] near the float ceiling: the quadrature panel overflows to inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_doc(market={"s0": 1e308})))
+    assert main(["price-closed-form", "--config", str(path)]) == 3
+    assert "non-finite quadrature panel" in capsys.readouterr().err
+
+
+def test_compare_gate_is_one_sided_for_monte_carlo(tmp_path, recwarn):
+    # capped g = min(x, 8): the tail policy's MC price (about 3.36) is a
+    # lower bound, well below the grid optimum (about 3.92); not a breach
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(_doc(payoff={"g_kind": "cap", "g_cap": 8.0})))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--methods", "monte_carlo,hjb",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "compare.json").read_text())
+    row, = report["comparison"]
+    assert row["gap_over_tolerance"] > 1.0  # the absolute gap is still reported
+    assert not report["breach"]
+    est = report["estimates"]
+    assert est["monte_carlo"]["value"] < est["hjb"]["value"] - row["tolerance"]
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fabricate"])

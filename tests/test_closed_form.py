@@ -7,13 +7,14 @@ from scipy.stats import norm
 
 from controlled_options import (
     MarketParams,
+    NumericalFailure,
     ParameterError,
     TailStrategyConfig,
     hypothesis_report,
     tail_strategy,
     tail_strategy_price,
-    uniform_strategy_price,
 )
+from controlled_options.closed_form import _adaptive_gl
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 
@@ -66,7 +67,6 @@ def test_price_matches_independent_quadrature():
     # frozen from the oracle below
     assert est.value == pytest.approx(6.868449472311021, rel=1e-9)
     assert est.value == pytest.approx(_oracle_price(100, 100, 0.0, 0.2, 1.0, 2.0), rel=1e-8)
-    assert est.meta["alt_inverse_factor_price"] == pytest.approx(est.value / 4.0)
 
 
 def test_price_with_rate_matches_oracle():
@@ -102,7 +102,9 @@ def test_put_with_positive_rate_refused():
 
 def test_tail_dominates_uniform_for_convex_payoff():
     cfg = TailStrategyConfig(params=PARAMS, cap=2.0, h_kind="call", strike=100.0)
-    assert tail_strategy_price(cfg).value > uniform_strategy_price(cfg).value
+    # the uniform weight u = 1/T is the deferral window of cap L = 1/T
+    uniform = _oracle_price(100, 100, 0.0, 0.2, 1.0, 1.0)
+    assert tail_strategy_price(cfg).value > uniform
 
 
 def test_price_nondecreasing_in_cap_at_zero_rate():
@@ -131,3 +133,23 @@ def _undisc_call_ref(s0, K, r, sigma, t):
     st = sigma * math.sqrt(t)
     d1 = (math.log(s0 / K) + (r + 0.5 * sigma**2) * t) / st
     return s0 * math.exp(r * t) * norm.cdf(d1) - K * norm.cdf(d1 - st)
+
+
+def test_zero_width_window_refused():
+    # at T = 1e300, T - 1/L rounds to T: the window would integrate to 0.0
+    params = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1e300)
+    with pytest.raises(ParameterError) as err:
+        TailStrategyConfig(params=params, cap=2.0, h_kind="call", strike=100.0)
+    assert err.value.field == "t_horizon"
+
+
+def test_non_finite_panel_fails_at_once():
+    calls = []
+
+    def poisoned(t):
+        calls.append(t)
+        return math.nan if t > 0.5 else 1.0
+
+    with pytest.raises(NumericalFailure):
+        _adaptive_gl(poisoned, 0.0, 1.0)
+    assert len(calls) == 60  # one whole panel and its two halves, no bisection

@@ -17,7 +17,6 @@ from controlled_options import (
     build_family,
     builtin_policies,
     default_grid,
-    diffuse_terminal,
     evaluate_policy,
     extract_policy,
     ladder_price,
@@ -27,6 +26,7 @@ from controlled_options import (
     solve_linear_reduced,
     solve_normalized,
 )
+from controlled_options.hjb import _solve_z, _z_step_matrix
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 TAIL_PRICE = 6.868449472311021  # frozen quadrature oracle (see test_closed_form)
@@ -421,7 +421,10 @@ def test_heat_kernel_rollback_second_order():
     for nz, nt in ((81, 400), (161, 1600), (321, 6400)):
         z = np.linspace(z0 - 2.0, z0 + 2.0, nz)
         terminal = np.exp(-0.5 * ((z - z0) / w) ** 2)
-        got = diffuse_terminal(params, z, nt, terminal)
+        ab = _z_step_matrix(params, z, params.t_horizon / nt)
+        got = terminal
+        for _ in range(nt):
+            got = _solve_z(ab, got[None, :])[0]
         spread = math.sqrt(w * w + sigma * sigma * params.t_horizon)
         exact = (w / spread) * np.exp(-0.5 * ((z - z0) / spread) ** 2)
         sel = np.abs(z - z0) <= 1.0

@@ -2,16 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from controlled_options import (
+    ControlBounds,
     MarketParams,
     ParameterError,
+    PayoffSpec,
+    Policy,
     bs_expected_payoff,
+    evaluate_policy,
     norm_cdf,
-    simulate_paths,
 )
-from controlled_options.market import draw_normals
+from controlled_options.market import _block_normals
+from controlled_options.mc import PAIR_BLOCK
+
+
+def _stream(params, n_paths, n_steps, seed, f_kind="identity", strike=None):
+    """The Monte Carlo path stream, read through ``evaluate_policy``.
+
+    A zero policy records s at every step, so ``paths[:, i]`` is S(t_i)
+    for i < n_steps.  Zero weight sends the normalized payoff to its
+    terminal branch, so the estimate is e^{-rT} E[f(S(T), T)].
+    """
+    seen = []
+
+    def record(t, x, y, s):
+        seen.append(np.array(s))
+        return np.zeros_like(s)
+
+    spec = PayoffSpec(f_kind=f_kind, f_strike=strike, g_kind="identity",
+                      weight_mode="normalized", bounds=ControlBounds(0.0, 1.0))
+    policy = Policy(source="analytic", d0=0.0, d1=1.0, name="record", fn=record,
+                    t_horizon=params.t_horizon)
+    est = evaluate_policy(policy, spec, params, n_paths, n_steps, seed, antithetic=False)
+    blocks = [np.stack(seen[i:i + n_steps], axis=1) for i in range(0, len(seen), n_steps)]
+    return np.vstack(blocks), est
 
 
 def _bs_call_reference(s0, K, r, sigma, t):
@@ -40,34 +68,54 @@ def test_params_validation():
         MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=0.0)
 
 
+def test_params_reject_non_finite_fields():
+    for name in ("s0", "r", "sigma", "t_horizon"):
+        fields = dict(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
+        for bad in (math.inf, math.nan):
+            fields[name] = bad
+            with pytest.raises(ParameterError) as err:
+                MarketParams(**fields)
+            assert err.value.field == name
+
+
 def test_degenerate_sigma_paths_constant():
     params = MarketParams(s0=100.0, r=0.0, sigma=1e-12, t_horizon=1.0)
-    ps = simulate_paths(params, n_paths=64, n_steps=16, seed=3)
-    assert np.allclose(ps.values, 100.0, atol=1e-8)
-    assert np.all(ps.values[:, 0] == 100.0)
+    paths, est = _stream(params, n_paths=64, n_steps=16, seed=3)
+    assert np.allclose(paths, 100.0, atol=1e-8)
+    assert np.all(paths[:, 0] == 100.0)
+    assert est.value == pytest.approx(100.0, abs=1e-8)
 
 
 def test_terminal_mean_grows_at_rate_r():
     params = MarketParams(s0=100.0, r=0.05, sigma=0.2, t_horizon=1.0)
-    ps = simulate_paths(params, n_paths=1_000_000, n_steps=4, seed=11)
-    st = ps.values[:, -1]
-    target = 100.0 * math.exp(0.05)
-    se = st.std(ddof=1) / math.sqrt(st.size)
-    assert abs(st.mean() - target) <= 3.0 * se
+    _, est = _stream(params, n_paths=1_000_000, n_steps=4, seed=11)
+    # e^{-rT} E[S(T)] = s0 is E[S(T)] = s0 e^{rT}
+    assert abs(est.value - 100.0) <= 3.0 * est.stderr
 
 
 def test_seed_determinism_bit_identical():
     params = MarketParams(s0=50.0, r=0.02, sigma=0.3, t_horizon=2.0)
-    a = simulate_paths(params, 512, 8, seed=42)
-    b = simulate_paths(params, 512, 8, seed=42)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.times, b.times)
+    a, est_a = _stream(params, 512, 8, seed=42)
+    b, est_b = _stream(params, 512, 8, seed=42)
+    assert np.array_equal(a, b)
+    assert est_a.value == est_b.value and est_a.stderr == est_b.stderr
 
 
 def test_path_prefix_stable_under_more_paths():
-    z_small = draw_normals(9, 1000, 6)
-    z_big = draw_normals(9, 10_000, 6)
-    assert np.array_equal(z_big[:1000], z_small)
+    params = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
+    small, _ = _stream(params, 1000, 6, seed=9)
+    big, _ = _stream(params, PAIR_BLOCK + 5000, 6, seed=9)  # spans two blocks
+    assert big.shape == (PAIR_BLOCK + 5000, 6)
+    assert np.array_equal(big[:1000], small)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), block=st.integers(0, 3),
+       rows=st.integers(1, 400), extra=st.integers(0, 400), steps=st.integers(1, 40))
+def test_short_block_draw_is_prefix_of_long_draw(seed, block, rows, extra, steps):
+    short = _block_normals(seed, block, (rows, steps))
+    long = _block_normals(seed, block, (rows + extra, steps))
+    assert np.array_equal(short, long[:rows])
 
 
 def test_bs_call_against_reference_and_mc():
@@ -76,10 +124,8 @@ def test_bs_call_against_reference_and_mc():
     # frozen from the independent scipy-based formula
     assert val == pytest.approx(7.965567455405804, abs=1e-9)
     assert val == pytest.approx(_bs_call_reference(100, 100, 0.0, 0.2, 1.0), abs=1e-10)
-    st = simulate_paths(params, 1_000_000, 1, seed=5).values[:, -1]
-    payoff = np.maximum(st - 100.0, 0.0)
-    se = payoff.std(ddof=1) / math.sqrt(payoff.size)
-    assert abs(payoff.mean() - val) <= 3.0 * se
+    _, est = _stream(params, 1_000_000, 1, seed=5, f_kind="call", strike=100.0)
+    assert abs(est.value - val) <= 3.0 * est.stderr
 
 
 def test_bs_call_deterministic_limit():
@@ -114,11 +160,12 @@ def test_bs_parameter_errors():
 
 def test_martingale_at_every_grid_time():
     params = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
-    ps = simulate_paths(params, 100_000, 12, seed=17)
-    for i in range(1, 13):
-        col = ps.values[:, i]
+    paths, est = _stream(params, 100_000, 12, seed=17)
+    for i in range(1, 12):
+        col = paths[:, i]
         se = col.std(ddof=1) / math.sqrt(col.size)
         assert abs(col.mean() - 100.0) <= 4.0 * se
+    assert abs(est.value - 100.0) <= 4.0 * est.stderr  # t_12 = T
 
 
 def test_call_present_value_increases_with_payment_time():

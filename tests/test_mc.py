@@ -11,7 +11,6 @@ from controlled_options import (
     TailStrategyConfig,
     builtin_policies,
     evaluate_policy,
-    price_terminal_payoff,
     tail_strategy,
     tail_strategy_price,
 )
@@ -98,8 +97,35 @@ def test_normalized_zero_policy_hits_terminal_branch_exactly():
     zero = Policy(source="analytic", d0=0.0, d1=2.0, name="zero",
                   fn=lambda t, x, y, s: np.zeros(np.shape(s)), t_horizon=1.0)
     a = evaluate_policy(zero, spec, PARAMS, 40_000, 64, seed=21)
-    b = price_terminal_payoff(spec, PARAMS, 40_000, 64, seed=21)
-    assert abs(a.value - b.value) <= 1e-12
+
+    # independent straight-loop terminal payoff on the same substream
+    n_rows, n_steps = 20_000, 64
+    dt = PARAMS.t_horizon / n_steps
+    drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
+    vol = PARAMS.sigma * math.sqrt(dt)
+    z = _block_normals(21, 0, (n_rows, n_steps))
+    ends = []
+    for sign in (1.0, -1.0):
+        s = np.full(n_rows, 100.0)
+        for i in range(n_steps):
+            s = s * np.exp(drift + vol * (sign * z[:, i]))
+        ends.append(np.maximum(s - 100.0, 0.0))
+    direct = float(np.sum(0.5 * (ends[0] + ends[1]))) / n_rows
+    assert abs(a.value - direct) <= 1e-12
+
+
+def test_pinned_values_across_two_blocks():
+    # frozen values: any change to the path stream or its block layout moves
+    # them; 140k paths fill two antithetic blocks (three plain ones)
+    spec = _spec(f_kind="call", f_strike=100.0)
+    pol = _policies_by_name(spec, PARAMS)["threshold[+0.0]"]
+    assert 140_000 > 2 * PAIR_BLOCK
+    anti = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77)
+    assert anti.value == pytest.approx(5.460135926750737, rel=1e-12)
+    assert anti.stderr == pytest.approx(0.010219209476080205, rel=1e-9)
+    plain = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77, antithetic=False)
+    assert plain.value == pytest.approx(5.448006935808405, rel=1e-12)
+    assert plain.stderr == pytest.approx(0.015818388954237293, rel=1e-9)
 
 
 def test_builtin_policy_structure():

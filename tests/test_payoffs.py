@@ -8,15 +8,21 @@ from controlled_options import (
     ParameterError,
     PayoffSpec,
     eval_f,
-    growth_bound_constant,
     payoff_adapted,
     payoff_normalized,
-    simulate_paths,
     validate_spec,
 )
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 BOUNDS = ControlBounds(0.0, 2.0)
+
+
+def _path(n_steps, seed):
+    """(times, s): an arbitrary positive path on a uniform grid over [0, T]."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, PARAMS.t_horizon, n_steps + 1)
+    log_incr = rng.normal(-0.02 / n_steps, 0.2 / np.sqrt(n_steps), n_steps)
+    return times, 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(log_incr)]))
 
 
 def _spec(**kw):
@@ -101,8 +107,7 @@ def test_adapted_cap_never_exceeds_cap():
 
 def test_adapted_matches_straight_loop_quadrature():
     spec = _spec(f_kind="call", f_strike=100.0)
-    ps = simulate_paths(PARAMS, 1, 200, seed=99)
-    times, s = ps.times, ps.values[0]
+    times, s = _path(200, seed=99)
     u = np.full_like(times, 1.0)
     got = payoff_adapted(spec, PARAMS, times, s, u)
     # independent straight-loop trapezoid
@@ -132,8 +137,7 @@ def test_adapted_bounds_enforced():
 
 def test_normalized_constant_weight_cancels():
     spec = _spec(weight_mode="normalized")
-    ps = simulate_paths(PARAMS, 1, 64, seed=1)
-    times, s = ps.times, ps.values[0]
+    times, s = _path(64, seed=1)
     expected = np.trapezoid(s, times) / 1.0
     got = payoff_normalized(spec, PARAMS, times, s, np.full_like(times, 0.7))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -141,8 +145,7 @@ def test_normalized_constant_weight_cancels():
 
 def test_normalized_scale_invariance_exact():
     spec = _spec(weight_mode="normalized", f_kind="call", f_strike=90.0)
-    ps = simulate_paths(PARAMS, 1, 64, seed=2)
-    times, s = ps.times, ps.values[0]
+    times, s = _path(64, seed=2)
     rng = np.random.default_rng(5)
     u = rng.uniform(0.2, 0.9, times.size)
     a = payoff_normalized(spec, PARAMS, times, s, u)
@@ -152,8 +155,7 @@ def test_normalized_scale_invariance_exact():
 
 def test_normalized_zero_weight_takes_terminal_branch():
     spec = _spec(weight_mode="normalized", f_kind="call", f_strike=100.0)
-    ps = simulate_paths(PARAMS, 1, 64, seed=3)
-    times, s = ps.times, ps.values[0]
+    times, s = _path(64, seed=3)
     got = payoff_normalized(spec, PARAMS, times, s, np.zeros_like(times))
     assert got == max(s[-1] - 100.0, 0.0)
 
@@ -161,8 +163,7 @@ def test_normalized_zero_weight_takes_terminal_branch():
 def test_payoff_monotone_in_path_for_call_rate():
     adapted = _spec(f_kind="call", f_strike=100.0)
     normalized = _spec(f_kind="call", f_strike=100.0, weight_mode="normalized")
-    ps = simulate_paths(PARAMS, 1, 64, seed=4)
-    times, s = ps.times, ps.values[0]
+    times, s = _path(64, seed=4)
     u = np.full_like(times, 1.0)
     for spec, payoff in ((adapted, payoff_adapted), (normalized, payoff_normalized)):
         lo = payoff(spec, PARAMS, times, s, u)
@@ -179,7 +180,11 @@ def test_linear_growth_bound():
         _spec(f_kind="put", f_strike=90.0, weight_mode="normalized"),
     ]
     for spec in specs:
-        c = growth_bound_constant(spec, PARAMS)
+        # f <= e^{rT} (s + K_f), the weight integral is at most max(1, d1 T),
+        # and g adds at most its own strike or cap
+        weight = max(1.0, spec.bounds.d1 * PARAMS.t_horizon)
+        k_g = (spec.g_strike or 0.0) + (spec.g_cap or 0.0)
+        c = np.exp(PARAMS.r * PARAMS.t_horizon) * weight * (1.0 + (spec.f_strike or 0.0)) + k_g
         for _ in range(20):
             s = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.1, times.size)))
             if spec.weight_mode == "normalized":
