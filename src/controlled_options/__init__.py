@@ -25,8 +25,7 @@ from .hjb import (
     ValueFunction,
     auto_variant,
     default_grid,
-    export_policy_csv,
-    export_value_csv,
+    export_csv,
     extract_policy,
     ladder_price,
     price_from_value,
@@ -77,8 +76,7 @@ __all__ = [
     "eval_f",
     "eval_g",
     "evaluate_policy",
-    "export_policy_csv",
-    "export_value_csv",
+    "export_csv",
     "extract_policy",
     "hypothesis_report",
     "ladder_price",

@@ -21,14 +21,7 @@ import numpy as np
 
 from .closed_form import TailStrategyConfig, tail_strategy_price
 from .errors import NumericalFailure, ParameterError, PricingError
-from .hjb import (
-    export_policy_csv,
-    export_value_csv,
-    extract_policy,
-    ladder_price,
-    refinement_delta,
-    solve,
-)
+from .hjb import export_csv, extract_policy, ladder_price, refinement_delta, solve
 from .market import MarketParams
 from .mc import builtin_policies, evaluate_policy
 from .payoffs import ControlBounds, PayoffSpec, validate_spec
@@ -166,9 +159,7 @@ def _closed_form_config(cfg: RunConfig) -> TailStrategyConfig:
 
 def _mc_policy(cfg: RunConfig, name: str):
     if name == "hjb":
-        fam, vf = solve(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant,
-                        cfg.grid, keep="all")
-        return extract_policy(vf, fam)
+        return extract_policy(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant, cfg.grid)
     for pol in builtin_policies(cfg.spec, cfg.params):
         if pol.name == name:
             return pol
@@ -215,10 +206,8 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
     report = run_price(cfg)
     delta_grid = 0.0
     if "hjb" in report["estimates"]:
-        delta_grid = refinement_delta(
-            cfg.params, cfg.spec, min(cfg.epsilons), variant=cfg.variant,
-            **cfg.grid,
-        )
+        finest = PriceEstimate(**report["estimates"]["hjb"]["ladder"][-1])
+        delta_grid = refinement_delta(cfg.params, cfg.spec, finest, **cfg.grid)
         report["estimates"]["hjb"]["delta_grid"] = delta_grid
     rows = []
     breach = False
@@ -250,8 +239,7 @@ def run_convergence(cfg: RunConfig) -> dict:
     values = [r.value for r in raw]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     ratios = [g0 / g1 if g1 > 0 else math.inf for g0, g1 in zip(gaps, gaps[1:])]
-    delta_grid = refinement_delta(cfg.params, cfg.spec, min(cfg.epsilons),
-                                  variant=cfg.variant, **cfg.grid)
+    delta_grid = refinement_delta(cfg.params, cfg.spec, raw[-1], **cfg.grid)
     return {
         "config": cfg.echo(),
         "epsilons": [r.meta["epsilon"] for r in raw],
@@ -261,6 +249,29 @@ def run_convergence(cfg: RunConfig) -> dict:
         "extrapolated": est.value,
         "delta_grid": delta_grid,
     }
+
+
+def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path: str) -> None:
+    """Write one slice of the value (``time_index`` in [0, n_steps]) or of
+    the extracted policy (in [0, n_steps)) as CSV."""
+    n_steps = cfg.grid["n_steps"]
+    last = n_steps if what == "value" else n_steps - 1
+    if not 0 <= time_index <= last:
+        raise ParameterError(f"{time_index} outside [0, {last}] for the {what} on {n_steps} steps",
+                             field="time_index")
+    if what == "policy":
+        pol = extract_policy(cfg.params, cfg.spec, epsilon, cfg.variant, cfg.grid)
+        slab = np.where(pol.table[time_index], pol.d1, pol.d0)
+        export_csv(pol.grid, cfg.params.t_horizon, time_index, slab, path, "u")
+        return
+    picked = {}
+
+    def pick(n, slice_n, d1_wins):
+        if n == time_index:
+            picked["slab"] = slice_n
+
+    vf = solve(cfg.params, cfg.spec, epsilon, cfg.variant, cfg.grid, observe=pick)
+    export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path, "value")
 
 
 def _estimate_dict(est: PriceEstimate) -> dict:
@@ -425,11 +436,7 @@ def main(argv=None) -> int:
                 write_convergence_csv(report, os.path.join(cfg.out_dir, "convergence.csv"))
         elif args.command == "export-value":
             eps = args.epsilon if args.epsilon is not None else min(cfg.epsilons)
-            fam, vf = solve(cfg.params, cfg.spec, eps, cfg.variant, cfg.grid, keep="all")
-            if args.what == "value":
-                export_value_csv(vf, args.out, time_index=args.time_index)
-            else:
-                export_policy_csv(extract_policy(vf, fam), vf, args.out, time_index=args.time_index)
+            run_export(cfg, args.what, eps, args.time_index, args.out)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

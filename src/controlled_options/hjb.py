@@ -24,7 +24,10 @@ The scheme is monotone without a transport CFL restriction:
   endpoint controls only; ties go to d1.
 
 The payoff weight u enters both transport rates linearly, which is what
-makes the optimal control bang-bang.
+makes the optimal control bang-bang.  The sweep keeps one slice at a
+time.  ``extract_policy`` records the scheme's own choice at every node
+and step (the ``hjb`` policy): d1 where its candidate value is >= that
+of d0, so ties go to d1.
 """
 from __future__ import annotations
 
@@ -116,8 +119,8 @@ def default_grid(
         fine = np.geomspace(0.25 * eps * eps, min(4.0 * eps, 0.5 * y_max), n_fine)
         coarse = np.linspace(0.0, y_max, max(ny - n_fine, 2))
         y_nodes = np.unique(np.concatenate([coarse, fine]))
-        keep = np.concatenate([[True], np.diff(y_nodes) > 1e-12 * y_max])
-        y_nodes = y_nodes[keep]
+        distinct = np.concatenate([[True], np.diff(y_nodes) > 1e-12 * y_max])
+        y_nodes = y_nodes[distinct]
     else:
         # keep the node budget but resolve the eps^2 cutoff band, where the
         # value has a kink in y that coarse linear interpolation biases
@@ -127,8 +130,8 @@ def default_grid(
         band = np.linspace(1.0 - eps, 1.0 - eps + eps * eps, n_band)
         base = np.linspace(0.0, y_max, max(ny - n_band, 2))
         y_nodes = np.unique(np.concatenate([base, band]))
-        keep = np.concatenate([[True], np.diff(y_nodes) > 1e-9 * y_max])
-        y_nodes = y_nodes[keep]
+        distinct = np.concatenate([[True], np.diff(y_nodes) > 1e-9 * y_max])
+        y_nodes = y_nodes[distinct]
 
     x_nodes = None
     if variant != "linear_reduced":
@@ -268,23 +271,12 @@ def _solve_z(ab: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Grid-sampled value of one regularised problem.
-
-    ``values[n]`` is the slice at ``times[n]``; when the sweep is run
-    with ``keep="initial"`` only the t = 0 slice is retained.
-    """
+    """Grid-sampled t = 0 value of one regularised problem; ``values`` has ``grid.shape``."""
 
     grid: StateGrid
     variant: str
     epsilon: float
-    times: np.ndarray
     values: np.ndarray
-    spec: PayoffSpec
-    params: MarketParams
-
-    @property
-    def full_history(self) -> bool:
-        return self.values.shape[0] == self.times.size
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +372,16 @@ def _validate(params, spec, fam, grid, variant):
 
 
 def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
-           grid: StateGrid, variant: str, keep: str = "all") -> ValueFunction:
+           grid: StateGrid, variant: str, observe: Callable | None = None) -> ValueFunction:
+    """Backward sweep holding one slice at a time; returns the t = 0 slice.
+
+    ``observe(n, slice_n, d1_wins_n)``, when given, sees every slice from
+    n = n_steps down to 0.  ``d1_wins_n`` is the scheme's own choice at
+    each node of step n -> n + 1, ``cand(d1) >= cand(d0)`` (ties go to
+    d1, all True when d0 == d1), and None at the terminal slice.  The
+    arrays are not reused by the sweep; the observer must not modify them.
+    """
     _validate(params, spec, fam, grid, variant)
-    if keep not in ("all", "initial"):
-        raise ParameterError("keep must be 'all' or 'initial'", field="keep")
     T = params.t_horizon
     nt = grid.n_steps
     dt = T / nt
@@ -410,15 +408,13 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
                 fam.ratio_reward(x[:, None], y[None, :])[:, :, None],
                 (x.size, y.size, z.size),
             ).copy()
-
-    if keep == "all":
-        history = np.empty((nt + 1,) + cur.shape)
-        history[nt] = cur
+    if observe is not None:
+        observe(nt, cur, None)
 
     for n in range(nt - 1, -1, -1):
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
-        best = None
+        cands = []
         for u in controls:
             # the cutoff and ramp factors integrate in closed form along the
             # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
@@ -437,31 +433,31 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
                 foot_x = x[:, None, None] + h_int * phi[None, None, :]
                 foot_y = np.broadcast_to((y + h_int)[None, :, None], cur.shape)
                 cand = _interp_xy(cur, ax_x, ax_y, foot_x, foot_y)
-            best = cand if best is None else np.maximum(best, cand)
+            cands.append(cand)
+        best = cands[0] if len(cands) == 1 else np.maximum(cands[0], cands[1])
         cur = _solve_z(ab, best)
         if not np.all(np.isfinite(cur)):
             raise NumericalFailure(f"non-finite values in slice {n}", time_index=n)
-        if keep == "all":
-            history[n] = cur
+        if observe is not None:
+            d1_wins = np.ones(cur.shape, dtype=bool) if len(cands) == 1 else cands[1] >= cands[0]
+            observe(n, cur, d1_wins)
 
-    values = history if keep == "all" else cur[None, ...]
-    return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon,
-                         times=times, values=values, spec=spec, params=params)
+    return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon, values=cur)
 
 
-def solve_adapted(params, spec, fam, grid, keep="all") -> ValueFunction:
+def solve_adapted(params, spec, fam, grid, observe=None) -> ValueFunction:
     """Value of the budget-constrained problem with terminal reward g_hat(x)."""
-    return _sweep(params, spec, fam, grid, "adapted", keep)
+    return _sweep(params, spec, fam, grid, "adapted", observe)
 
 
-def solve_linear_reduced(params, spec, fam, grid, keep="all") -> ValueFunction:
+def solve_linear_reduced(params, spec, fam, grid, observe=None) -> ValueFunction:
     """Value of the running-reward reduction valid for identity g."""
-    return _sweep(params, spec, fam, grid, "linear_reduced", keep)
+    return _sweep(params, spec, fam, grid, "linear_reduced", observe)
 
 
-def solve_normalized(params, spec, fam, grid, keep="all") -> ValueFunction:
+def solve_normalized(params, spec, fam, grid, observe=None) -> ValueFunction:
     """Value of the renormalised-weight problem with terminal reward g2(x, y)."""
-    return _sweep(params, spec, fam, grid, "normalized", keep)
+    return _sweep(params, spec, fam, grid, "normalized", observe)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +470,15 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     g = vf.grid
     if not g.z_nodes[0] <= z0 <= g.z_nodes[-1]:
         raise ExtrapolationError("log s0 outside the z grid")
-    slice0 = vf.values[0]
     iz, wz = _Axis(g.z_nodes).locate(np.array([z0]))
     if g.x_nodes is not None:
         if g.x_nodes[0] > 0.0 or g.y_nodes[0] > 0.0:
             raise ExtrapolationError("grid does not contain the origin in (x, y)")
-        line = slice0[0, 0, :]
+        line = vf.values[0, 0, :]
     else:
         if g.y_nodes[0] > 0.0:
             raise ExtrapolationError("grid does not contain y = 0")
-        line = slice0[0, :]
+        line = vf.values[0, :]
     raw = float((1.0 - wz[0]) * line[iz[0]] + wz[0] * line[iz[0] + 1])
     value = float(np.exp(-params.r * params.t_horizon) * raw)
     return PriceEstimate(
@@ -499,49 +494,33 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     )
 
 
-def extract_policy(vf: ValueFunction, fam: SmoothingFamily) -> Policy:
-    """Bang-bang feedback from the sign of the Hamiltonian's u-coefficient.
+def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
+                   grid: StateGrid | dict) -> Policy:
+    """Bang-bang feedback table of the discrete scheme itself.
 
-    The switching value is assembled from centered differences of the
-    value in x and y; it is >= 0 exactly where pushing weight is (weakly)
-    favourable, and ties resolve to d1.  Whole regions are exact ties in
-    the continuum (the weight has no effect once it cannot bind), so
-    "tie" is read with a small tolerance against derivative noise.
+    The Hamiltonian is affine in u, so each backward step takes the
+    better of the two endpoint controls; the sweep records that choice,
+    ``cand(d1) >= cand(d0)`` with ties to d1, at every node and step.
+    Arguments are those of ``solve``.
     """
-    if not vf.full_history:
-        raise ParameterError("policy extraction needs the full time history", field="values")
-    g = vf.grid
-    spec = vf.spec
-    nt = g.n_steps
-    times = vf.times
-    s_of_z = np.exp(g.z_nodes)
-    table = np.empty((nt,) + vf.values.shape[1:], dtype=bool)
-    for n in range(nt):
-        J = vf.values[n]
-        phi = fam.payoff_rate(s_of_z, times[n])
-        if vf.variant == "linear_reduced":
-            j_y = np.gradient(J, g.y_nodes, axis=0)
-            switch = j_y + fam.budget_cutoff(g.y_nodes)[:, None] * phi[None, :]
-        elif vf.variant == "adapted":
-            j_x = np.gradient(J, g.x_nodes, axis=0)
-            j_y = np.gradient(J, g.y_nodes, axis=1)
-            xi = fam.budget_cutoff(g.y_nodes)[None, :, None]
-            switch = j_x * xi * phi[None, None, :] + j_y
+    table = None
+
+    def record(n, slice_n, d1_wins):
+        nonlocal table
+        if d1_wins is None:
+            table = np.empty((n,) + slice_n.shape, dtype=bool)
         else:
-            j_x = np.gradient(J, g.x_nodes, axis=0)
-            j_y = np.gradient(J, g.y_nodes, axis=1)
-            gate = 1.0 - float(fam.terminal_ramp(times[n]))
-            switch = gate * (j_x * phi[None, None, :] + j_y)
-        tie_tol = 1e-9 * (1.0 + float(np.max(np.abs(switch))))
-        table[n] = switch >= -tie_tol
+            table[n] = d1_wins
+
+    vf = solve(params, spec, epsilon, variant, grid, observe=record)
     return Policy(
         source="grid_table",
         d0=spec.bounds.d0,
         d1=spec.bounds.d1,
         name=f"hjb[{vf.variant}]",
         table=table,
-        grid=g,
-        t_horizon=vf.params.t_horizon,
+        grid=vf.grid,
+        t_horizon=params.t_horizon,
         meta={"epsilon": vf.epsilon},
     )
 
@@ -564,20 +543,22 @@ _SOLVERS = {
 
 
 def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
-          grid: StateGrid | dict, keep: str) -> tuple[SmoothingFamily, ValueFunction]:
-    """Solve the regularised problem at one epsilon; returns (family, value).
+          grid: StateGrid | dict, observe: Callable | None = None) -> ValueFunction:
+    """Solve the regularised problem at one epsilon.
 
     ``grid`` is a StateGrid or the ``default_grid`` node counts (nx, ny,
     nz, n_steps); the solver is looked up in ``_SOLVERS`` at call time.
+    ``observe`` sees every slice of the sweep (see ``_sweep``).
     """
     if variant == "auto":
         variant = auto_variant(spec)
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}", field="variant")
+    params.check_log_band()
     fam = build_family(epsilon, spec, params)
     if not isinstance(grid, StateGrid):
         grid = default_grid(params, spec, fam, variant, **grid)
-    return fam, _SOLVERS[variant](params, spec, fam, grid, keep=keep)
+    return _SOLVERS[variant](params, spec, fam, grid, observe=observe)
 
 
 def ladder_price(
@@ -605,7 +586,7 @@ def ladder_price(
         grid = {"nx": nx, "ny": ny, "nz": nz, "n_steps": n_steps}
     raw: list[PriceEstimate] = []
     for eps in epsilons:
-        _, vf = solve(params, spec, eps, variant, grid, keep="initial")
+        vf = solve(params, spec, eps, variant, grid)
         raw.append(price_from_value(vf, params))
     if len(raw) >= 2:
         e1, e2 = epsilons[-2], epsilons[-1]
@@ -632,48 +613,42 @@ def ladder_price(
 def refinement_delta(
     params: MarketParams,
     spec: PayoffSpec,
-    epsilon: float,
-    variant: str = "auto",
+    rung: PriceEstimate,
     nx: int = 41,
     ny: int = 41,
     nz: int = 81,
     n_steps: int = 200,
 ) -> float:
     """|price(grid) - price(refined grid)| at one epsilon: the empirical
-    discretisation allowance used in cross-method tolerances."""
-    dims = {"nx": nx, "ny": ny, "nz": nz, "n_steps": n_steps}
-    _, base = solve(params, spec, epsilon, variant, dims, keep="initial")
-    _, fine = solve(params, spec, epsilon, variant, refine_grid(base.grid), keep="initial")
-    return abs(price_from_value(base, params).value - price_from_value(fine, params).value)
+    discretisation allowance used in cross-method tolerances.
+
+    ``rung`` is a ``ladder_price`` rung priced on the default grid with
+    these node counts; only the refined grid is solved here.
+    """
+    eps, variant = rung.meta["epsilon"], rung.meta["variant"]
+    base = default_grid(params, spec, build_family(eps, spec, params), variant, nx, ny, nz, n_steps)
+    if list(base.shape) != rung.meta["grid_shape"] or base.n_steps != rung.meta["n_steps"]:
+        raise ParameterError("rung was not priced on these node counts", field="grid")
+    fine = solve(params, spec, eps, variant, refine_grid(base))
+    return abs(rung.value - price_from_value(fine, params).value)
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
 
-def export_value_csv(vf: ValueFunction, path: str, time_index: int = 0) -> None:
-    """Write one time slice as CSV with columns t,x,y,z,value.
+def export_csv(grid: StateGrid, t_horizon: float, time_index: int, slab: np.ndarray,
+               path: str, col: str) -> None:
+    """Write slice ``time_index`` of ``grid`` as CSV with columns t,x,y,z,<col>.
 
     The reduced variant has no x state; its x column is written as 0.
     """
-    _export_csv(vf.values[time_index], vf, float(vf.times[time_index]), path, "value")
-
-
-def export_policy_csv(policy: Policy, vf: ValueFunction, path: str, time_index: int = 0) -> None:
-    """Write one policy slice as CSV with columns t,x,y,z,u."""
-    if policy.source != "grid_table":
-        raise ParameterError("only grid_table policies export to CSV", field="policy")
-    slab = np.where(policy.table[time_index], policy.d1, policy.d0)
-    _export_csv(slab, vf, float(vf.times[time_index]), path, "u")
-
-
-def _export_csv(slab: np.ndarray, vf: ValueFunction, t: float, path: str, col: str) -> None:
-    g = vf.grid
-    x_nodes = g.x_nodes if g.x_nodes is not None else np.array([0.0])
+    t = float(np.linspace(0.0, t_horizon, grid.n_steps + 1)[time_index])
+    x_nodes = grid.x_nodes if grid.x_nodes is not None else np.array([0.0])
     vals = slab if slab.ndim == 3 else slab[None, ...]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"t,x,y,z,{col}\n")
         for i, xv in enumerate(x_nodes):
-            for j, yv in enumerate(g.y_nodes):
-                for k, zv in enumerate(g.z_nodes):
+            for j, yv in enumerate(grid.y_nodes):
+                for k, zv in enumerate(grid.z_nodes):
                     fh.write(f"{t:.12g},{xv:.12g},{yv:.12g},{zv:.12g},{vals[i, j, k]:.12g}\n")

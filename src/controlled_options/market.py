@@ -17,6 +17,7 @@ without reshuffling the draws of earlier ones.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,21 @@ class MarketParams:
             raise ParameterError("volatility must be strictly positive", field="sigma")
         if not self.t_horizon > 0.0:
             raise ParameterError("horizon must be positive", field="t_horizon")
+
+    def check_log_band(self) -> None:
+        """Reject a horizon over which S / s0 leaves the float range.
+
+        The band is (r - sigma^2/2) t +- 5 sigma sqrt(T), t in [0, T]: the
+        span of the grid's log-spot axis around log s0, and where nearly
+        every Monte Carlo path ends.  Past exp's range the grid reads
+        overflowed spots and paths collapse to 0 or inf, so both routes
+        would return a wrong price (0.0 at t_horizon = 1e300).
+        """
+        T = self.t_horizon
+        reach = abs(self.r - 0.5 * self.sigma**2) * T + 5.0 * self.sigma * math.sqrt(T)
+        if not reach < math.log(sys.float_info.max):
+            raise ParameterError(f"S / s0 spans exp(+-{reach:.4g}) over the horizon, "
+                                 "beyond the float range", field="market.t_horizon")
 
 
 def norm_cdf(x: float) -> float:

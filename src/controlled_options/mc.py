@@ -59,6 +59,7 @@ def evaluate_policy(
 ) -> PriceEstimate:
     """Discounted sample mean of the controlled payoff under ``policy``."""
     validate_spec(spec, params)
+    params.check_log_band()
     if n_paths < 2:
         raise ParameterError("need at least two paths", field="n_paths")
     if n_steps < 1:
@@ -138,6 +139,7 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
     """Reference policies: uniform, tail (``closed_form.tail_strategy``,
     when d0 = 0 < d1), a small threshold ladder on the payment rate, and
     the constant floor."""
+    params.check_log_band()  # the threshold levels lie inside the band
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     T = params.t_horizon
     out = []

@@ -113,15 +113,13 @@ def test_ac3_bang_bang_and_strategy_recovery():
     # scale, so the literal all-node comparison is reported but not gated.
     spec = _spec()
     eps = 0.025
-    fam = build_family(eps, spec, PARAMS)
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(Z0 - 1.0, Z0 + 1.0, 81), n_steps=200)
-    vf = _quiet(solve_linear_reduced, PARAMS, spec, fam, grid)
-    pol = extract_policy(vf, fam)
+    pol = _quiet(extract_policy, PARAMS, spec, eps, "linear_reduced", grid)
     values = np.where(pol.table, pol.d1, pol.d0)
     bang_ok = set(np.unique(values)) <= {0.0, 2.0}
 
-    times = vf.times[:-1]
+    times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
@@ -164,7 +162,7 @@ def test_ac4_singleton_control():
         for eps in (0.025, 0.0125):
             fam = build_family(eps, spec, PARAMS)
             grid = _singleton_grid(spec, fam, nz, knee)
-            vf = _quiet(solve_adapted, PARAMS, spec, fam, grid, keep="initial")
+            vf = _quiet(solve_adapted, PARAMS, spec, fam, grid)
             vals.append(price_from_value(vf, PARAMS).value)
         extrap = 2.0 * vals[1] - vals[0]
         forced = builtin_policies(spec, PARAMS)[0]  # uniform == the only control
@@ -204,8 +202,8 @@ def test_ac5_upper_bound_property():
 
     # call / identity reward at the deferral-triangle parameters
     spec1 = _spec()
-    hjb1, _ = _quiet(ladder_price, PARAMS, spec1, epsilons=(0.2, 0.1, 0.05))
-    delta1 = _quiet(refinement_delta, PARAMS, spec1, 0.05)
+    hjb1, raw1 = _quiet(ladder_price, PARAMS, spec1, epsilons=(0.2, 0.1, 0.05))
+    delta1 = _quiet(refinement_delta, PARAMS, spec1, raw1[-1])
     worst1 = math.inf
     for pol in builtin_policies(spec1, PARAMS):
         mc = evaluate_policy(pol, spec1, PARAMS, 100_000, 250, seed=505)
@@ -221,12 +219,12 @@ def test_ac5_upper_bound_property():
     vals = []
     for eps in (0.1, 0.05, 0.025):
         fam = build_family(eps, spec2, params2)
-        vf = _quiet(solve_adapted, params2, spec2, fam, _put_cap_grid(fam, 1), keep="initial")
+        vf = _quiet(solve_adapted, params2, spec2, fam, _put_cap_grid(fam, 1))
         vals.append(price_from_value(vf, params2).value)
     j2 = 2.0 * vals[-1] - vals[-2]
     fam25 = build_family(0.025, spec2, params2)
     coarse = price_from_value(
-        _quiet(solve_adapted, params2, spec2, fam25, _put_cap_grid(fam25, 2), keep="initial"),
+        _quiet(solve_adapted, params2, spec2, fam25, _put_cap_grid(fam25, 2)),
         params2,
     ).value
     delta2 = abs(vals[-1] - coarse)
@@ -245,7 +243,7 @@ def test_ac6_epsilon_and_grid_convergence():
     spec = _spec()
     _, raw = _quiet(ladder_price, PARAMS, spec, epsilons=(0.2, 0.1, 0.05, 0.025))
     vals = [r.value for r in raw]
-    delta = _quiet(refinement_delta, PARAMS, spec, 0.05)
+    delta = _quiet(refinement_delta, PARAMS, spec, raw[-2])  # the eps = 0.05 rung
     monotone = all(b >= a - delta for a, b in zip(vals, vals[1:]))
     gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
     ratios = [g0 / g1 for g0, g1 in zip(gaps, gaps[1:])]
@@ -261,8 +259,8 @@ def test_ac6_epsilon_and_grid_convergence():
     fine_z[0::2] = base.z_nodes
     fine_z[1::2] = mid
     fine = StateGrid(y_nodes=base.y_nodes, z_nodes=fine_z, n_steps=2 * base.n_steps)
-    p0 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, base, keep="initial"), PARAMS)
-    p1 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, fine, keep="initial"), PARAMS)
+    p0 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, base), PARAMS)
+    p1 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, fine), PARAMS)
     zt_change = abs(p1.value - p0.value) / abs(p0.value)
     zt_ok = zt_change <= 0.01
 

@@ -149,6 +149,25 @@ def test_export_value_csv(tmp_path, recwarn):
     assert u_values.issubset({"0", "2"})
 
 
+@pytest.mark.parametrize("what,index,code", [
+    ("value", 20, 0), ("value", 500, 2), ("value", -1, 2),
+    ("policy", 19, 0), ("policy", 20, 2), ("policy", -1, 2),
+])
+def test_export_time_index_range(tmp_path, capsys, recwarn, what, index, code):
+    # value slices run over [0, n_steps], policy steps over [0, n_steps)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(epsilons=[0.1], grid={"n_steps": 20})))
+    out_csv = tmp_path / "slice.csv"
+    assert main(["export-value", "--config", str(cfg_path), "--what", what,
+                 "--time-index", str(index), "--out", str(out_csv)]) == code
+    if code == 2:
+        assert "configuration error: time_index:" in capsys.readouterr().err
+        assert not out_csv.exists()
+    else:
+        t = 1.0 if what == "value" else 0.95
+        assert float(out_csv.read_text().splitlines()[1].split(",")[0]) == pytest.approx(t)
+
+
 def test_compare_csv_layout(tmp_path, recwarn):
     cfg = RunConfig.from_dict(_doc(methods=["closed_form", "monte_carlo"]))
     report, _ = run_compare(cfg)
@@ -188,6 +207,20 @@ def test_zero_width_deferral_window_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(_doc(market={"t_horizon": 1e300})))
     assert main(["price-closed-form", "--config", str(path)]) == 2
     assert "configuration error: t_horizon:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payoff", [
+    (["price-hjb"], {}),
+    (["price-mc", "--policy", "floor"], {"weight_mode": "normalized", "d0": 0.5}),
+])
+def test_overlong_horizon_exits_2(tmp_path, capsys, command, payoff):
+    # S / s0 over +-5 sigma sqrt(T) overflows: the grid priced 0.0 and the
+    # floor policy's threshold siblings raised OverflowError
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_doc(market={"t_horizon": 1e300}, payoff=payoff,
+                                    grid={"nx": 9, "ny": 9, "nz": 11, "n_steps": 10})))
+    assert main([*command, "--config", str(path)]) == 2
+    assert "configuration error: market.t_horizon:" in capsys.readouterr().err
 
 
 def test_overflowing_quadrature_exits_3(tmp_path, capsys):

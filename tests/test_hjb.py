@@ -10,7 +10,6 @@ from controlled_options import (
     GridError,
     MarketParams,
     NumericalFailure,
-    ParameterError,
     PayoffSpec,
     StateGrid,
     ValueFunction,
@@ -44,6 +43,13 @@ def _quiet_solve(solver, *args, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return solver(*args, **kw)
+
+
+def _history(solver, *args):
+    """Every slice of the sweep, collected through its observer; [n] is time step n."""
+    slices = {}
+    solver(*args, observe=lambda n, slice_n, d1_wins: slices.__setitem__(n, slice_n))
+    return np.stack([slices[n] for n in range(len(slices))])
 
 
 def _quiet_ladder(*args, **kw):
@@ -104,18 +110,20 @@ def test_zero_rate_payoff_keeps_terminal_reward():
     spec = _spec(f_kind="call", f_strike=1e9, g_kind="cap", g_cap=5.0)
     fam = build_family(0.1, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, "adapted", nx=11, ny=15, nz=21, n_steps=30)
-    vf = solve_adapted(PARAMS, spec, fam, grid)
+    history = _history(solve_adapted, PARAMS, spec, fam, grid)
     terminal = fam.terminal_reward(grid.x_nodes)[:, None, None]
-    for n in range(vf.times.size):
-        assert np.allclose(vf.values[n], terminal, atol=1e-10)
+    assert len(history) == grid.n_steps + 1
+    for n in range(len(history)):
+        assert np.allclose(history[n], terminal, atol=1e-10)
 
 
 def test_reduced_zero_rate_gives_zero_value():
     spec = _spec(f_kind="call", f_strike=1e9)
     fam = build_family(0.1, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=15, nz=21, n_steps=30)
-    vf = solve_linear_reduced(PARAMS, spec, fam, grid)
-    assert np.allclose(vf.values, 0.0, atol=1e-12)
+    history = _history(solve_linear_reduced, PARAMS, spec, fam, grid)
+    assert len(history) == grid.n_steps + 1
+    assert np.allclose(history, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +141,8 @@ def test_adapted_equals_reduced_for_identity_reward():
     fam = build_family(0.1, spec, PARAMS)
     g_r = default_grid(PARAMS, spec, fam, "linear_reduced", ny=31, nz=41, n_steps=80)
     g_a = default_grid(PARAMS, spec, fam, "adapted", nx=31, ny=31, nz=41, n_steps=80)
-    p_r = price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, g_r, keep="initial"), PARAMS)
-    p_a = price_from_value(_quiet_solve(solve_adapted, PARAMS, spec, fam, g_a, keep="initial"), PARAMS)
+    p_r = price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, g_r), PARAMS)
+    p_a = price_from_value(_quiet_solve(solve_adapted, PARAMS, spec, fam, g_a), PARAMS)
     # the value is linear in accumulated payout, so both routes coincide
     assert p_a.value == pytest.approx(p_r.value, rel=1e-9)
 
@@ -201,9 +209,9 @@ def test_normalized_terminal_slice_exact():
     spec = _spec(weight_mode="normalized", f_kind="identity", payment_timing="spot")
     fam = build_family(0.1, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, "normalized", nx=13, ny=15, nz=21, n_steps=20)
-    vf = solve_normalized(PARAMS, spec, fam, grid)
+    history = _history(solve_normalized, PARAMS, spec, fam, grid)
     want = fam.ratio_reward(grid.x_nodes[:, None], grid.y_nodes[None, :])[:, :, None]
-    assert np.array_equal(vf.values[-1], np.broadcast_to(want, vf.values[-1].shape))
+    assert np.array_equal(history[-1], np.broadcast_to(want, history[-1].shape))
 
 
 def test_normalized_constant_rate_prices_to_one():
@@ -231,7 +239,7 @@ def test_normalized_constant_rate_prices_to_one():
         z_nodes=np.linspace(-1e-6, 1e-6, 7),
         n_steps=100,
     )
-    vf = _quiet_solve(solve_normalized, params, spec, fam, grid, keep="initial")
+    vf = _quiet_solve(solve_normalized, params, spec, fam, grid)
     got = price_from_value(vf, params).value
     assert abs(got - oracle) <= 0.02
 
@@ -250,8 +258,8 @@ def test_normalized_value_invariant_under_taller_y_axis():
     t_probe = np.linspace(0.0, 1.0, 9)[:, None]
     phi_max = float(np.max(fam.payoff_rate(np.exp(z)[None, :], t_probe)))
     x = np.linspace(0.0, 2.0 * phi_max * 1.001, 25)
-    va = solve_normalized(PARAMS, spec, fam, StateGrid(x_nodes=x, y_nodes=y_a, z_nodes=z, n_steps=200), keep="initial")
-    vb = solve_normalized(PARAMS, spec, fam, StateGrid(x_nodes=x, y_nodes=y_b, z_nodes=z, n_steps=200), keep="initial")
+    va = solve_normalized(PARAMS, spec, fam, StateGrid(x_nodes=x, y_nodes=y_a, z_nodes=z, n_steps=200))
+    vb = solve_normalized(PARAMS, spec, fam, StateGrid(x_nodes=x, y_nodes=y_b, z_nodes=z, n_steps=200))
     pa = price_from_value(va, PARAMS).value
     pb = price_from_value(vb, PARAMS).value
     assert abs(pa - pb) <= 1e-10
@@ -262,26 +270,18 @@ def test_normalized_value_invariant_under_taller_y_axis():
 # ---------------------------------------------------------------------------
 
 def test_extracted_policy_is_bang_bang_and_ties_go_high():
-    spec = _spec()
-    fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=21, nz=31, n_steps=40)
-    vf = ValueFunction(grid=grid, variant="linear_reduced", epsilon=0.1,
-                       times=np.linspace(0, 1, 41),
-                       values=np.zeros((41, grid.y_nodes.size, grid.z_nodes.size)),
-                       spec=spec, params=PARAMS)
-    pol = extract_policy(vf, fam)
-    # constant value: the switching coefficient reduces to xi(y) phi(z, t);
-    # exact zeros (cutoff region, far out of the money) are ties -> d1,
-    # and the mollified rate's small negative dip genuinely selects d0
-    for n in (0, 20, 39):
-        coeff = fam.budget_cutoff(grid.y_nodes)[:, None] * fam.payoff_rate(
-            np.exp(grid.z_nodes), vf.times[n]
-        )[None, :]
-        assert np.all(pol.table[n][coeff >= 0.0])
-        assert not np.any(pol.table[n][coeff < -1e-9])
-    # deep out of the money the rate vanishes identically: a tie, so d1
-    u = pol.evaluate(0.2, 0.0, np.array([0.1, 0.5]), np.array([60.0, 60.0]))
-    assert set(np.unique(u)) == {2.0}
+    # the sweep records cand(d1) >= cand(d0); where the two candidates are
+    # equal everywhere, the whole table is a tie and so selects d1
+    dims = {"ny": 21, "nz": 31, "n_steps": 40}
+    zero_rate = _spec(f_kind="call", f_strike=1e9)  # the payment rate vanishes identically
+    singleton = _spec(bounds=ControlBounds(1.0, 1.0))
+    for spec, d1 in ((zero_rate, 2.0), (singleton, 1.0)):
+        pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, "linear_reduced", dims)
+        assert pol.table.dtype == bool
+        assert pol.table.shape == (40,) + pol.grid.shape
+        assert np.all(pol.table)
+        u = pol.evaluate(0.2, 0.0, np.array([0.1, 0.5]), np.array([60.0, 140.0]))
+        assert set(np.unique(u)) == {d1}
 
 
 def test_extracted_policy_recovers_deferral_feedback():
@@ -292,15 +292,13 @@ def test_extracted_policy_recovers_deferral_feedback():
     # tail of the terminal law and no finite grid resolves its sign.
     spec = _spec()
     eps = 0.025
-    fam = build_family(eps, spec, PARAMS)
     z0 = math.log(100.0)
     # y spacing divides d1 dt, so weight transport lands on nodes
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(z0 - 1.0, z0 + 1.0, 81), n_steps=200)
-    vf = _quiet_solve(solve_linear_reduced, PARAMS, spec, fam, grid)
-    pol = extract_policy(vf, fam)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, eps, "linear_reduced", grid)
     assert pol.table.dtype == bool  # bang-bang by construction
-    times = vf.times[:-1]
+    times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
@@ -314,25 +312,27 @@ def test_extracted_policy_recovers_deferral_feedback():
     assert frac >= 0.95
 
 
-def test_extraction_needs_full_history():
-    spec = _spec()
-    fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=15, nz=21, n_steps=20)
-    vf = _quiet_solve(solve_linear_reduced, PARAMS, spec, fam, grid, keep="initial")
-    with pytest.raises(ParameterError):
-        extract_policy(vf, fam)
-
-
 def test_extracted_policy_beats_builtins_by_mc():
     spec = _spec()
     fam = build_family(0.05, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, "linear_reduced")
-    vf = _quiet_solve(solve_linear_reduced, PARAMS, spec, fam, grid)
-    pol = extract_policy(vf, fam)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, "linear_reduced", grid)
     mine = evaluate_policy(pol, spec, PARAMS, 60_000, 200, seed=77)
     for other in builtin_policies(spec, PARAMS):
         other_est = evaluate_policy(other, spec, PARAMS, 60_000, 200, seed=77)
         assert mine.value >= other_est.value - 3.0 * math.hypot(mine.stderr, other_est.stderr)
+
+
+def test_extracted_policy_beats_floor_on_normalized_contract():
+    # the table is the sweep's own argmax; a policy rebuilt from value
+    # gradients priced 7.57 +- 0.06 here, below spending the floor (7.92)
+    spec = _spec(weight_mode="normalized")
+    dims = {"nx": 27, "ny": 27, "nz": 53, "n_steps": 130}
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, "normalized", dims)
+    floor = next(p for p in builtin_policies(spec, PARAMS) if p.name == "floor")
+    mine = evaluate_policy(pol, spec, PARAMS, 20_000, 100, seed=7)
+    base = evaluate_policy(floor, spec, PARAMS, 20_000, 100, seed=7)
+    assert mine.value >= base.value - 3.0 * math.hypot(mine.stderr, base.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -341,31 +341,26 @@ def test_extracted_policy_beats_builtins_by_mc():
 
 def test_price_readout_of_constant_value():
     params = MarketParams(s0=100.0, r=0.07, sigma=0.2, t_horizon=1.0)
-    spec = _spec()
     z0 = math.log(100.0)
     grid = StateGrid(y_nodes=np.linspace(0, 1.3, 5),
                      z_nodes=np.linspace(z0 - 1, z0 + 1, 5), n_steps=4)
     vf = ValueFunction(grid=grid, variant="linear_reduced", epsilon=0.1,
-                       times=np.linspace(0, 1, 5), values=np.full((5, 5, 5), 3.5),
-                       spec=spec, params=params)
+                       values=np.full((5, 5), 3.5))
     est = price_from_value(vf, params)
     assert est.value == pytest.approx(3.5 * math.exp(-0.07))
     est0 = price_from_value(
         ValueFunction(grid=grid, variant="linear_reduced", epsilon=0.1,
-                      times=np.linspace(0, 1, 5), values=np.full((5, 5, 5), 3.5),
-                      spec=spec, params=PARAMS),
+                      values=np.full((5, 5), 3.5)),
         PARAMS,
     )
     assert est0.value == pytest.approx(3.5)  # r = 0: no discounting
 
 
 def test_price_readout_outside_hull_is_an_error():
-    spec = _spec()
     grid = StateGrid(y_nodes=np.linspace(0, 1.3, 5),
                      z_nodes=np.linspace(10.0, 11.0, 5), n_steps=4)
     vf = ValueFunction(grid=grid, variant="linear_reduced", epsilon=0.1,
-                       times=np.linspace(0, 1, 5), values=np.zeros((5, 5, 5)),
-                       spec=spec, params=PARAMS)
+                       values=np.zeros((5, 5)))
     with pytest.raises(ExtrapolationError):
         price_from_value(vf, PARAMS)
 
@@ -381,9 +376,9 @@ def test_discrete_comparison_principle():
     fam_lo = build_family(0.1, lo_strike, PARAMS)
     fam_hi = build_family(0.1, hi_strike, PARAMS)
     grid = default_grid(PARAMS, lo_strike, fam_lo, "linear_reduced", ny=21, nz=31, n_steps=40)
-    v_lo = _quiet_solve(solve_linear_reduced, PARAMS, lo_strike, fam_lo, grid)
-    v_hi = _quiet_solve(solve_linear_reduced, PARAMS, hi_strike, fam_hi, grid)
-    assert np.all(v_lo.values >= v_hi.values - 1e-12)
+    v_lo = _quiet_solve(_history, solve_linear_reduced, PARAMS, lo_strike, fam_lo, grid)
+    v_hi = _quiet_solve(_history, solve_linear_reduced, PARAMS, hi_strike, fam_hi, grid)
+    assert np.all(v_lo >= v_hi - 1e-12)
 
 
 def test_values_bounded_by_data():
@@ -392,12 +387,12 @@ def test_values_bounded_by_data():
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=21, nz=31, n_steps=40)
-    vf = _quiet_solve(solve_linear_reduced, PARAMS, spec, fam, grid)
+    history = _quiet_solve(_history, solve_linear_reduced, PARAMS, spec, fam, grid)
     t_probe = np.linspace(0.0, 1.0, 9)[:, None]
     phi_max = float(np.max(fam.payoff_rate(np.exp(grid.z_nodes)[None, :], t_probe)))
     budget = float(fam.budget_cutoff_integral(2.0))  # saturated past the cutoff
-    assert vf.values.min() >= -1e-12
-    assert vf.values.max() <= budget * phi_max * (1.0 + 1e-9)
+    assert history.min() >= -1e-12
+    assert history.max() <= budget * phi_max * (1.0 + 1e-9)
 
 
 def test_epsilon_domination():
@@ -405,7 +400,7 @@ def test_epsilon_domination():
     est, raw = _quiet_ladder(PARAMS, spec, epsilons=(0.2, 0.1, 0.05))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        delta = refinement_delta(PARAMS, spec, 0.05)
+        delta = refinement_delta(PARAMS, spec, raw[-1])
     finest = raw[-1].value
     for r in raw:
         assert r.value <= finest + delta + 1e-9
