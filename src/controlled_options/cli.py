@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_form import TailStrategyConfig, tail_strategy_price
 from .errors import NumericalFailure, ParameterError, PricingError
-from .hjb import export_csv, extract_policy, ladder_price, refinement_delta, solve
+from .hjb import VARIANTS, export_csv, extract_policy, ladder_price, refinement_delta, solve
 from .market import MarketParams
 from .mc import builtin_policies, evaluate_policy
 from .payoffs import ControlBounds, PayoffSpec, validate_spec
@@ -76,12 +76,25 @@ class RunConfig:
         mc = {**DEFAULT_MC, **_section(doc, "mc", required=False)}
         for key in ("n_paths", "n_steps", "seed"):
             mc[key] = _count(mc[key], f"mc.{key}")
+        if not isinstance(mc["antithetic"], bool):
+            raise ParameterError(f"must be true or false, not {mc['antithetic']!r}", field="mc.antithetic")
+        if not isinstance(mc["policy"], str):
+            raise ParameterError(f"must be a policy name, not {mc['policy']!r}", field="mc.policy")
         epsilons = doc.get("epsilons", DEFAULT_EPSILONS)
         if not isinstance(epsilons, (list, tuple)):
             raise ParameterError("must be a list of numbers", field="epsilons")
         methods = doc.get("methods", METHODS)
         if not isinstance(methods, (list, tuple)) or any(name not in METHODS for name in methods):
             raise ParameterError(f"must be a list drawn from {METHODS}, not {methods!r}", field="methods")
+        variant = doc.get("variant", "auto")
+        if variant not in ("auto",) + VARIANTS:
+            raise ParameterError(f"must be one of {('auto',) + VARIANTS}, not {variant!r}", field="variant")
+        rel_floor = _number(doc.get("rel_floor", DEFAULT_REL_FLOOR), "rel_floor")
+        if rel_floor < 0.0:
+            raise ParameterError(f"must be >= 0, not {rel_floor!r}", field="rel_floor")
+        out_dir = doc.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ParameterError(f"must be a directory path, not {out_dir!r}", field="out_dir")
         return RunConfig(
             params=params,
             spec=spec,
@@ -89,9 +102,9 @@ class RunConfig:
             grid=grid,
             mc=mc,
             methods=tuple(methods),
-            variant=doc.get("variant", "auto"),
-            rel_floor=_number(doc.get("rel_floor", DEFAULT_REL_FLOOR), "rel_floor"),
-            out_dir=doc.get("out_dir"),
+            variant=variant,
+            rel_floor=rel_floor,
+            out_dir=out_dir,
         )
 
     def echo(self) -> dict:
@@ -173,11 +186,11 @@ def run_price(cfg: RunConfig) -> dict:
     if "closed_form" in cfg.methods:
         estimates["closed_form"] = _estimate_dict(tail_strategy_price(_closed_form_config(cfg)))
     if "monte_carlo" in cfg.methods:
-        policy = _mc_policy(cfg, cfg.mc.get("policy", "tail"))
+        policy = _mc_policy(cfg, cfg.mc["policy"])
         est = evaluate_policy(
             policy, cfg.spec, cfg.params,
             n_paths=cfg.mc["n_paths"], n_steps=cfg.mc["n_steps"],
-            seed=cfg.mc["seed"], antithetic=bool(cfg.mc["antithetic"]),
+            seed=cfg.mc["seed"], antithetic=cfg.mc["antithetic"],
         )
         estimates["monte_carlo"] = _estimate_dict(est)
     if "hjb" in cfg.methods:

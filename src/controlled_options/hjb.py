@@ -13,8 +13,10 @@ The scheme is monotone without a transport CFL restriction:
 
 * x and y carry no diffusion, so their transport is semi-Lagrangian --
   each backward step reads the next slice at the foot of the (exact,
-  degenerate) characteristic, with multilinear interpolation and feet
-  clamped to the grid (the flow is outward for non-negative rates).
+  degenerate) characteristic, with feet clamped to the grid (the flow is
+  outward for non-negative rates).  The y-foot depends on y alone, so
+  each control locates its (ny,) line of feet once and interpolates in
+  y; the x-foot x + gain(y) phi(z) is then interpolated in x.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
   diffusion solved implicitly (one constant tridiagonal factor per
   sweep, unconditionally stable).  At z_min/z_max the second difference
@@ -204,23 +206,17 @@ class _Axis:
 
 
 def _interp_y(values: np.ndarray, axis_y: _Axis, foot_y: np.ndarray) -> np.ndarray:
-    """Linear interpolation along y of values (ny, nz) at feet (ny, nz)."""
+    """Linear interpolation along y (axis -2) of values (..., ny, nz) at feet (ny,)."""
     iy, wy = axis_y.locate(foot_y)
-    k = np.arange(values.shape[1])[None, :]
-    return (1.0 - wy) * values[iy, k] + wy * values[iy + 1, k]
+    wy = wy[:, None]
+    return (1.0 - wy) * values[..., iy, :] + wy * values[..., iy + 1, :]
 
 
-def _interp_xy(values: np.ndarray, axis_x: _Axis, axis_y: _Axis, foot_x, foot_y) -> np.ndarray:
-    """Bilinear interpolation in (x, y) of values (nx, ny, nz), z untouched."""
+def _interp_x(values: np.ndarray, axis_x: _Axis, foot_x: np.ndarray) -> np.ndarray:
+    """Linear interpolation along x (axis 0) of values (nx, ny, nz) at feet (nx, ny, nz)."""
     ix, wx = axis_x.locate(foot_x)
-    iy, wy = axis_y.locate(foot_y)
-    k = np.arange(values.shape[2])[None, None, :]
-    v00 = values[ix, iy, k]
-    v10 = values[ix + 1, iy, k]
-    v01 = values[ix, iy + 1, k]
-    v11 = values[ix + 1, iy + 1, k]
-    return ((1.0 - wx) * ((1.0 - wy) * v00 + wy * v01)
-            + wx * ((1.0 - wy) * v10 + wy * v11))
+    return ((1.0 - wx) * np.take_along_axis(values, ix, axis=0)
+            + wx * np.take_along_axis(values, ix + 1, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +390,15 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     ab = _z_step_matrix(params, z, dt)
     ax_y = _Axis(y)
 
+    x = grid.x_nodes
+    ax_x = None if x is None else _Axis(x)
     if variant == "linear_reduced":
-        cur = np.zeros((y.size, z.size))
+        terminal = 0.0
+    elif variant == "adapted":
+        terminal = fam.terminal_reward(x)[:, None, None]
     else:
-        x = grid.x_nodes
-        ax_x = _Axis(x)
-        if variant == "adapted":
-            cur = np.broadcast_to(
-                fam.terminal_reward(x)[:, None, None], (x.size, y.size, z.size)
-            ).copy()
-        else:
-            cur = np.broadcast_to(
-                fam.ratio_reward(x[:, None], y[None, :])[:, :, None],
-                (x.size, y.size, z.size),
-            ).copy()
+        terminal = fam.ratio_reward(x[:, None], y[None, :])[:, :, None]
+    cur = np.broadcast_to(terminal, grid.shape).copy()
     if observe is not None:
         observe(nt, cur, None)
 
@@ -419,20 +410,18 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
             # the cutoff and ramp factors integrate in closed form along the
             # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
             # are credited exactly rather than sampled at nodes
-            if variant == "linear_reduced":
-                gain = fam.budget_cutoff_integral(y + dt * u) - fam.budget_cutoff_integral(y)
-                foot_y = np.broadcast_to((y + dt * u)[:, None], cur.shape)
-                cand = _interp_y(cur, ax_y, foot_y) + gain[:, None] * phi[None, :]
-            elif variant == "adapted":
-                gain = fam.budget_cutoff_integral(y + dt * u) - fam.budget_cutoff_integral(y)
-                foot_x = x[:, None, None] + gain[None, :, None] * phi[None, None, :]
-                foot_y = np.broadcast_to((y + dt * u)[None, :, None], cur.shape)
-                cand = _interp_xy(cur, ax_x, ax_y, foot_x, foot_y)
-            else:
+            if variant == "normalized":
                 h_int = float(fam.effective_control_integral(u, t_n, times[n + 1]))
-                foot_x = x[:, None, None] + h_int * phi[None, None, :]
-                foot_y = np.broadcast_to((y + h_int)[None, :, None], cur.shape)
-                cand = _interp_xy(cur, ax_x, ax_y, foot_x, foot_y)
+                foot_y, gain = y + h_int, np.full(y.size, h_int)
+            else:
+                foot_y = y + dt * u
+                gain = fam.budget_cutoff_integral(foot_y) - fam.budget_cutoff_integral(y)
+            pay = gain[:, None] * phi[None, :]  # (ny, nz)
+            cand = _interp_y(cur, ax_y, foot_y)
+            if x is None:
+                cand = cand + pay
+            else:
+                cand = _interp_x(cand, ax_x, x[:, None, None] + pay)
             cands.append(cand)
         best = cands[0] if len(cands) == 1 else np.maximum(cands[0], cands[1])
         cur = _solve_z(ab, best)
@@ -465,7 +454,7 @@ def solve_normalized(params, spec, fam, grid, observe=None) -> ValueFunction:
 # ---------------------------------------------------------------------------
 
 def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
-    """Discounted value at (x=0, y=0, z=log s0, t=0) by multilinear interpolation."""
+    """Discounted value at (x=0, y=0, z=log s0, t=0), interpolated linearly in z."""
     z0 = np.log(params.s0)
     g = vf.grid
     if not g.z_nodes[0] <= z0 <= g.z_nodes[-1]:
@@ -577,7 +566,10 @@ def ladder_price(
     The regularisation error is first order in epsilon, so the reported
     price combines the last two rungs as
     p* = p(e2) + (p(e2) - p(e1)) e2 / (e1 - e2).
-    Raw per-epsilon estimates come back alongside.
+    That only holds once the rungs converge: with three or more rungs, a
+    last gap |p(e2) - p(e1)| that is nonzero and not smaller than the one
+    before raises NumericalFailure.  Raw per-epsilon estimates come back
+    alongside.
     """
     epsilons = sorted(set(float(e) for e in epsilons), reverse=True)
     if not epsilons:
@@ -588,6 +580,12 @@ def ladder_price(
     for eps in epsilons:
         vf = solve(params, spec, eps, variant, grid)
         raw.append(price_from_value(vf, params))
+    if len(raw) >= 3:
+        p = [r.value for r in raw[-3:]]
+        before, last = abs(p[1] - p[0]), abs(p[2] - p[1])
+        if last >= before and last > 0.0:
+            raise NumericalFailure(f"epsilon ladder diverges: rung gaps {before:.6g} then {last:.6g}; "
+                                   "refine the grid")
     if len(raw) >= 2:
         e1, e2 = epsilons[-2], epsilons[-1]
         p1, p2 = raw[-2].value, raw[-1].value

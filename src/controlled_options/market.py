@@ -24,9 +24,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class MarketParams:
     """Constants of the risk-neutral GBM model.
@@ -71,40 +68,8 @@ class MarketParams:
 
 
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the Hart double-precision rational approximation.
-
-    Constant set from Hart (1968) as popularised by West; absolute error
-    below 1e-14 on the real line (verified against erfc in the tests,
-    which require <= 1e-9).
-    """
-    xabs = abs(x)
-    if xabs > 37.0:
-        tail = 0.0
-    else:
-        e = math.exp(-0.5 * xabs * xabs)
-        if xabs < 7.07106781186547:
-            num = 3.52624965998911e-02 * xabs + 0.700383064443688
-            num = num * xabs + 6.37396220353165
-            num = num * xabs + 33.912866078383
-            num = num * xabs + 112.079291497871
-            num = num * xabs + 221.213596169931
-            num = num * xabs + 220.206867912376
-            den = 8.83883476483184e-02 * xabs + 1.75566716318264
-            den = den * xabs + 16.064177579207
-            den = den * xabs + 86.7807322029461
-            den = den * xabs + 296.564248779674
-            den = den * xabs + 637.333633378831
-            den = den * xabs + 793.826512519948
-            den = den * xabs + 440.413735824752
-            tail = e * num / den
-        else:
-            b = xabs + 0.65
-            b = xabs + 4.0 / b
-            b = xabs + 3.0 / b
-            b = xabs + 2.0 / b
-            b = xabs + 1.0 / b
-            tail = e / (b * _SQRT_2PI)
-    return 1.0 - tail if x > 0.0 else tail
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2): no cancellation in either tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:

@@ -188,6 +188,11 @@ MALFORMED = {
     "mc-steps-fraction": (_doc(mc={"n_steps": 10.7}), "mc.n_steps"),
     "grid-steps-fraction": (_doc(grid={"n_steps": 50.5}), "grid.n_steps"),
     "sigma-inf": (_doc(market={"sigma": float("inf")}), "market.sigma"),
+    "out-dir-number": (_doc(out_dir=5), "out_dir"),
+    "antithetic-string": (_doc(mc={"antithetic": "no"}), "mc.antithetic"),
+    "rel-floor-negative": (_doc(rel_floor=-1), "rel_floor"),
+    "variant-number": (_doc(variant=5), "variant"),
+    "policy-number": (_doc(mc={"policy": 5}), "mc.policy"),
 }
 
 

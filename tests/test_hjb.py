@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from controlled_options import (
     ControlBounds,
@@ -21,6 +23,7 @@ from controlled_options import (
     ladder_price,
     price_from_value,
     refinement_delta,
+    solve,
     solve_adapted,
     solve_linear_reduced,
     solve_normalized,
@@ -404,6 +407,53 @@ def test_epsilon_domination():
     finest = raw[-1].value
     for r in raw:
         assert r.value <= finest + delta + 1e-9
+
+
+# AC-2 at eps = 0.1 on a 9 x 11 x 15 grid with 12 steps: the exact t = 0
+# price and the number of d1 cells in the policy table.  Any change to the
+# order of the sweep's arithmetic shows here.
+PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
+PINS = {
+    "linear_reduced": ({}, "0x1.958612693ccb6p+2", 1064),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78af0p+1", 14627),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a14bp+4", 7321),
+}
+
+
+def _pin_price(variant, params, **scaled):
+    spec = _spec(**{**PINS[variant][0], **scaled})
+    vf = _quiet_solve(solve, params, spec, 0.1, variant, PIN_DIMS)
+    return price_from_value(vf, params).value
+
+
+@pytest.mark.parametrize("variant", sorted(PINS))
+def test_sweep_is_pinned_bit_for_bit(variant):
+    overrides, price, d1_cells = PINS[variant]
+    assert _pin_price(variant, PARAMS).hex() == price
+    pol = _quiet_solve(extract_policy, PARAMS, _spec(**overrides), 0.1, variant, PIN_DIMS)
+    assert int(pol.table.sum()) == d1_cells
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.floats(-2.0, 2.0).map(lambda e: 10.0**e))
+def test_price_scales_with_s0(lam):
+    # the default grid follows s0 (z shifts by log lam, x scales by lam),
+    # so scaling the spot, the strike and the cap scales the price
+    params = MarketParams(s0=100.0 * lam, r=0.0, sigma=0.2, t_horizon=1.0)
+    for variant, (overrides, price, _) in PINS.items():
+        scaled = {"f_strike": 100.0 * lam}
+        if "g_cap" in overrides:
+            scaled["g_cap"] = overrides["g_cap"] * lam
+        got = _pin_price(variant, params, **scaled) / lam
+        assert got == pytest.approx(float.fromhex(price), rel=1e-10, abs=0.0)
+
+
+def test_diverging_ladder_raises_numerical_failure():
+    # on this coarse grid the normalized rungs read 9.64, 12.62, 18.08:
+    # Richardson would report 23.54, above E[max S] - K = 16.98
+    spec = _spec(weight_mode="normalized")
+    with pytest.raises(NumericalFailure, match="2.98015 then 5.4639"):
+        _quiet_ladder(PARAMS, spec, nx=21, ny=21, nz=41, n_steps=100)
 
 
 def test_heat_kernel_rollback_second_order():
