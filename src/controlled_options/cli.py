@@ -173,10 +173,11 @@ def _closed_form_config(cfg: RunConfig) -> TailStrategyConfig:
 def _mc_policy(cfg: RunConfig, name: str):
     if name == "hjb":
         return extract_policy(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant, cfg.grid)
-    for pol in builtin_policies(cfg.spec, cfg.params):
+    builtins = builtin_policies(cfg.spec, cfg.params)
+    for pol in builtins:
         if pol.name == name:
             return pol
-    known = [p.name for p in builtin_policies(cfg.spec, cfg.params)] + ["hjb"]
+    known = [p.name for p in builtins] + ["hjb"]
     raise ParameterError(f"unknown policy {name!r}; known: {known}", field="mc.policy")
 
 
@@ -194,10 +195,8 @@ def run_price(cfg: RunConfig) -> dict:
         )
         estimates["monte_carlo"] = _estimate_dict(est)
     if "hjb" in cfg.methods:
-        est, raw = ladder_price(
-            cfg.params, cfg.spec, epsilons=cfg.epsilons, variant=cfg.variant,
-            **cfg.grid,
-        )
+        est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, variant=cfg.variant,
+                                grid=cfg.grid)
         block = _estimate_dict(est)
         block["ladder"] = [_estimate_dict(r) for r in raw]
         estimates["hjb"] = block
@@ -220,7 +219,7 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
     delta_grid = 0.0
     if "hjb" in report["estimates"]:
         finest = PriceEstimate(**report["estimates"]["hjb"]["ladder"][-1])
-        delta_grid = refinement_delta(cfg.params, cfg.spec, finest, **cfg.grid)
+        delta_grid = refinement_delta(cfg.params, cfg.spec, finest, cfg.grid)
         report["estimates"]["hjb"]["delta_grid"] = delta_grid
     rows = []
     breach = False
@@ -248,11 +247,11 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 def run_convergence(cfg: RunConfig) -> dict:
     """Epsilon sweep plus one grid refinement at the finest epsilon."""
     est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons,
-                            variant=cfg.variant, **cfg.grid)
+                            variant=cfg.variant, grid=cfg.grid)
     values = [r.value for r in raw]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     ratios = [g0 / g1 if g1 > 0 else math.inf for g0, g1 in zip(gaps, gaps[1:])]
-    delta_grid = refinement_delta(cfg.params, cfg.spec, raw[-1], **cfg.grid)
+    delta_grid = refinement_delta(cfg.params, cfg.spec, raw[-1], cfg.grid)
     return {
         "config": cfg.echo(),
         "epsilons": [r.meta["epsilon"] for r in raw],
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price-hjb", help="epsilon-ladder grid price")
     common(p)
     p.add_argument("--epsilons", type=_float_list, default=None, help="comma list, e.g. 0.2,0.1,0.05")
-    p.add_argument("--variant", default=None, choices=["auto", "adapted", "linear_reduced", "normalized"])
+    p.add_argument("--variant", default=None)
 
     p = sub.add_parser("price-mc", help="Monte Carlo policy price")
     common(p)

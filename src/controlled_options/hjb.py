@@ -24,6 +24,8 @@ The scheme is monotone without a transport CFL restriction:
   kept only when its upwind neighbour lies inside the grid.
 * The Hamiltonian is affine in u, so the max is taken over the two
   endpoint controls only; ties go to d1.
+* One locator, ``_Axis``, validates each axis and places every query on
+  it: the characteristic feet, the readout at log s0, the policy table.
 
 The payoff weight u enters both transport rates linearly, which is what
 makes the optimal control bang-bang.  The sweep keeps one slice at a
@@ -53,11 +55,38 @@ VARIANTS = ("adapted", "linear_reduced", "normalized")
 # grids
 # ---------------------------------------------------------------------------
 
-def _check_axis(nodes: np.ndarray, name: str) -> None:
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise GridError(f"{name} axis needs at least two nodes")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise GridError(f"{name} axis must be strictly increasing")
+class _Axis:
+    """A validated 1-d axis that places query points on it, with a uniform fast path."""
+
+    def __init__(self, nodes: np.ndarray, name: str):
+        nodes = np.asarray(nodes)
+        if nodes.ndim != 1 or nodes.size < 2:
+            raise GridError(f"{name} axis needs at least two nodes")
+        d = np.diff(nodes)
+        if np.any(d <= 0.0):
+            raise GridError(f"{name} axis must be strictly increasing")
+        self.nodes = nodes
+        self.uniform = bool(np.allclose(d, d[0], rtol=1e-9))
+        self.lo = nodes[0]
+        self.hi = nodes[-1]
+        self.inv_step = 1.0 / d[0] if self.uniform else None
+
+    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = np.clip(q, self.lo, self.hi)
+        if self.uniform:
+            pos = (q - self.lo) * self.inv_step
+            idx = np.minimum(pos.astype(np.int64), self.nodes.size - 2)
+            frac = pos - idx
+        else:
+            idx = np.searchsorted(self.nodes, q, side="right") - 1
+            idx = np.clip(idx, 0, self.nodes.size - 2)
+            frac = (q - self.nodes[idx]) / (self.nodes[idx + 1] - self.nodes[idx])
+        return idx, np.clip(frac, 0.0, 1.0)
+
+    def nearest(self, q: np.ndarray) -> np.ndarray:
+        """Index of the node nearest each query; a query halfway between takes the lower."""
+        idx, frac = self.locate(q)
+        return idx + (frac > 0.5)
 
 
 @dataclass(frozen=True)
@@ -71,13 +100,12 @@ class StateGrid:
 
     def __post_init__(self):
         if self.x_nodes is not None:
-            _check_axis(np.asarray(self.x_nodes), "x")
-        _check_axis(np.asarray(self.y_nodes), "y")
-        _check_axis(np.asarray(self.z_nodes), "z")
+            _Axis(self.x_nodes, "x")
+        _Axis(self.y_nodes, "y")
+        z = _Axis(self.z_nodes, "z")
         if self.n_steps < 1:
             raise GridError("need at least one time step")
-        dz = np.diff(self.z_nodes)
-        if not np.allclose(dz, dz[0], rtol=1e-9):
+        if not z.uniform:
             raise GridError("z axis must be uniform (implicit diffusion stencil)")
 
     @property
@@ -97,14 +125,21 @@ def default_grid(
     nz: int = 81,
     n_steps: int = 200,
 ) -> StateGrid:
-    """Desk-scale grid: 41 x 41 x 81 nodes, 200 steps, z-range log s0 +- 5 sig sqrt(T).
+    """Desk-scale grid with the given node counts, z-range log s0 +- 5 sig sqrt(T).
 
     The x axis densifies below the reward kink (cap level or strike) when
     one exists, so coarse far-field nodes do not starve the curved region.
+    ``linear_reduced`` has no x axis and ignores ``nx``.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}", field="variant")
+    # x is the origin, the kink region or eps^2 run, and the far field
+    if variant != "linear_reduced" and nx < 3:
+        raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
+    if nz < 2:
+        raise ParameterError(f"the z axis needs at least two nodes, not {nz}", field="grid.nz")
     T = params.t_horizon
+    eps = fam.epsilon
     half = max(5.0 * params.sigma * np.sqrt(T), 1e-6)
     z0 = np.log(params.s0)
     # the axis tracks the drift-carried spot; the pure +-5 sigma sqrt(T) band
@@ -116,7 +151,6 @@ def default_grid(
         # the ratio reward bends on the y ~ eps^2 scale near the origin;
         # geometric packing there keeps the interpolation honest
         y_max = spec.bounds.d1 * T + 1.0
-        eps = fam.epsilon
         n_fine = min(max(3, ny // 4), max(ny - 2, 1))
         fine = np.geomspace(0.25 * eps * eps, min(4.0 * eps, 0.5 * y_max), n_fine)
         coarse = np.linspace(0.0, y_max, max(ny - n_fine, 2))
@@ -126,8 +160,7 @@ def default_grid(
     else:
         # keep the node budget but resolve the eps^2 cutoff band, where the
         # value has a kink in y that coarse linear interpolation biases
-        y_max = max(1.25, 1.0 + fam.epsilon + 0.05)
-        eps = fam.epsilon
+        y_max = max(1.25, 1.0 + eps + 0.05)
         n_band = min(9, max(3, ny // 5))
         band = np.linspace(1.0 - eps, 1.0 - eps + eps * eps, n_band)
         base = np.linspace(0.0, y_max, max(ny - n_band, 2))
@@ -137,15 +170,16 @@ def default_grid(
 
     x_nodes = None
     if variant != "linear_reduced":
-        t_probe = np.linspace(0.0, T, 9)[:, None]
-        phi_max = float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
+        phi_max = _peak_rate(params, fam, z_nodes)
         x_max = spec.bounds.d1 * T * max(phi_max, 1e-12) * (1.0 + 1e-9)
         if variant == "normalized":
             # log spacing from the eps^2 scale up: the reward depends on x/y,
             # so cells near the origin must shrink in x as they do in y or
             # interpolation corners see wildly inflated ratios
-            eps = fam.epsilon
             lo = max(0.25 * eps * eps * phi_max, 1e-12 * x_max)
+            if not lo < x_max:
+                raise ParameterError(f"x reach {x_max:g} (d1 T times the peak rate) does not "
+                                     f"pass the eps^2 scale {lo:g}", field="bounds.d1")
             x_nodes = np.concatenate([[0.0], np.geomspace(lo, x_max, nx - 1)])
         else:
             knee = spec.g_cap if spec.g_kind == "cap" else spec.g_strike
@@ -157,6 +191,12 @@ def default_grid(
             else:
                 x_nodes = np.linspace(0.0, x_max, nx)
     return StateGrid(y_nodes=y_nodes, z_nodes=z_nodes, n_steps=n_steps, x_nodes=x_nodes)
+
+
+def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
+    """Largest payment rate on the z axis over a 9-point time probe; x must reach d1 T times it."""
+    t_probe = np.linspace(0.0, params.t_horizon, 9)[:, None]
+    return float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
 
 
 def refine_grid(grid: StateGrid) -> StateGrid:
@@ -180,30 +220,6 @@ def refine_grid(grid: StateGrid) -> StateGrid:
 # ---------------------------------------------------------------------------
 # interpolation helpers
 # ---------------------------------------------------------------------------
-
-class _Axis:
-    """Locate query points on a 1-d axis, with a uniform fast path."""
-
-    def __init__(self, nodes: np.ndarray):
-        self.nodes = nodes
-        d = np.diff(nodes)
-        self.uniform = bool(np.allclose(d, d[0], rtol=1e-9))
-        self.lo = nodes[0]
-        self.hi = nodes[-1]
-        self.inv_step = 1.0 / d[0] if self.uniform else None
-
-    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.clip(q, self.lo, self.hi)
-        if self.uniform:
-            pos = (q - self.lo) * self.inv_step
-            idx = np.minimum(pos.astype(np.int64), self.nodes.size - 2)
-            frac = pos - idx
-        else:
-            idx = np.searchsorted(self.nodes, q, side="right") - 1
-            idx = np.clip(idx, 0, self.nodes.size - 2)
-            frac = (q - self.nodes[idx]) / (self.nodes[idx + 1] - self.nodes[idx])
-        return idx, np.clip(frac, 0.0, 1.0)
-
 
 def _interp_y(values: np.ndarray, axis_y: _Axis, foot_y: np.ndarray) -> np.ndarray:
     """Linear interpolation along y (axis -2) of values (..., ny, nz) at feet (ny,)."""
@@ -307,21 +323,11 @@ class Policy:
         n_steps = self.table.shape[0]
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
-        iy = _nearest(g.y_nodes, np.asarray(y, dtype=float))
-        iz = _nearest(g.z_nodes, np.log(np.asarray(s, dtype=float)))
-        if g.x_nodes is None:
-            picks = self.table[n, iy, iz]
-        else:
-            ix = _nearest(g.x_nodes, np.asarray(x, dtype=float))
-            picks = self.table[n, ix, iy, iz]
+        node = (_Axis(g.y_nodes, "y").nearest(y), _Axis(g.z_nodes, "z").nearest(np.log(s)))
+        if g.x_nodes is not None:
+            node = (_Axis(g.x_nodes, "x").nearest(x),) + node
+        picks = self.table[(n,) + node]
         return np.where(picks, self.d1, self.d0)
-
-
-def _nearest(nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(nodes, q)
-    idx = np.clip(idx, 1, nodes.size - 1)
-    left = q - nodes[idx - 1] <= nodes[idx] - q
-    return np.where(left, idx - 1, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +350,7 @@ def _validate(params, spec, fam, grid, variant):
     if variant == "normalized" and spec.weight_mode != "normalized":
         raise ParameterError("normalized solver needs weight_mode=normalized", field="weight_mode")
     if variant != "linear_reduced":
-        t_probe = np.linspace(0.0, params.t_horizon, 9)[:, None]
-        phi_max = float(np.max(fam.payoff_rate(np.exp(grid.z_nodes)[None, :], t_probe)))
-        need = spec.bounds.d1 * params.t_horizon * phi_max
+        need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise GridError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}")
     # resolution advisories (accuracy, not stability)
@@ -388,10 +392,10 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     controls = (d0,) if d1 == d0 else (d0, d1)
     ab = _z_step_matrix(params, z, dt)
-    ax_y = _Axis(y)
+    ax_y = _Axis(y, "y")
 
     x = grid.x_nodes
-    ax_x = None if x is None else _Axis(x)
+    ax_x = None if x is None else _Axis(x, "x")
     if variant == "linear_reduced":
         terminal = 0.0
     elif variant == "adapted":
@@ -459,14 +463,15 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     g = vf.grid
     if not g.z_nodes[0] <= z0 <= g.z_nodes[-1]:
         raise ExtrapolationError("log s0 outside the z grid")
-    iz, wz = _Axis(g.z_nodes).locate(np.array([z0]))
+    iz, wz = _Axis(g.z_nodes, "z").locate(np.array([z0]))
+    # node 0 is read as the origin, so it must be exactly 0 on x and y
     if g.x_nodes is not None:
-        if g.x_nodes[0] > 0.0 or g.y_nodes[0] > 0.0:
-            raise ExtrapolationError("grid does not contain the origin in (x, y)")
+        if g.x_nodes[0] != 0.0 or g.y_nodes[0] != 0.0:
+            raise ExtrapolationError("grid does not start at the origin in (x, y)")
         line = vf.values[0, 0, :]
     else:
-        if g.y_nodes[0] > 0.0:
-            raise ExtrapolationError("grid does not contain y = 0")
+        if g.y_nodes[0] != 0.0:
+            raise ExtrapolationError("grid does not start at y = 0")
         line = vf.values[0, :]
     raw = float((1.0 - wz[0]) * line[iz[0]] + wz[0] * line[iz[0] + 1])
     value = float(np.exp(-params.r * params.t_horizon) * raw)
@@ -532,11 +537,12 @@ _SOLVERS = {
 
 
 def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
-          grid: StateGrid | dict, observe: Callable | None = None) -> ValueFunction:
+          grid: StateGrid | dict | None, observe: Callable | None = None) -> ValueFunction:
     """Solve the regularised problem at one epsilon.
 
-    ``grid`` is a StateGrid or the ``default_grid`` node counts (nx, ny,
-    nz, n_steps); the solver is looked up in ``_SOLVERS`` at call time.
+    ``grid`` is a StateGrid, or ``default_grid`` node counts (nx, ny, nz,
+    n_steps), where a missing count or ``grid=None`` takes the desk value;
+    the solver is looked up in ``_SOLVERS`` at call time.
     ``observe`` sees every slice of the sweep (see ``_sweep``).
     """
     if variant == "auto":
@@ -546,7 +552,7 @@ def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
     params.check_log_band()
     fam = build_family(epsilon, spec, params)
     if not isinstance(grid, StateGrid):
-        grid = default_grid(params, spec, fam, variant, **grid)
+        grid = default_grid(params, spec, fam, variant, **(grid or {}))
     return _SOLVERS[variant](params, spec, fam, grid, observe=observe)
 
 
@@ -555,11 +561,7 @@ def ladder_price(
     spec: PayoffSpec,
     epsilons=(0.2, 0.1, 0.05),
     variant: str = "auto",
-    grid: StateGrid | None = None,
-    nx: int = 41,
-    ny: int = 41,
-    nz: int = 81,
-    n_steps: int = 200,
+    grid: StateGrid | dict | None = None,
 ) -> tuple[PriceEstimate, list[PriceEstimate]]:
     """Solve along a decreasing epsilon ladder and Richardson-extrapolate.
 
@@ -569,13 +571,11 @@ def ladder_price(
     That only holds once the rungs converge: with three or more rungs, a
     last gap |p(e2) - p(e1)| that is nonzero and not smaller than the one
     before raises NumericalFailure.  Raw per-epsilon estimates come back
-    alongside.
+    alongside.  ``grid`` is taken as by ``solve``.
     """
     epsilons = sorted(set(float(e) for e in epsilons), reverse=True)
     if not epsilons:
         raise ParameterError("need at least one epsilon", field="epsilons")
-    if grid is None:
-        grid = {"nx": nx, "ny": ny, "nz": nz, "n_steps": n_steps}
     raw: list[PriceEstimate] = []
     for eps in epsilons:
         vf = solve(params, spec, eps, variant, grid)
@@ -612,19 +612,17 @@ def refinement_delta(
     params: MarketParams,
     spec: PayoffSpec,
     rung: PriceEstimate,
-    nx: int = 41,
-    ny: int = 41,
-    nz: int = 81,
-    n_steps: int = 200,
+    grid: dict | None = None,
 ) -> float:
     """|price(grid) - price(refined grid)| at one epsilon: the empirical
     discretisation allowance used in cross-method tolerances.
 
     ``rung`` is a ``ladder_price`` rung priced on the default grid with
-    these node counts; only the refined grid is solved here.
+    the node counts ``grid`` (missing counts take the desk values); only
+    the refined grid is solved here.
     """
     eps, variant = rung.meta["epsilon"], rung.meta["variant"]
-    base = default_grid(params, spec, build_family(eps, spec, params), variant, nx, ny, nz, n_steps)
+    base = default_grid(params, spec, build_family(eps, spec, params), variant, **(grid or {}))
     if list(base.shape) != rung.meta["grid_shape"] or base.n_steps != rung.meta["n_steps"]:
         raise ParameterError("rung was not priced on these node counts", field="grid")
     fine = solve(params, spec, eps, variant, refine_grid(base))

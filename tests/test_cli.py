@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from controlled_options import ParameterError
 from controlled_options.cli import (
@@ -13,6 +15,7 @@ from controlled_options.cli import (
     write_compare_csv,
     write_report,
 )
+from controlled_options.payoffs import F_KINDS, G_KINDS, TIMINGS, WEIGHT_MODES
 
 BASE_DOC = {
     "market": {"s0": 100.0, "r": 0.0, "sigma": 0.2, "t_horizon": 1.0},
@@ -204,6 +207,59 @@ def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, command, cas
     path.write_text(json.dumps(doc))
     assert main([command, "--config", str(path)]) == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payoff,grid,field", [
+    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 0}, "grid.nx"),
+    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 1}, "grid.nx"),
+    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 2}, "grid.nx"),
+    ({"g_kind": "cap", "g_cap": 8.0}, {"nz": 0}, "grid.nz"),
+    ({"weight_mode": "normalized", "d1": 0.0}, {}, "bounds.d1"),
+], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "normalized-d1-0"])
+def test_grid_route_exits_2_and_names_field(tmp_path, capsys, payoff, grid, field):
+    # price-closed-form refuses a capped g before it reaches the grid, so
+    # these cases cannot join MALFORMED
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_doc(payoff=payoff, grid=grid)))
+    assert main(["price-hjb", "--config", str(path)]) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+_positive = st.floats(1e-3, 300.0)
+# d0 > d1 is refused before anything else runs (test_config_validation_names_offending_field),
+# so the bounds are drawn as an ordered pair to reach the pricing routes
+_fuzz_payoffs = st.tuples(st.fixed_dictionaries({
+    "f_kind": st.sampled_from(F_KINDS), "f_strike": _positive,
+    "payment_timing": st.sampled_from(TIMINGS),
+    "g_kind": st.sampled_from(G_KINDS), "g_strike": _positive, "g_cap": _positive,
+    "weight_mode": st.sampled_from(WEIGHT_MODES),
+}), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted)).map(
+    lambda pair: {**pair[0], "d0": pair[1][0], "d1": pair[1][1]})
+_fuzz_configs = st.fixed_dictionaries({
+    "market": st.just(BASE_DOC["market"]),
+    "payoff": _fuzz_payoffs,
+    "grid": st.fixed_dictionaries({"nx": st.integers(0, 9), "ny": st.integers(0, 9),
+                                   "nz": st.integers(0, 9), "n_steps": st.integers(0, 10)}),
+    "epsilons": st.lists(st.floats(0.01, 0.5), min_size=1, max_size=2),
+    "mc": st.fixed_dictionaries({
+        "n_paths": st.integers(0, 400), "n_steps": st.integers(0, 10), "seed": st.integers(0, 2**31),
+        "policy": st.sampled_from(["uniform", "tail", "threshold[+0.0]", "floor", "hjb"]),
+    }),
+})
+
+
+# no explain phase: it traces every line the engine runs, which turns one
+# failing example into minutes
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(doc=_fuzz_configs)
+def test_fuzzed_configs_never_end_in_a_traceback(tmp_path_factory, doc):
+    # every input is priced (0), refused naming its field (2) or reported as
+    # a numerical failure (3); an uncaught exception would surface here
+    path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    path.write_text(json.dumps(doc))
+    for command in ("price-closed-form", "price-mc", "price-hjb"):
+        assert main([command, "--config", str(path)]) in (0, 2, 3)
 
 
 def test_zero_width_deferral_window_exits_2(tmp_path, capsys):

@@ -28,7 +28,7 @@ from controlled_options import (
     solve_linear_reduced,
     solve_normalized,
 )
-from controlled_options.hjb import _solve_z, _z_step_matrix
+from controlled_options.hjb import _Axis, _solve_z, _z_step_matrix
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 TAIL_PRICE = 6.868449472311021  # frozen quadrature oracle (see test_closed_form)
@@ -73,6 +73,39 @@ def test_grid_validation():
                   z_nodes=np.array([0.0, 0.1, 0.5, 1.0]), n_steps=4)  # nonuniform z
     with pytest.raises(GridError):
         StateGrid(y_nodes=np.linspace(0, 1, 5), z_nodes=np.linspace(0, 1, 5), n_steps=0)
+
+
+@st.composite
+def _axes_and_queries(draw):
+    # nodes on a binary lattice are exact floats, so the check below measures
+    # the lookup rather than the rounding of the axis itself
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        gaps = [draw(st.integers(1, 1000))] * (n - 1)
+    else:
+        gaps = draw(st.lists(st.integers(1, 1000), min_size=n - 1, max_size=n - 1))
+    start = draw(st.integers(-1000, 1000))
+    nodes = 2.0 ** draw(st.integers(-20, 20)) * (start + np.concatenate([[0], np.cumsum(gaps)]))
+    span = nodes[-1] - nodes[0]
+    queries = draw(st.lists(st.floats(nodes[0] - span, nodes[-1] + span), min_size=1, max_size=50))
+    return nodes, np.array(queries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_axes_and_queries())
+def test_axis_nearest_picks_a_closest_node(case):
+    nodes, q = case
+    got = _Axis(nodes, "q").nearest(q)
+    dist = np.abs(nodes[None, :] - q[:, None])
+    cell = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
+    width = nodes[cell + 1] - nodes[cell]
+    assert np.all(dist[np.arange(q.size), got] - dist.min(axis=1) <= 1e-12 * width)
+
+
+def test_axis_nearest_breaks_ties_low():
+    for nodes, q, want in (([0.0, 1.0, 2.0], [0.5, 1.5], [0, 1]),  # uniform
+                           ([0.0, 1.0, 3.0], [0.5, 2.0], [0, 1])):  # searched
+        assert _Axis(np.array(nodes), "q").nearest(np.array(q)).tolist() == want
 
 
 def test_solver_rejects_uncovering_grids():
@@ -190,7 +223,8 @@ def test_price_nondecreasing_in_d1():
     vals = []
     for d1 in (1.5, 2.0, 3.0):
         spec = _spec(bounds=ControlBounds(0.0, d1))
-        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,), ny=31, nz=41, n_steps=80)
+        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,),
+                               grid={"ny": 31, "nz": 41, "n_steps": 80})
         vals.append(est.value)
     assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
 
@@ -199,7 +233,8 @@ def test_price_nonincreasing_in_d0():
     vals = []
     for d0 in (0.0, 0.4, 0.8):
         spec = _spec(bounds=ControlBounds(d0, 2.0))
-        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,), ny=31, nz=41, n_steps=80)
+        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,),
+                               grid={"ny": 31, "nz": 41, "n_steps": 80})
         vals.append(est.value)
     assert vals[0] >= vals[1] - 1e-9 and vals[1] >= vals[2] - 1e-9
 
@@ -366,6 +401,15 @@ def test_price_readout_outside_hull_is_an_error():
                        values=np.zeros((5, 5)))
     with pytest.raises(ExtrapolationError):
         price_from_value(vf, PARAMS)
+    # node 0 is read as the origin: a y axis that starts at -0.25 priced
+    # the value with 1.25 budget units, 7.5287 against 6.2903
+    spec = _spec()
+    fam = build_family(0.1, spec, PARAMS)
+    base = default_grid(PARAMS, spec, fam, "linear_reduced", ny=21, nz=31, n_steps=40)
+    below = StateGrid(y_nodes=np.concatenate([[-0.25], base.y_nodes]), z_nodes=base.z_nodes,
+                      n_steps=base.n_steps)
+    with pytest.raises(ExtrapolationError):
+        price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, below), PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +454,14 @@ def test_epsilon_domination():
 
 
 # AC-2 at eps = 0.1 on a 9 x 11 x 15 grid with 12 steps: the exact t = 0
-# price and the number of d1 cells in the policy table.  Any change to the
-# order of the sweep's arithmetic shows here.
+# price, the number of d1 cells in the policy table, and the exact Monte
+# Carlo price of that table (20k paths, 40 steps, seed 11).  Any change to
+# the order of the sweep's arithmetic, or to the table lookup, shows here.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
-    "linear_reduced": ({}, "0x1.958612693ccb6p+2", 1064),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78af0p+1", 14627),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a14bp+4", 7321),
+    "linear_reduced": ({}, "0x1.958612693ccb6p+2", 1064, "0x1.b26e95f816c30p+2"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78af0p+1", 14627, "0x1.f11d6ba8c5d96p+1"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a14bp+4", 7321, "0x1.f4e551c827e0bp+2"),
 }
 
 
@@ -428,10 +473,12 @@ def _pin_price(variant, params, **scaled):
 
 @pytest.mark.parametrize("variant", sorted(PINS))
 def test_sweep_is_pinned_bit_for_bit(variant):
-    overrides, price, d1_cells = PINS[variant]
+    overrides, price, d1_cells, mc_price = PINS[variant]
     assert _pin_price(variant, PARAMS).hex() == price
-    pol = _quiet_solve(extract_policy, PARAMS, _spec(**overrides), 0.1, variant, PIN_DIMS)
+    spec = _spec(**overrides)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, variant, PIN_DIMS)
     assert int(pol.table.sum()) == d1_cells
+    assert evaluate_policy(pol, spec, PARAMS, 20_000, 40, seed=11).value.hex() == mc_price
 
 
 @settings(max_examples=10, deadline=None)
@@ -440,7 +487,7 @@ def test_price_scales_with_s0(lam):
     # the default grid follows s0 (z shifts by log lam, x scales by lam),
     # so scaling the spot, the strike and the cap scales the price
     params = MarketParams(s0=100.0 * lam, r=0.0, sigma=0.2, t_horizon=1.0)
-    for variant, (overrides, price, _) in PINS.items():
+    for variant, (overrides, price, _, _) in PINS.items():
         scaled = {"f_strike": 100.0 * lam}
         if "g_cap" in overrides:
             scaled["g_cap"] = overrides["g_cap"] * lam
@@ -453,7 +500,7 @@ def test_diverging_ladder_raises_numerical_failure():
     # Richardson would report 23.54, above E[max S] - K = 16.98
     spec = _spec(weight_mode="normalized")
     with pytest.raises(NumericalFailure, match="2.98015 then 5.4639"):
-        _quiet_ladder(PARAMS, spec, nx=21, ny=21, nz=41, n_steps=100)
+        _quiet_ladder(PARAMS, spec, grid={"nx": 21, "ny": 21, "nz": 41, "n_steps": 100})
 
 
 def test_heat_kernel_rollback_second_order():
