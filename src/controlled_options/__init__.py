@@ -5,12 +5,7 @@ closed-form tail-strategy quadrature, and Monte Carlo policy evaluation
 under the risk-neutral measure.
 """
 
-from .closed_form import (
-    TailStrategyConfig,
-    hypothesis_report,
-    tail_strategy,
-    tail_strategy_price,
-)
+from .closed_form import hypothesis_report, switch_time, tail_strategy_price
 from .errors import (
     AdmissibilityError,
     ExtrapolationError,
@@ -66,7 +61,6 @@ __all__ = [
     "PricingError",
     "SmoothingFamily",
     "StateGrid",
-    "TailStrategyConfig",
     "ValueFunction",
     "auto_variant",
     "bs_expected_payoff",
@@ -90,7 +84,7 @@ __all__ = [
     "solve_adapted",
     "solve_linear_reduced",
     "solve_normalized",
-    "tail_strategy",
+    "switch_time",
     "tail_strategy_price",
     "validate_spec",
     "__version__",

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .closed_form import TailStrategyConfig, tail_strategy_price
+from .closed_form import tail_strategy_price
 from .errors import NumericalFailure, ParameterError, PricingError
 from .hjb import VARIANTS, export_csv, extract_policy, ladder_price, refinement_delta, solve
 from .market import MarketParams
@@ -154,22 +154,6 @@ def _count(value, where: str) -> int:
     return int(value)
 
 
-def _closed_form_config(cfg: RunConfig) -> TailStrategyConfig:
-    spec = cfg.spec
-    if spec.g_kind != "identity":
-        raise ParameterError("closed form covers identity g only", field="g_kind")
-    if spec.bounds.d0 != 0.0:
-        raise ParameterError("closed form needs d0 = 0", field="bounds.d0")
-    if spec.payment_timing != "terminal_compounded" and cfg.params.r != 0.0:
-        raise ParameterError(
-            "closed form needs terminal-compounded payments when r > 0",
-            field="payment_timing",
-        )
-    return TailStrategyConfig(
-        params=cfg.params, cap=spec.bounds.d1, h_kind=spec.f_kind, strike=spec.f_strike,
-    )
-
-
 def _mc_policy(cfg: RunConfig, name: str):
     if name == "hjb":
         return extract_policy(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant, cfg.grid)
@@ -185,7 +169,7 @@ def run_price(cfg: RunConfig) -> dict:
     """Run the selected methods and assemble the pricing report."""
     estimates: dict[str, dict] = {}
     if "closed_form" in cfg.methods:
-        estimates["closed_form"] = _estimate_dict(tail_strategy_price(_closed_form_config(cfg)))
+        estimates["closed_form"] = _estimate_dict(tail_strategy_price(cfg.spec, cfg.params))
     if "monte_carlo" in cfg.methods:
         policy = _mc_policy(cfg, cfg.mc["policy"])
         est = evaluate_policy(

@@ -1,29 +1,34 @@
-"""Closed-form pricing for the budget-capped linear payoff.
+"""Closed-form price of the deferred ("tail") strategy for the budget contract.
 
-For the payoff  int_0^T u(t) f(S(t), t) dt  with u in [0, L],
-int u dt <= 1 and f(x, t) = e^{r(T-t)} h(x) for convex h, deferring the
-whole budget to the last 1/L of the horizon is optimal (later payment
+For the budget payoff  int_0^T u(t) f(S(t), t) dt  with u in [0, d1],
+int u dt = 1 and f(x, t) = e^{r(T-t)} h(x) for convex h, deferring the
+whole budget to the last 1/d1 of the horizon is optimal (later payment
 dates dominate by Jensen's inequality on the risk-neutral martingale).
 The price is then a single time integral of Black-Scholes expectations,
 
-    price = e^{-rT} * L * int_{T-1/L}^{T} E*[f(S(t), t)] dt,
+    price = e^{-rT} * d1 * int_{T-1/d1}^{T} E*[f(S(t), t)] dt,
 
 evaluated here by adaptive Gauss-Legendre quadrature.
 
-The leading factor is L: the strategy pays at rate u = L over a window
-of length 1/L, so the weight in front of the average integrand is
-L * (1/L) = 1.
+The formula reads the contract from the ``PayoffSpec`` that every route
+shares, and ``tail_strategy_price`` refuses what it does not price:
+the normalized weight (it has no deferral formula), a reward g other
+than identity, d0 > 0, payments at spot time when r > 0, and contracts
+where neither optimality hypothesis of ``hypothesis_report`` holds.
+
+The leading factor is d1 (reported as ``cap``): the strategy pays at
+rate d1 over a window of length 1/d1, so the weight in front of the
+average integrand is d1 * (1/d1) = 1.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, ParameterError
-from .hjb import Policy
 from .market import MarketParams, bs_expected_payoff
+from .payoffs import PayoffSpec
 from .results import PriceEstimate
 
 QUAD_REL_TOL = 1e-8
@@ -32,43 +37,26 @@ QUAD_REL_TOL = 1e-8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-@dataclass(frozen=True)
-class TailStrategyConfig:
-    """Inputs of the deferred ("tail") strategy price.
+def switch_time(spec: PayoffSpec, params: MarketParams) -> float:
+    """Start of the deferral window [T - 1/d1, T].
 
-    ``h_kind``: "call" (needs ``strike``) or "identity".
-    ``cap``: the weight ceiling L; the deferral window is [T - 1/L, T].
+    0 when d1 * T <= 1: the budget cannot be exhausted, so u = d1 on the
+    whole horizon (the degenerate window).
     """
-
-    params: MarketParams
-    cap: float
-    h_kind: str
-    strike: float | None = None
-
-    def __post_init__(self):
-        if not self.cap > 0.0:
-            raise ParameterError("cap L must be positive", field="cap")
-        if self.h_kind not in ("call", "put", "identity"):
-            raise ParameterError(f"unknown h_kind {self.h_kind!r}", field="h_kind")
-        if self.h_kind in ("call", "put") and not (self.strike or 0.0) > 0.0:
-            raise ParameterError("call/put h needs a positive strike", field="strike")
-        if not self.switch_time < self.params.t_horizon:
-            raise ParameterError("the deferral window [T - 1/L, T] has zero width in floating "
-                                 "point at this horizon", field="t_horizon")
-
-    @property
-    def degenerate(self) -> bool:
-        """cap * T <= 1: the budget cannot be exhausted, so u = L throughout."""
-        return self.cap * self.params.t_horizon <= 1.0
-
-    @property
-    def switch_time(self) -> float:
-        """Start of the deferral window: T - 1/L, or 0 when degenerate."""
-        return 0.0 if self.degenerate else self.params.t_horizon - 1.0 / self.cap
+    d1, T = spec.bounds.d1, params.t_horizon
+    if not d1 > 0.0:
+        raise ParameterError("the deferral window needs d1 > 0", field="payoff.d1")
+    if d1 * T <= 1.0:
+        return 0.0
+    switch = T - 1.0 / d1
+    if not switch < T:
+        raise ParameterError("the deferral window [T - 1/d1, T] has zero width in floating "
+                             "point at this horizon", field="market.t_horizon")
+    return switch
 
 
-def hypothesis_report(cfg: TailStrategyConfig) -> dict:
-    """Which optimality hypotheses hold for this configuration.
+def hypothesis_report(spec: PayoffSpec, params: MarketParams) -> dict:
+    """Which optimality hypotheses hold for the payment rate h = ``spec.f_kind``.
 
     (i)  a^{-1} h(a x) non-decreasing in a on (0, 1]  -- true for calls,
          which scale like a x - K, and vacuous for identity;
@@ -77,37 +65,14 @@ def hypothesis_report(cfg: TailStrategyConfig) -> dict:
     better; identity h is linear, so every admissible weight prices the
     same and the formula remains valid.
     """
-    cond_i = cfg.h_kind in ("call", "identity")
-    cond_ii = cfg.params.r == 0.0
+    cond_i = spec.f_kind in ("call", "identity")
+    cond_ii = params.r == 0.0
     return {
         "scaling_condition": cond_i,
         "zero_rate_condition": cond_ii,
-        "h_strictly_convex": cfg.h_kind in ("call", "put"),
+        "h_strictly_convex": spec.f_kind in ("call", "put"),
         "applicable": cond_i or cond_ii,
     }
-
-
-def tail_strategy(cfg: TailStrategyConfig) -> Policy:
-    """u(t) = L for t >= T - 1/L, else 0.  Integrates to exactly 1.
-
-    When cap * T <= 1 the budget constraint cannot bind and the policy
-    degenerates to u = L on all of [0, T] (flagged in meta).
-    """
-    L, switch = cfg.cap, cfg.switch_time
-
-    def rule(t, x, y, s):
-        u = L if t >= switch else 0.0
-        return np.full(np.broadcast(np.asarray(x), np.asarray(s)).shape, u)
-
-    return Policy(
-        source="analytic",
-        d0=0.0,
-        d1=L,
-        name="tail",
-        fn=rule,
-        t_horizon=cfg.params.t_horizon,
-        meta={"switch_time": switch, "degenerate": cfg.degenerate},
-    )
 
 
 def _adaptive_gl(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL, depth: int = 0) -> float:
@@ -131,30 +96,32 @@ def _gl_panel(f, a: float, b: float) -> float:
     return half * sum(w * f(mid + half * xi) for xi, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def expected_payment_rate(cfg: TailStrategyConfig, t: float) -> float:
-    """E*[f(S(t), t)] with f(x, t) = e^{r(T-t)} h(x)."""
-    p = cfg.params
-    comp = math.exp(p.r * (p.t_horizon - t))
-    return comp * bs_expected_payoff(p, cfg.h_kind, t, strike=cfg.strike)
+def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate:
+    """Quadrature price of the deferred strategy; refuses a contract it does not price."""
+    report = hypothesis_report(spec, params)
+    if spec.weight_mode != "adapted_fixed_cumulative":
+        raise ParameterError("the closed form prices the fixed-cumulative (budget) weight only; "
+                             "the normalized weight has no deferral formula",
+                             field="payoff.weight_mode")
+    if spec.g_kind != "identity":
+        raise ParameterError("closed form covers identity g only", field="payoff.g_kind")
+    if spec.bounds.d0 != 0.0:
+        raise ParameterError("closed form needs d0 = 0", field="payoff.d0")
+    if spec.payment_timing != "terminal_compounded" and params.r != 0.0:
+        raise ParameterError("closed form needs terminal-compounded payments when r > 0",
+                             field="payoff.payment_timing")
+    if not report["applicable"]:
+        raise ParameterError(f"the deferral formula does not cover a {spec.f_kind} rate with "
+                             "r > 0 (neither the scaling nor the zero-rate hypothesis holds)",
+                             field="payoff.f_kind")
+    L, T, lo = spec.bounds.d1, params.t_horizon, switch_time(spec, params)
 
+    def expected_payment_rate(t):  # E*[f(S(t), t)] with f(x, t) = e^{r(T-t)} h(x)
+        comp = math.exp(params.r * (T - t))
+        return comp * bs_expected_payoff(params, spec.f_kind, t, strike=spec.f_strike)
 
-def tail_strategy_price(cfg: TailStrategyConfig) -> PriceEstimate:
-    """Quadrature price of the deferred strategy.
-
-    Refuses puts with r > 0: neither optimality hypothesis holds there,
-    so the deferral formula does not price the option.
-    """
-    report = hypothesis_report(cfg)
-    if cfg.h_kind == "put" and cfg.params.r > 0.0:
-        raise ParameterError(
-            "the deferral formula does not cover puts with r > 0 "
-            "(neither the scaling nor the zero-rate hypothesis holds)",
-            field="h_kind",
-        )
-    p = cfg.params
-    L, T, lo = cfg.cap, p.t_horizon, cfg.switch_time
-    integral = _adaptive_gl(lambda t: expected_payment_rate(cfg, t), lo, T)
-    value = math.exp(-p.r * T) * L * integral
+    integral = _adaptive_gl(expected_payment_rate, lo, T)
+    value = math.exp(-params.r * T) * L * integral
     return PriceEstimate(
         value=value,
         stderr=0.0,
@@ -162,7 +129,7 @@ def tail_strategy_price(cfg: TailStrategyConfig) -> PriceEstimate:
         meta={
             "cap": L,
             "window": [lo, T],
-            "degenerate": cfg.degenerate,
+            "degenerate": L * T <= 1.0,
             "integral_factor": "L",
             "hypotheses": report,
         },

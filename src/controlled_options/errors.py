@@ -8,8 +8,9 @@ class PricingError(Exception):
 class ParameterError(PricingError):
     """A domain value violates its contract (e.g. sigma <= 0, K <= 0).
 
-    ``field`` names the offending input when known, using dotted paths
-    such as ``bounds.d0`` so batch callers can report precisely.
+    ``field`` names the offending input when known, as its dotted path in
+    the run config (``payoff.d0``, ``market.sigma``, ``mc.n_paths``), so
+    batch callers can map the message back to the config.
     """
 
     def __init__(self, message: str, field: str | None = None):

@@ -138,6 +138,8 @@ def default_grid(
         raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
     if nz < 2:
         raise ParameterError(f"the z axis needs at least two nodes, not {nz}", field="grid.nz")
+    if n_steps < 1:
+        raise ParameterError(f"need at least one time step, not {n_steps}", field="grid.n_steps")
     T = params.t_horizon
     eps = fam.epsilon
     half = max(5.0 * params.sigma * np.sqrt(T), 1e-6)
@@ -179,7 +181,7 @@ def default_grid(
             lo = max(0.25 * eps * eps * phi_max, 1e-12 * x_max)
             if not lo < x_max:
                 raise ParameterError(f"x reach {x_max:g} (d1 T times the peak rate) does not "
-                                     f"pass the eps^2 scale {lo:g}", field="bounds.d1")
+                                     f"pass the eps^2 scale {lo:g}", field="payoff.d1")
             x_nodes = np.concatenate([[0.0], np.geomspace(lo, x_max, nx - 1)])
         else:
             knee = spec.g_cap if spec.g_kind == "cap" else spec.g_strike
@@ -343,13 +345,15 @@ def _validate(params, spec, fam, grid, variant):
         if grid.y_nodes[-1] < 1.0 + eps:
             raise GridError("y_max must cover the budget cutoff region (>= 1 + eps)")
     if variant == "adapted" and spec.weight_mode != "adapted_fixed_cumulative":
-        raise ParameterError("adapted solver needs weight_mode=adapted_fixed_cumulative", field="weight_mode")
+        raise ParameterError("adapted solver needs weight_mode=adapted_fixed_cumulative", field="payoff.weight_mode")
     if variant == "linear_reduced":
         if spec.weight_mode != "adapted_fixed_cumulative" or spec.g_kind != "identity":
-            raise ParameterError("linear_reduced needs adapted mode with identity g", field="g_kind")
+            raise ParameterError("linear_reduced needs adapted mode with identity g", field="payoff.g_kind")
     if variant == "normalized" and spec.weight_mode != "normalized":
-        raise ParameterError("normalized solver needs weight_mode=normalized", field="weight_mode")
+        raise ParameterError("normalized solver needs weight_mode=normalized", field="payoff.weight_mode")
     if variant != "linear_reduced":
+        if grid.x_nodes is None:
+            raise GridError(f"the {variant} variant needs an x axis; this grid has only y and z")
         need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise GridError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}")

@@ -40,16 +40,16 @@ class MarketParams:
     def __post_init__(self):
         for name in ("s0", "r", "sigma", "t_horizon"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError("must be finite", field=name)
+                raise ParameterError("must be finite", field=f"market.{name}")
         if not self.s0 > 0.0:
-            raise ParameterError("spot must be positive", field="s0")
+            raise ParameterError("spot must be positive", field="market.s0")
         if not self.r >= 0.0:
-            raise ParameterError("rate must be >= 0", field="r")
+            raise ParameterError("rate must be >= 0", field="market.r")
         if not self.sigma > 0.0:
             # sigma == 0 is rejected; near-deterministic tests use sigma = 1e-12.
-            raise ParameterError("volatility must be strictly positive", field="sigma")
+            raise ParameterError("volatility must be strictly positive", field="market.sigma")
         if not self.t_horizon > 0.0:
-            raise ParameterError("horizon must be positive", field="t_horizon")
+            raise ParameterError("horizon must be positive", field="market.t_horizon")
 
     def check_log_band(self) -> None:
         """Reject a horizon over which S / s0 leaves the float range.
@@ -92,15 +92,13 @@ def bs_expected_payoff(params: MarketParams, h_kind: str, t: float, strike: floa
         raise ParameterError(f"unknown payoff kind {h_kind!r}", field="h_kind")
     if strike is None or not strike > 0.0:
         raise ParameterError("call/put kinds need a positive strike", field="strike")
-    fwd = params.s0 * math.exp(params.r * t)
+    sign = 1.0 if h_kind == "call" else -1.0
     if t == 0.0:
-        call = max(params.s0 - strike, 0.0)
-    else:
-        st = params.sigma * math.sqrt(t)
-        d1 = (math.log(params.s0 / strike) + (params.r + 0.5 * params.sigma**2) * t) / st
-        d2 = d1 - st
-        call = fwd * norm_cdf(d1) - strike * norm_cdf(d2)
-    if h_kind == "call":
-        return call
-    # put-call parity on undiscounted expectations: E(K-S)^+ = E(S-K)^+ - fwd + K
-    return call - fwd + strike
+        return max(sign * (params.s0 - strike), 0.0)
+    fwd = params.s0 * math.exp(params.r * t)
+    st = params.sigma * math.sqrt(t)
+    d1 = (math.log(params.s0 / strike) + (params.r + 0.5 * params.sigma**2) * t) / st
+    d2 = d1 - st
+    # the put is priced directly, not by parity from the call: out of the
+    # money, E(S-K)^+ - fwd + K keeps only the rounding noise of the call
+    return sign * (fwd * norm_cdf(sign * d1) - strike * norm_cdf(sign * d2))

@@ -15,7 +15,13 @@ exact finish impossible are counted in ``meta["forced_ramp_warnings"]``.
 Antithetic variates are on by default; estimates and standard errors are
 computed on pair averages.  Paths stream through fixed-size blocks with
 per-block substreams (see ``market``), and block partials reduce in
-index order, so results do not depend on how work is chunked.
+index order, so results do not depend on how work is chunked.  The
+second moment is summed about the first block's mean and divided by its
+largest payoff, so the standard error scales with the price instead of
+overflowing or underflowing at extreme spot levels.
+
+The built-in ``tail`` policy is the deferral strategy that
+``closed_form`` prices; both take its window from ``closed_form.switch_time``.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import math
 
 import numpy as np
 
-from .closed_form import TailStrategyConfig, tail_strategy
+from .closed_form import switch_time
 from .errors import ParameterError
 from .hjb import Policy
 from .market import MarketParams, _block_normals
@@ -61,9 +67,9 @@ def evaluate_policy(
     validate_spec(spec, params)
     params.check_log_band()
     if n_paths < 2:
-        raise ParameterError("need at least two paths", field="n_paths")
+        raise ParameterError("need at least two paths", field="mc.n_paths")
     if n_steps < 1:
-        raise ParameterError("need at least one step", field="n_steps")
+        raise ParameterError("need at least one step", field="mc.n_steps")
     T = params.t_horizon
     dt = T / n_steps
     drift = (params.r - 0.5 * params.sigma**2) * dt
@@ -73,8 +79,7 @@ def evaluate_policy(
     signs = (1.0, -1.0) if antithetic else (1.0,)
     n_rows_total = (n_paths + 1) // 2 if antithetic else n_paths
 
-    sum_w = 0.0
-    sum_w2 = 0.0
+    sum_w = sum_d = sum_d2 = 0.0
     n_obs = 0
     warnings_count = 0
     disc = math.exp(-params.r * T)
@@ -109,17 +114,23 @@ def evaluate_policy(
                 ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)
                 payoffs.append(eval_g(spec, ratio))
         w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
+        if b == 0:  # the moments are taken about the first block's mean, in its units
+            shift = float(np.mean(w))
+            scale = float(np.max(np.abs(w))) or 1.0
+        d = (w - shift) / scale
         sum_w += float(np.sum(w))
-        sum_w2 += float(np.sum(w * w))
+        sum_d += float(np.sum(d))
+        sum_d2 += float(np.sum(d * d))
         n_obs += rows
 
     mean = sum_w / n_obs
     if n_obs > 1:
-        var = max(sum_w2 - n_obs * mean * mean, 0.0) / (n_obs - 1)
-        stderr = math.sqrt(var / n_obs)
+        var = max(sum_d2 - sum_d * sum_d / n_obs, 0.0) / (n_obs - 1)
+        stderr = scale * math.sqrt(var / n_obs)
     else:
         stderr = 0.0
-    stderr = max(stderr, 1e-16 * (1.0 + abs(mean)))  # keep the stderr>0 contract
+    # keep the stderr > 0 contract at every price scale
+    stderr = max(stderr, 1e-16 * abs(mean), math.ulp(0.0))
     return PriceEstimate(
         value=mean,
         stderr=stderr,
@@ -136,9 +147,13 @@ def evaluate_policy(
 
 
 def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
-    """Reference policies: uniform, tail (``closed_form.tail_strategy``,
-    when d0 = 0 < d1), a small threshold ladder on the payment rate, and
-    the constant floor."""
+    """Reference policies: uniform, tail, a small threshold ladder on the
+    payment rate, and the constant floor.
+
+    ``tail`` (offered when d0 = 0 < d1) pays d1 from ``closed_form.switch_time``
+    on: over [T - 1/d1, T] it spends the unit budget exactly, and when
+    d1 T <= 1 it pays d1 throughout (``meta["degenerate"]``).
+    """
     params.check_log_band()  # the threshold levels lie inside the band
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     T = params.t_horizon
@@ -152,8 +167,12 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
 
     out.append(_const(1.0 / T, "uniform"))
     if d0 == 0.0 < d1:
-        out.append(tail_strategy(TailStrategyConfig(
-            params=params, cap=d1, h_kind=spec.f_kind, strike=spec.f_strike)))
+        switch = switch_time(spec, params)
+        out.append(Policy(
+            source="analytic", d0=0.0, d1=d1, name="tail", t_horizon=T,
+            fn=lambda t, x, y, s: np.full(np.shape(np.asarray(s)), d1 if t >= switch else 0.0),
+            meta={"switch_time": switch, "degenerate": d1 * T <= 1.0},
+        ))
     for q in (-0.5, 0.0, 0.5):
         level = params.s0 * math.exp(params.sigma * math.sqrt(T) * q)
         c = float(eval_f(spec, params, level, 0.5 * T))

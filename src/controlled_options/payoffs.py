@@ -42,18 +42,18 @@ class ControlBounds:
 
     def __post_init__(self):
         if not 0.0 <= self.d0:
-            raise ParameterError("lower bound must be >= 0", field="bounds.d0")
+            raise ParameterError("lower bound must be >= 0", field="payoff.d0")
         if self.d1 < self.d0:
-            raise ParameterError("d0 must not exceed d1", field="bounds.d0")
+            raise ParameterError("d0 must not exceed d1", field="payoff.d0")
         if not self.d1 < np.inf:
-            raise ParameterError("upper bound must be finite", field="bounds.d1")
+            raise ParameterError("upper bound must be finite", field="payoff.d1")
 
     def validate_budget_feasible(self, t_horizon: float) -> None:
         """For the adapted mode the budget int u = 1 must be reachable."""
         if self.d0 * t_horizon > 1.0 + BUDGET_TOL:
-            raise ParameterError("d0 * T must not exceed 1 in adapted mode", field="bounds.d0")
+            raise ParameterError("d0 * T must not exceed 1 in adapted mode", field="payoff.d0")
         if self.d1 * t_horizon < 1.0 - BUDGET_TOL:
-            raise ParameterError("d1 * T must be >= 1 in adapted mode", field="bounds.d1")
+            raise ParameterError("d1 * T must be >= 1 in adapted mode", field="payoff.d1")
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,19 @@ class PayoffSpec:
 
     def __post_init__(self):
         if self.f_kind not in F_KINDS:
-            raise ParameterError(f"unknown f_kind {self.f_kind!r}", field="f_kind")
+            raise ParameterError(f"unknown f_kind {self.f_kind!r}", field="payoff.f_kind")
         if self.g_kind not in G_KINDS:
-            raise ParameterError(f"unknown g_kind {self.g_kind!r}", field="g_kind")
+            raise ParameterError(f"unknown g_kind {self.g_kind!r}", field="payoff.g_kind")
         if self.payment_timing not in TIMINGS:
-            raise ParameterError(f"unknown timing {self.payment_timing!r}", field="payment_timing")
+            raise ParameterError(f"unknown timing {self.payment_timing!r}", field="payoff.payment_timing")
         if self.weight_mode not in WEIGHT_MODES:
-            raise ParameterError(f"unknown weight mode {self.weight_mode!r}", field="weight_mode")
+            raise ParameterError(f"unknown weight mode {self.weight_mode!r}", field="payoff.weight_mode")
         if self.f_kind in ("call", "put") and not (self.f_strike or 0.0) > 0.0:
-            raise ParameterError("call/put f needs a positive strike", field="f_strike")
+            raise ParameterError("call/put f needs a positive strike", field="payoff.f_strike")
         if self.g_kind in ("call", "put") and not (self.g_strike or 0.0) > 0.0:
-            raise ParameterError("call/put g needs a positive strike", field="g_strike")
+            raise ParameterError("call/put g needs a positive strike", field="payoff.g_strike")
         if self.g_kind == "cap" and not (self.g_cap or 0.0) > 0.0:
-            raise ParameterError("cap g needs a positive cap", field="g_cap")
+            raise ParameterError("cap g needs a positive cap", field="payoff.g_cap")
 
     @property
     def g_is_concave(self) -> bool:

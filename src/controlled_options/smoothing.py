@@ -212,7 +212,7 @@ class SmoothingFamily:
 def build_family(epsilon: float, spec: PayoffSpec, params: MarketParams) -> SmoothingFamily:
     """Construct and verify the family member for one epsilon."""
     if not 0.0 < epsilon < min(0.5, params.t_horizon / 2.0):
-        raise ParameterError("epsilon must lie in (0, min(1/2, T/2))", field="epsilon")
+        raise ParameterError("epsilon must lie in (0, min(1/2, T/2))", field="epsilons")
     fam = SmoothingFamily(epsilon=epsilon, spec=spec, params=params)
     fam.self_check()
     return fam

@@ -16,7 +16,6 @@ from controlled_options import (
     PayoffSpec,
     Policy,
     StateGrid,
-    TailStrategyConfig,
     build_family,
     builtin_policies,
     evaluate_policy,
@@ -26,7 +25,6 @@ from controlled_options import (
     refinement_delta,
     solve_adapted,
     solve_linear_reduced,
-    tail_strategy,
     tail_strategy_price,
 )
 from controlled_options.hjb import _solve_z, _z_step_matrix
@@ -84,11 +82,11 @@ def test_ac1_martingale_identity():
 def test_ac2_deferral_triangle():
     start = time.monotonic()
     spec = _spec()
-    cfg = TailStrategyConfig(params=PARAMS, cap=2.0, h_kind="call", strike=100.0)
-    cf = tail_strategy_price(cfg)
+    cf = tail_strategy_price(spec, PARAMS)
     a_ok = abs(cf.value - TAIL_PRICE_ORACLE) <= 1e-8 * TAIL_PRICE_ORACLE
 
-    mc = evaluate_policy(tail_strategy(cfg), spec, PARAMS, 1_000_000, 500, seed=202)
+    tail = next(p for p in builtin_policies(spec, PARAMS) if p.name == "tail")
+    mc = evaluate_policy(tail, spec, PARAMS, 1_000_000, 500, seed=202)
     b_ok = abs(mc.value - cf.value) <= 3.0 * mc.stderr
 
     hjb, _ = _quiet(ladder_price, PARAMS, spec, epsilons=(0.2, 0.1, 0.05))

@@ -44,10 +44,10 @@ def test_config_validation_names_offending_field():
     doc = _doc(payoff={"d0": 2.5, "d1": 2.0})
     with pytest.raises(ParameterError) as err:
         RunConfig.from_dict(doc)
-    assert err.value.field == "bounds.d0"
+    assert err.value.field == "payoff.d0"
     with pytest.raises(ParameterError) as err:
         RunConfig.from_dict(_doc(market={"sigma": -1.0}))
-    assert err.value.field == "sigma"
+    assert err.value.field == "market.sigma"
     with pytest.raises(ParameterError) as err:
         RunConfig.from_dict(_doc(methods=["telepathy"]))
     assert err.value.field == "methods"
@@ -196,6 +196,8 @@ MALFORMED = {
     "rel-floor-negative": (_doc(rel_floor=-1), "rel_floor"),
     "variant-number": (_doc(variant=5), "variant"),
     "policy-number": (_doc(mc={"policy": 5}), "mc.policy"),
+    "d1-below-budget": (_doc(payoff={"d1": 0.5}), "payoff.d1"),
+    "f-kind-unknown": (_doc(payoff={"f_kind": "digital"}), "payoff.f_kind"),
 }
 
 
@@ -209,19 +211,30 @@ def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, command, cas
     assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payoff,grid,field", [
-    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 0}, "grid.nx"),
-    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 1}, "grid.nx"),
-    ({"g_kind": "cap", "g_cap": 8.0}, {"nx": 2}, "grid.nx"),
-    ({"g_kind": "cap", "g_cap": 8.0}, {"nz": 0}, "grid.nz"),
-    ({"weight_mode": "normalized", "d1": 0.0}, {}, "bounds.d1"),
-], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "normalized-d1-0"])
-def test_grid_route_exits_2_and_names_field(tmp_path, capsys, payoff, grid, field):
-    # price-closed-form refuses a capped g before it reaches the grid, so
-    # these cases cannot join MALFORMED
+_CAP = {"g_kind": "cap", "g_cap": 8.0}
+
+
+@pytest.mark.parametrize("command,overrides,field", [
+    (["price-hjb"], {"payoff": _CAP, "grid": {"nx": 0}}, "grid.nx"),
+    (["price-hjb"], {"payoff": _CAP, "grid": {"nx": 1}}, "grid.nx"),
+    (["price-hjb"], {"payoff": _CAP, "grid": {"nx": 2}}, "grid.nx"),
+    (["price-hjb"], {"payoff": _CAP, "grid": {"nz": 0}}, "grid.nz"),
+    (["price-hjb"], {"payoff": {"weight_mode": "normalized", "d1": 0.0}}, "payoff.d1"),
+    (["price-hjb"], {"grid": {"n_steps": 0}}, "grid.n_steps"),
+    (["price-hjb"], {"epsilons": [0.7]}, "epsilons"),
+    (["price-mc"], {"mc": {"n_paths": 1}}, "mc.n_paths"),
+    (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
+    (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
+    (["compare"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
+], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "normalized-d1-0", "steps-0",
+        "epsilon-0.7", "mc-paths-1", "mc-steps-0", "closed-form-normalized", "compare-normalized"])
+def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
+    # fields that only one route reads, so these cases cannot join MALFORMED;
+    # the closed form has no formula for the normalized weight, and compare
+    # refuses it before any grid is solved
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps(_doc(payoff=payoff, grid=grid)))
-    assert main(["price-hjb", "--config", str(path)]) == 2
+    path.write_text(json.dumps(_doc(**overrides)))
+    assert main([*command, "--config", str(path)]) == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
@@ -267,7 +280,7 @@ def test_zero_width_deferral_window_exits_2(tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(_doc(market={"t_horizon": 1e300})))
     assert main(["price-closed-form", "--config", str(path)]) == 2
-    assert "configuration error: t_horizon:" in capsys.readouterr().err
+    assert "configuration error: market.t_horizon:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,payoff", [

@@ -127,6 +127,17 @@ def test_solver_rejects_uncovering_grids():
         solve_adapted(PARAMS, spec, fam, small_x)
 
 
+@pytest.mark.parametrize("variant,overrides", [("adapted", {"g_kind": "cap", "g_cap": 8.0}),
+                                               ("normalized", {"weight_mode": "normalized"})])
+def test_planar_grid_refused_by_3d_variants(variant, overrides):
+    # a (y, z) grid has no x axis to carry the accumulated payment
+    z0 = math.log(100.0)
+    planar = StateGrid(y_nodes=np.linspace(0.0, 1.3, 21),
+                       z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=4)
+    with pytest.raises(GridError, match="needs an x axis"):
+        solve(PARAMS, _spec(**overrides), 0.1, variant, planar)
+
+
 def test_coarse_grid_warns_about_cutoff_resolution():
     spec = _spec()
     fam = build_family(0.05, spec, PARAMS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.stats import norm
 
 from controlled_options import (
@@ -75,7 +76,7 @@ def test_params_reject_non_finite_fields():
             fields[name] = bad
             with pytest.raises(ParameterError) as err:
                 MarketParams(**fields)
-            assert err.value.field == name
+            assert err.value.field == f"market.{name}"
 
 
 def test_degenerate_sigma_paths_constant():
@@ -146,6 +147,16 @@ def test_bs_put_by_parity():
     q = bs_expected_payoff(params, "put", 0.8, strike=95.0)
     fwd = 100.0 * math.exp(0.04 * 0.8)
     assert c - q == pytest.approx(fwd - 95.0, rel=1e-12)
+
+
+def test_bs_put_out_of_the_money_keeps_its_digits():
+    # E(K-S)^+ = 2.2e-10 against a forward of 1: taken by parity from the call
+    # it was rounding noise, and the closed form's quadrature bisected on it
+    params = MarketParams(s0=1.0, r=0.0, sigma=0.125, t_horizon=1.0)
+    mu, sd = -0.5 * 0.125**2, 0.125
+    density = lambda s: norm.pdf((math.log(s) - mu) / sd) / (s * sd)
+    ref, _ = quad(lambda s: (0.5 - s) * density(s), 1e-9, 0.5, epsabs=0.0, epsrel=1e-12)
+    assert bs_expected_payoff(params, "put", 1.0, strike=0.5) == pytest.approx(ref, rel=1e-9)
 
 
 def test_bs_parameter_errors():

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from controlled_options import (
     ControlBounds,
     MarketParams,
     PayoffSpec,
     Policy,
-    TailStrategyConfig,
     builtin_policies,
     evaluate_policy,
-    tail_strategy,
     tail_strategy_price,
 )
 from controlled_options.market import _block_normals
@@ -78,10 +78,32 @@ def test_singleton_control_matches_direct_evaluation():
 
 def test_tail_policy_reproduces_quadrature_price():
     spec = _spec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded")
-    cfg = TailStrategyConfig(params=PARAMS, cap=2.0, h_kind="call", strike=100.0)
-    target = tail_strategy_price(cfg).value
-    est = evaluate_policy(tail_strategy(cfg), spec, PARAMS, 200_000, 400, seed=5)
+    target = tail_strategy_price(spec, PARAMS).value
+    tail = _policies_by_name(spec, PARAMS)["tail"]
+    est = evaluate_policy(tail, spec, PARAMS, 200_000, 400, seed=5)
     assert abs(est.value - target) <= 3.0 * est.stderr
+
+
+def _uniform_price(lam):
+    params = MarketParams(s0=100.0 * lam, r=0.0, sigma=0.2, t_horizon=1.0)
+    spec = _spec(f_kind="call", f_strike=100.0 * lam, payment_timing="terminal_compounded")
+    return evaluate_policy(_policies_by_name(spec, params)["uniform"], spec, params,
+                           n_paths=2_000, n_steps=50, seed=17)
+
+
+
+# s0 = f_strike = 1e300 used to exit 2 (the summed squares overflowed to inf),
+# and 1e-300 reported a stderr 1e285 times the price (they underflowed to 0)
+@settings(max_examples=20, deadline=None)
+@given(lam=st.floats(-302.0, 298.0).map(lambda e: 10.0**e))
+@example(lam=1e298)
+@example(lam=1e-302)
+def test_price_and_stderr_scale_with_s0(lam):
+    # the uniform weight ignores the spot, so scaling the spot and the strike
+    # scales every payoff, the price and its standard error
+    est, unit = _uniform_price(lam), _uniform_price(1.0)
+    assert est.value / lam == pytest.approx(unit.value, rel=1e-10, abs=0.0)
+    assert est.stderr / lam == pytest.approx(unit.stderr, rel=1e-10, abs=0.0)
 
 
 def test_step_refinement_stability():

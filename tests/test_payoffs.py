@@ -49,13 +49,13 @@ def test_bounds_validation():
 def test_spec_validation_names_fields():
     with pytest.raises(ParameterError) as err:
         _spec(f_kind="call")
-    assert err.value.field == "f_strike"
+    assert err.value.field == "payoff.f_strike"
     with pytest.raises(ParameterError) as err:
         _spec(g_kind="cap")
-    assert err.value.field == "g_cap"
+    assert err.value.field == "payoff.g_cap"
     with pytest.raises(ParameterError) as err:
         _spec(weight_mode="whatever")
-    assert err.value.field == "weight_mode"
+    assert err.value.field == "payoff.weight_mode"
 
 
 def test_concavity_flag():
@@ -200,4 +200,4 @@ def test_validate_spec_checks_budget_reachability():
     spec = _spec(bounds=ControlBounds(0.0, 0.8))
     with pytest.raises(ParameterError) as err:
         validate_spec(spec, PARAMS)
-    assert err.value.field == "bounds.d1"
+    assert err.value.field == "payoff.d1"
