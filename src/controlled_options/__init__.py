@@ -18,7 +18,6 @@ from .hjb import (
     Policy,
     StateGrid,
     ValueFunction,
-    auto_variant,
     default_grid,
     export_csv,
     extract_policy,
@@ -27,9 +26,6 @@ from .hjb import (
     refine_grid,
     refinement_delta,
     solve,
-    solve_adapted,
-    solve_linear_reduced,
-    solve_normalized,
 )
 from .market import MarketParams, bs_expected_payoff, norm_cdf
 from .mc import builtin_policies, evaluate_policy
@@ -62,7 +58,6 @@ __all__ = [
     "SmoothingFamily",
     "StateGrid",
     "ValueFunction",
-    "auto_variant",
     "bs_expected_payoff",
     "build_family",
     "builtin_policies",
@@ -81,9 +76,6 @@ __all__ = [
     "refine_grid",
     "refinement_delta",
     "solve",
-    "solve_adapted",
-    "solve_linear_reduced",
-    "solve_normalized",
     "switch_time",
     "tail_strategy_price",
     "validate_spec",

@@ -1,7 +1,9 @@
 """Batch front end: pricing runs, convergence sweeps, cross-method comparison.
 
-One JSON config document drives everything; defaults are filled in and
-echoed into every report so a report fully describes its own run.
+One JSON config document drives everything.  ``SCHEMA`` declares each
+field once, with its default and its check; a key it does not declare is
+refused.  Every report echoes the full config, defaults included, so a
+report fully describes its own run.
 Reports are byte-reproducible for a given config: floats are rounded to
 12 significant digits, keys are sorted, and no timestamps are recorded.
 
@@ -15,148 +17,172 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .closed_form import tail_strategy_price
 from .errors import NumericalFailure, ParameterError, PricingError
-from .hjb import VARIANTS, export_csv, extract_policy, ladder_price, refinement_delta, solve
+from .hjb import DESK_EPSILONS, DESK_GRID, export_csv, extract_policy, ladder_price, refinement_delta, solve
 from .market import MarketParams
 from .mc import builtin_policies, evaluate_policy
 from .payoffs import ControlBounds, PayoffSpec, validate_spec
 from .results import METHODS, PriceEstimate
 
-DEFAULT_EPSILONS = (0.2, 0.1, 0.05)
-DEFAULT_GRID = {"nx": 41, "ny": 41, "nz": 81, "n_steps": 200}
-DEFAULT_MC = {"n_paths": 200_000, "n_steps": 250, "seed": 20240801, "antithetic": True, "policy": "tail"}
-DEFAULT_REL_FLOOR = 0.02
+
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
+
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; true and false are not numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ParameterError(f"must be a finite number, not {value!r}", field=path)
+    return float(value)
+
+
+def _nonnegative(value, path: str) -> float:
+    if _number(value, path) < 0.0:
+        raise ParameterError(f"must be >= 0, not {value!r}", field=path)
+    return float(value)
+
+
+def _count(value, path: str) -> int:
+    """A whole number >= 0 (10 or 10.0, not 10.7) as an int."""
+    if _number(value, path) != int(value) or value < 0:
+        raise ParameterError(f"must be a whole number >= 0, not {value!r}", field=path)
+    return int(value)
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError("must be a list of numbers", field=path)
+    return tuple(_number(v, path) for v in value)
+
+
+def _methods(value, path: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or any(name not in METHODS for name in value):
+        raise ParameterError(f"must be a list drawn from {METHODS}, not {value!r}", field=path)
+    return tuple(value)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"must be true or false, not {value!r}", field=path)
+    return value
+
+
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"must be a string, not {value!r}", field=path)
+    return value
+
+
+REQUIRED = "required"  # the default of a field that every config must give
+
+# Every config field: dotted path -> (default, reader).  A reader returns
+# the field's value from its JSON value, or raises ParameterError naming
+# the path; a field whose default is null also takes null.  The ranges of
+# market, payoff and grid values are checked where those are built:
+# MarketParams, ControlBounds, PayoffSpec, default_grid.
+SCHEMA = {
+    "market.s0": (REQUIRED, _number),
+    "market.r": (REQUIRED, _number),
+    "market.sigma": (REQUIRED, _number),
+    "market.t_horizon": (REQUIRED, _number),
+    "payoff.f_kind": ("identity", _text),
+    "payoff.f_strike": (None, _number),
+    "payoff.payment_timing": ("spot", _text),
+    "payoff.g_kind": ("identity", _text),
+    "payoff.g_strike": (None, _number),
+    "payoff.g_cap": (None, _number),
+    "payoff.weight_mode": ("adapted_fixed_cumulative", _text),
+    "payoff.d0": (0.0, _number),
+    "payoff.d1": (0.0, _number),
+    "epsilons": (DESK_EPSILONS, _numbers),
+    **{f"grid.{key}": (count, _count) for key, count in DESK_GRID.items()},
+    "mc.n_paths": (200_000, _count),
+    "mc.n_steps": (250, _count),
+    "mc.seed": (20240801, _count),
+    "mc.antithetic": (True, _flag),
+    "mc.policy": ("tail", _text),
+    "methods": (METHODS, _methods),
+    "rel_floor": (0.02, _nonnegative),
+    "out_dir": (None, _text),
+}
+_TOP = sorted({path.partition(".")[0] for path in SCHEMA})
+_SECTIONS = {path.partition(".")[0] for path in SCHEMA if "." in path}
+
+
+def _fields(doc) -> dict:
+    """Every schema field, read from ``doc`` or defaulted, in sections as in
+    ``doc``; any other key is refused."""
+    if not isinstance(doc, dict):
+        raise ParameterError("must be a JSON object", field="config")
+    given = {}
+    for head, value in doc.items():
+        if head not in _TOP:
+            raise ParameterError(f"unknown field; a config has {_TOP}", field=head)
+        if head not in _SECTIONS:
+            given[head] = value
+            continue
+        if not isinstance(value, dict):
+            raise ParameterError("must be a JSON object", field=head)
+        for key, item in value.items():
+            path = f"{head}.{key}"
+            if path not in SCHEMA:
+                known = [p.partition(".")[2] for p in SCHEMA if p.startswith(head + ".")]
+                raise ParameterError(f"unknown field; {head} has {known}", field=path)
+            given[path] = item
+    fields: dict = {}
+    for path, (default, read) in SCHEMA.items():
+        value = given.get(path, default)
+        if value is REQUIRED:
+            raise ParameterError("missing, and it has no default", field=path)
+        head, _, key = path.partition(".")
+        section = fields.setdefault(head, {}) if key else fields
+        section[key or head] = value if value is default else read(value, path)
+    return fields
 
 
 @dataclass
 class RunConfig:
-    """Validated run description; see ``from_dict`` for the JSON schema."""
+    """A validated run description; its fields are the sections of ``SCHEMA``."""
 
     params: MarketParams
     spec: PayoffSpec
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    grid: dict = field(default_factory=lambda: dict(DEFAULT_GRID))
-    mc: dict = field(default_factory=lambda: dict(DEFAULT_MC))
-    methods: tuple[str, ...] = METHODS
-    variant: str = "auto"
-    rel_floor: float = DEFAULT_REL_FLOOR
-    out_dir: str | None = None
+    epsilons: tuple[float, ...]
+    grid: dict
+    mc: dict
+    methods: tuple[str, ...]
+    rel_floor: float
+    out_dir: str | None
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ParameterError("must be a JSON object", field="config")
-        m = _section(doc, "market", required=True)
-        params = MarketParams(
-            s0=_number(m.get("s0", 0.0), "market.s0"), r=_number(m.get("r", -1.0), "market.r"),
-            sigma=_number(m.get("sigma", 0.0), "market.sigma"),
-            t_horizon=_number(m.get("t_horizon", 0.0), "market.t_horizon"),
-        )
-        p = _section(doc, "payoff", required=True)
-        bounds = ControlBounds(d0=_number(p.get("d0", 0.0), "payoff.d0"),
-                               d1=_number(p.get("d1", 0.0), "payoff.d1"))
-        spec = PayoffSpec(
-            f_kind=p.get("f_kind", "identity"),
-            f_strike=_opt_number(p.get("f_strike"), "payoff.f_strike"),
-            payment_timing=p.get("payment_timing", "spot"),
-            g_kind=p.get("g_kind", "identity"),
-            g_strike=_opt_number(p.get("g_strike"), "payoff.g_strike"),
-            g_cap=_opt_number(p.get("g_cap"), "payoff.g_cap"),
-            weight_mode=p.get("weight_mode", "adapted_fixed_cumulative"),
-            bounds=bounds,
-        )
+        fields = _fields(doc)
+        params = MarketParams(**fields.pop("market"))
+        payoff = fields.pop("payoff")
+        bounds = ControlBounds(d0=payoff.pop("d0"), d1=payoff.pop("d1"))
+        spec = PayoffSpec(**payoff, bounds=bounds)
         validate_spec(spec, params)
-        g = _section(doc, "grid", required=False)
-        grid = {key: _count(g.get(key, n), f"grid.{key}") for key, n in DEFAULT_GRID.items()}
-        mc = {**DEFAULT_MC, **_section(doc, "mc", required=False)}
-        for key in ("n_paths", "n_steps", "seed"):
-            mc[key] = _count(mc[key], f"mc.{key}")
-        if not isinstance(mc["antithetic"], bool):
-            raise ParameterError(f"must be true or false, not {mc['antithetic']!r}", field="mc.antithetic")
-        if not isinstance(mc["policy"], str):
-            raise ParameterError(f"must be a policy name, not {mc['policy']!r}", field="mc.policy")
-        epsilons = doc.get("epsilons", DEFAULT_EPSILONS)
-        if not isinstance(epsilons, (list, tuple)):
-            raise ParameterError("must be a list of numbers", field="epsilons")
-        methods = doc.get("methods", METHODS)
-        if not isinstance(methods, (list, tuple)) or any(name not in METHODS for name in methods):
-            raise ParameterError(f"must be a list drawn from {METHODS}, not {methods!r}", field="methods")
-        variant = doc.get("variant", "auto")
-        if variant not in ("auto",) + VARIANTS:
-            raise ParameterError(f"must be one of {('auto',) + VARIANTS}, not {variant!r}", field="variant")
-        rel_floor = _number(doc.get("rel_floor", DEFAULT_REL_FLOOR), "rel_floor")
-        if rel_floor < 0.0:
-            raise ParameterError(f"must be >= 0, not {rel_floor!r}", field="rel_floor")
-        out_dir = doc.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ParameterError(f"must be a directory path, not {out_dir!r}", field="out_dir")
-        return RunConfig(
-            params=params,
-            spec=spec,
-            epsilons=tuple(_number(e, "epsilons") for e in epsilons),
-            grid=grid,
-            mc=mc,
-            methods=tuple(methods),
-            variant=variant,
-            rel_floor=rel_floor,
-            out_dir=out_dir,
-        )
+        return RunConfig(params=params, spec=spec, **fields)
 
     def echo(self) -> dict:
-        """The config with all defaults made explicit (for reports)."""
-        return {
-            "market": asdict(self.params),
-            "payoff": {
-                "f_kind": self.spec.f_kind, "f_strike": self.spec.f_strike,
-                "payment_timing": self.spec.payment_timing,
-                "g_kind": self.spec.g_kind, "g_strike": self.spec.g_strike,
-                "g_cap": self.spec.g_cap, "weight_mode": self.spec.weight_mode,
-                "d0": self.spec.bounds.d0, "d1": self.spec.bounds.d1,
-                "g_concave": self.spec.g_is_concave,
-            },
-            "epsilons": list(self.epsilons),
-            "grid": dict(self.grid),
-            "mc": dict(self.mc),
-            "methods": list(self.methods),
-            "variant": self.variant,
-            "rel_floor": self.rel_floor,
-        }
-
-
-def _section(doc: dict, name: str, required: bool) -> dict:
-    value = doc.get(name, None if required else {})
-    if not isinstance(value, dict):
-        raise ParameterError("missing section" if value is None else "must be a JSON object", field=name)
-    return value
-
-
-def _number(value, where: str) -> float:
-    """A finite JSON number as a float; true and false are not numbers here."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ParameterError(f"must be a finite number, not {value!r}", field=where)
-    return float(value)
-
-
-def _opt_number(value, where: str) -> float | None:
-    return None if value is None else _number(value, where)
-
-
-def _count(value, where: str) -> int:
-    """A whole number >= 0 (10 or 10.0, not 10.7) as an int."""
-    if _number(value, where) != int(value) or value < 0:
-        raise ParameterError(f"must be a whole number >= 0, not {value!r}", field=where)
-    return int(value)
+        """Every schema field but ``out_dir``, defaults included: a config that
+        reprices to the same report, wherever the report is written."""
+        doc = asdict(self)
+        del doc["out_dir"]
+        doc["market"] = doc.pop("params")
+        payoff = doc.pop("spec")
+        doc["payoff"] = {**payoff.pop("bounds"), **payoff}
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
 
 def _mc_policy(cfg: RunConfig, name: str):
     if name == "hjb":
-        return extract_policy(cfg.params, cfg.spec, min(cfg.epsilons), cfg.variant, cfg.grid)
+        return extract_policy(cfg.params, cfg.spec, min(cfg.epsilons), cfg.grid)
     builtins = builtin_policies(cfg.spec, cfg.params)
     for pol in builtins:
         if pol.name == name:
@@ -179,8 +205,7 @@ def run_price(cfg: RunConfig) -> dict:
         )
         estimates["monte_carlo"] = _estimate_dict(est)
     if "hjb" in cfg.methods:
-        est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, variant=cfg.variant,
-                                grid=cfg.grid)
+        est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, grid=cfg.grid)
         block = _estimate_dict(est)
         block["ladder"] = [_estimate_dict(r) for r in raw]
         estimates["hjb"] = block
@@ -230,8 +255,7 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 
 def run_convergence(cfg: RunConfig) -> dict:
     """Epsilon sweep plus one grid refinement at the finest epsilon."""
-    est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons,
-                            variant=cfg.variant, grid=cfg.grid)
+    est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, grid=cfg.grid)
     values = [r.value for r in raw]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     ratios = [g0 / g1 if g1 > 0 else math.inf for g0, g1 in zip(gaps, gaps[1:])]
@@ -255,19 +279,16 @@ def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path:
     if not 0 <= time_index <= last:
         raise ParameterError(f"{time_index} outside [0, {last}] for the {what} on {n_steps} steps",
                              field="time_index")
-    if what == "policy":
-        pol = extract_policy(cfg.params, cfg.spec, epsilon, cfg.variant, cfg.grid)
-        slab = np.where(pol.table[time_index], pol.d1, pol.d0)
-        export_csv(pol.grid, cfg.params.t_horizon, time_index, slab, path, "u")
-        return
+    d0, d1 = cfg.spec.bounds.d0, cfg.spec.bounds.d1
     picked = {}
 
     def pick(n, slice_n, d1_wins):
         if n == time_index:
-            picked["slab"] = slice_n
+            picked["slab"] = slice_n if what == "value" else np.where(d1_wins, d1, d0)
 
-    vf = solve(cfg.params, cfg.spec, epsilon, cfg.variant, cfg.grid, observe=pick)
-    export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path, "value")
+    vf = solve(cfg.params, cfg.spec, epsilon, cfg.grid, observe=pick)
+    export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path,
+               "value" if what == "value" else "u")
 
 
 def _estimate_dict(est: PriceEstimate) -> dict:
@@ -335,15 +356,14 @@ def _load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config: {exc}", field="config") from exc
-    if not isinstance(doc, dict):
-        raise ParameterError("must be a JSON object", field="config")
-    given = {key: value for key, value in vars(overrides).items() if value is not None}
-    for key in ("out_dir", "epsilons", "methods", "variant"):
-        if key in given:
-            doc[key] = given[key]
-    mc = {key: given[key] for key in ("seed", "policy", "n_paths", "n_steps") if key in given}
-    if mc:
-        doc["mc"] = {**_section(doc, "mc", required=False), **mc}
+    # the parser's destinations are schema paths
+    for dest, value in vars(overrides).items():
+        if dest in SCHEMA and value is not None and isinstance(doc, dict):
+            head, _, key = dest.partition(".")
+            if not key:
+                doc[head] = value
+            elif isinstance(doc.setdefault(head, {}), dict):
+                doc[head][key] = value
     return RunConfig.from_dict(doc)
 
 
@@ -366,18 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", dest="mc.seed", type=int, default=None)
 
     p = sub.add_parser("price-hjb", help="epsilon-ladder grid price")
     common(p)
     p.add_argument("--epsilons", type=_float_list, default=None, help="comma list, e.g. 0.2,0.1,0.05")
-    p.add_argument("--variant", default=None)
 
     p = sub.add_parser("price-mc", help="Monte Carlo policy price")
     common(p)
-    p.add_argument("--policy", default=None)
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
+    p.add_argument("--policy", dest="mc.policy", default=None)
+    p.add_argument("--n-paths", dest="mc.n_paths", type=int, default=None)
+    p.add_argument("--n-steps", dest="mc.n_steps", type=int, default=None)
 
     p = sub.add_parser("price-closed-form", help="tail-strategy quadrature price")
     common(p)
@@ -387,12 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=lambda text: text.split(","), default=None,
                    help="comma list of >= 2 methods")
     p.add_argument("--epsilons", type=_float_list, default=None)
-    p.add_argument("--variant", default=None)
 
     p = sub.add_parser("convergence", help="epsilon and grid sweeps")
     common(p)
     p.add_argument("--epsilons", type=_float_list, default=None)
-    p.add_argument("--variant", default=None)
 
     p = sub.add_parser("export-value", help="CSV slice of the value function or policy")
     common(p)
@@ -400,23 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--time-index", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    priced = {"price-hjb": "hjb", "price-mc": "monte_carlo", "price-closed-form": "closed_form"}
     try:
         cfg = _load_config(args.config, args)
-        if args.command == "price-hjb":
-            cfg.methods = ("hjb",)
-            _emit(run_price(cfg), cfg, "report.json")
-        elif args.command == "price-mc":
-            cfg.methods = ("monte_carlo",)
-            _emit(run_price(cfg), cfg, "report.json")
-        elif args.command == "price-closed-form":
-            cfg.methods = ("closed_form",)
+        if args.command in priced:
+            cfg.methods = (priced[args.command],)
             _emit(run_price(cfg), cfg, "report.json")
         elif args.command == "compare":
             report, breach = run_compare(cfg)

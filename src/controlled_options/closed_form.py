@@ -32,6 +32,7 @@ from .payoffs import PayoffSpec
 from .results import PriceEstimate
 
 QUAD_REL_TOL = 1e-8
+QUAD_MAX_PANELS = 3000  # the desk integrands take at most ~200, over decades of each input
 
 # 20-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -75,19 +76,28 @@ def hypothesis_report(spec: PayoffSpec, params: MarketParams) -> dict:
     }
 
 
-def _adaptive_gl(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL, depth: int = 0) -> float:
-    """Adaptive Gauss-Legendre: bisect until the two-panel refinement agrees."""
-    mid = 0.5 * (a + b)
-    whole = _gl_panel(f, a, b)
-    left = _gl_panel(f, a, mid)
-    right = _gl_panel(f, mid, b)
-    refined = left + right
-    if not (math.isfinite(whole) and math.isfinite(refined)):  # would bisect to full depth
-        raise NumericalFailure(f"non-finite quadrature panel on [{a:.17g}, {b:.17g}]")
-    if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 30:
-        return refined
-    return (_adaptive_gl(f, a, mid, rel_tol, depth + 1)
-            + _adaptive_gl(f, mid, b, rel_tol, depth + 1))
+def _adaptive_gl(f, a: float, b: float) -> float:
+    """Adaptive Gauss-Legendre: bisect until the two-panel refinement agrees,
+    to depth 30 on a branch and ``QUAD_MAX_PANELS`` panels in all."""
+    panels = 0
+
+    def refine(a: float, b: float, depth: int) -> float:
+        nonlocal panels
+        panels += 3
+        if panels > QUAD_MAX_PANELS:
+            raise NumericalFailure(f"quadrature unresolved within {QUAD_MAX_PANELS} panels")
+        mid = 0.5 * (a + b)
+        whole = _gl_panel(f, a, b)
+        left = _gl_panel(f, a, mid)
+        right = _gl_panel(f, mid, b)
+        refined = left + right
+        if not (math.isfinite(whole) and math.isfinite(refined)):  # would bisect to full depth
+            raise NumericalFailure(f"non-finite quadrature panel on [{a:.17g}, {b:.17g}]")
+        if abs(refined - whole) <= QUAD_REL_TOL * max(abs(refined), 1e-300) or depth >= 30:
+            return refined
+        return refine(a, mid, depth + 1) + refine(mid, b, depth + 1)
+
+    return refine(a, b, 0)
 
 
 def _gl_panel(f, a: float, b: float) -> float:

@@ -9,6 +9,10 @@ Three regularised problems share one sweep:
 * ``normalized``     -- state (x, y, z); dx = h(u, t) phi(S, t) dt,
   dy = h(u, t) dt, terminal reward g2(x, y).
 
+A normalized weight is solved as ``normalized``, a budget contract as
+``adapted`` on a grid with an x axis and as ``linear_reduced`` on one
+without, which ``default_grid`` lays for identity g.
+
 The scheme is monotone without a transport CFL restriction:
 
 * x and y carry no diffusion, so their transport is semi-Lagrangian --
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +53,9 @@ from .payoffs import PayoffSpec
 from .results import PriceEstimate
 from .smoothing import SmoothingFamily, build_family
 
-VARIANTS = ("adapted", "linear_reduced", "normalized")
+# node counts of the desk grid, which a missing ``grid`` count takes
+DESK_GRID = {"nx": 41, "ny": 41, "nz": 81, "n_steps": 200}
+DESK_EPSILONS = (0.2, 0.1, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +126,26 @@ def default_grid(
     params: MarketParams,
     spec: PayoffSpec,
     fam: SmoothingFamily,
-    variant: str,
-    nx: int = 41,
-    ny: int = 41,
-    nz: int = 81,
-    n_steps: int = 200,
+    nx: int = DESK_GRID["nx"],
+    ny: int = DESK_GRID["ny"],
+    nz: int = DESK_GRID["nz"],
+    n_steps: int = DESK_GRID["n_steps"],
 ) -> StateGrid:
     """Desk-scale grid with the given node counts, z-range log s0 +- 5 sig sqrt(T).
 
-    The x axis densifies below the reward kink (cap level or strike) when
-    one exists, so coarse far-field nodes do not starve the curved region.
-    ``linear_reduced`` has no x axis and ignores ``nx``.
+    Identity g in budget mode gets no x axis and ignores ``nx``.  The x
+    axis densifies below the reward kink (cap level or strike) when one
+    exists, so coarse far-field nodes do not starve the curved region.
     """
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}", field="variant")
+    normalized = spec.weight_mode == "normalized"
+    planar = not normalized and spec.g_kind == "identity"
     # x is the origin, the kink region or eps^2 run, and the far field
-    if variant != "linear_reduced" and nx < 3:
+    if not planar and nx < 3:
         raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
+    # y is the origin, y_max and the eps^2 run, or the 3-node cutoff band in budget mode
+    min_ny = 3 if normalized else 5
+    if ny < min_ny:
+        raise ParameterError(f"the y axis needs at least {min_ny} nodes, not {ny}", field="grid.ny")
     if nz < 2:
         raise ParameterError(f"the z axis needs at least two nodes, not {nz}", field="grid.nz")
     if n_steps < 1:
@@ -149,7 +159,7 @@ def default_grid(
     mu_span = (params.r - 0.5 * params.sigma**2) * T
     z_nodes = np.linspace(z0 + min(mu_span, 0.0) - half, z0 + max(mu_span, 0.0) + half, nz)
 
-    if variant == "normalized":
+    if normalized:
         # the ratio reward bends on the y ~ eps^2 scale near the origin;
         # geometric packing there keeps the interpolation honest
         y_max = spec.bounds.d1 * T + 1.0
@@ -171,10 +181,10 @@ def default_grid(
         y_nodes = y_nodes[distinct]
 
     x_nodes = None
-    if variant != "linear_reduced":
+    if not planar:
         phi_max = _peak_rate(params, fam, z_nodes)
         x_max = spec.bounds.d1 * T * max(phi_max, 1e-12) * (1.0 + 1e-9)
-        if variant == "normalized":
+        if normalized:
             # log spacing from the eps^2 scale up: the reward depends on x/y,
             # so cells near the origin must shrink in x as they do in y or
             # interpolation corners see wildly inflated ratios
@@ -336,24 +346,24 @@ class Policy:
 # the backward sweep
 # ---------------------------------------------------------------------------
 
+def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
+    """The problem that the contract and the grid pose; (y, z) grids need identity g."""
+    variant = "normalized" if spec.weight_mode == "normalized" else "adapted"
+    if grid.x_nodes is None:
+        if variant == "adapted" and spec.g_kind == "identity":
+            return "linear_reduced"
+        raise GridError(f"the {variant} variant needs an x axis; this grid has only y and z")
+    return variant
+
+
 def _validate(params, spec, fam, grid, variant):
     z0 = np.log(params.s0)
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
         raise GridError("z axis must contain log s0")
     eps = fam.epsilon
-    if variant in ("adapted", "linear_reduced"):
-        if grid.y_nodes[-1] < 1.0 + eps:
-            raise GridError("y_max must cover the budget cutoff region (>= 1 + eps)")
-    if variant == "adapted" and spec.weight_mode != "adapted_fixed_cumulative":
-        raise ParameterError("adapted solver needs weight_mode=adapted_fixed_cumulative", field="payoff.weight_mode")
-    if variant == "linear_reduced":
-        if spec.weight_mode != "adapted_fixed_cumulative" or spec.g_kind != "identity":
-            raise ParameterError("linear_reduced needs adapted mode with identity g", field="payoff.g_kind")
-    if variant == "normalized" and spec.weight_mode != "normalized":
-        raise ParameterError("normalized solver needs weight_mode=normalized", field="payoff.weight_mode")
+    if variant != "normalized" and grid.y_nodes[-1] < 1.0 + eps:
+        raise GridError("y_max must cover the budget cutoff region (>= 1 + eps)")
     if variant != "linear_reduced":
-        if grid.x_nodes is None:
-            raise GridError(f"the {variant} variant needs an x axis; this grid has only y and z")
         need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise GridError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}")
@@ -376,7 +386,7 @@ def _validate(params, spec, fam, grid, variant):
 
 
 def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
-           grid: StateGrid, variant: str, observe: Callable | None = None) -> ValueFunction:
+           grid: StateGrid, observe: Callable | None = None) -> ValueFunction:
     """Backward sweep holding one slice at a time; returns the t = 0 slice.
 
     ``observe(n, slice_n, d1_wins_n)``, when given, sees every slice from
@@ -385,6 +395,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     d1, all True when d0 == d1), and None at the terminal slice.  The
     arrays are not reused by the sweep; the observer must not modify them.
     """
+    variant = _variant(spec, grid)
     _validate(params, spec, fam, grid, variant)
     T = params.t_horizon
     nt = grid.n_steps
@@ -442,19 +453,12 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon, values=cur)
 
 
-def solve_adapted(params, spec, fam, grid, observe=None) -> ValueFunction:
-    """Value of the budget-constrained problem with terminal reward g_hat(x)."""
-    return _sweep(params, spec, fam, grid, "adapted", observe)
-
-
-def solve_linear_reduced(params, spec, fam, grid, observe=None) -> ValueFunction:
-    """Value of the running-reward reduction valid for identity g."""
-    return _sweep(params, spec, fam, grid, "linear_reduced", observe)
-
-
-def solve_normalized(params, spec, fam, grid, observe=None) -> ValueFunction:
-    """Value of the renormalised-weight problem with terminal reward g2(x, y)."""
-    return _sweep(params, spec, fam, grid, "normalized", observe)
+# ``solve`` dispatches through ``_SOLVERS``.  Its three entries are the one
+# sweep under the names bench/tracer.py wraps by attribute, as distinct
+# objects so that each is wrapped once.
+solve_adapted, solve_linear_reduced, solve_normalized = (partial(_sweep) for _ in range(3))
+_SOLVERS = {"adapted": solve_adapted, "linear_reduced": solve_linear_reduced,
+            "normalized": solve_normalized}
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +496,8 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     )
 
 
-def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
-                   grid: StateGrid | dict) -> Policy:
+def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float,
+                   grid: StateGrid | dict | None) -> Policy:
     """Bang-bang feedback table of the discrete scheme itself.
 
     The Hamiltonian is affine in u, so each backward step takes the
@@ -510,7 +514,7 @@ def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float, varia
         else:
             table[n] = d1_wins
 
-    vf = solve(params, spec, epsilon, variant, grid, observe=record)
+    vf = solve(params, spec, epsilon, grid, observe=record)
     return Policy(
         source="grid_table",
         d0=spec.bounds.d0,
@@ -527,44 +531,26 @@ def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float, varia
 # epsilon ladders
 # ---------------------------------------------------------------------------
 
-def auto_variant(spec: PayoffSpec) -> str:
-    if spec.weight_mode == "normalized":
-        return "normalized"
-    return "linear_reduced" if spec.g_kind == "identity" else "adapted"
-
-
-_SOLVERS = {
-    "adapted": solve_adapted,
-    "linear_reduced": solve_linear_reduced,
-    "normalized": solve_normalized,
-}
-
-
-def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, variant: str,
-          grid: StateGrid | dict | None, observe: Callable | None = None) -> ValueFunction:
+def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, grid: StateGrid | dict | None,
+          observe: Callable | None = None) -> ValueFunction:
     """Solve the regularised problem at one epsilon.
 
     ``grid`` is a StateGrid, or ``default_grid`` node counts (nx, ny, nz,
     n_steps), where a missing count or ``grid=None`` takes the desk value;
-    the solver is looked up in ``_SOLVERS`` at call time.
+    the grid and ``spec`` pick the variant (see ``_variant``).
     ``observe`` sees every slice of the sweep (see ``_sweep``).
     """
-    if variant == "auto":
-        variant = auto_variant(spec)
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}", field="variant")
     params.check_log_band()
     fam = build_family(epsilon, spec, params)
     if not isinstance(grid, StateGrid):
-        grid = default_grid(params, spec, fam, variant, **(grid or {}))
-    return _SOLVERS[variant](params, spec, fam, grid, observe=observe)
+        grid = default_grid(params, spec, fam, **(grid or {}))
+    return _SOLVERS[_variant(spec, grid)](params, spec, fam, grid, observe=observe)
 
 
 def ladder_price(
     params: MarketParams,
     spec: PayoffSpec,
-    epsilons=(0.2, 0.1, 0.05),
-    variant: str = "auto",
+    epsilons=DESK_EPSILONS,
     grid: StateGrid | dict | None = None,
 ) -> tuple[PriceEstimate, list[PriceEstimate]]:
     """Solve along a decreasing epsilon ladder and Richardson-extrapolate.
@@ -582,7 +568,7 @@ def ladder_price(
         raise ParameterError("need at least one epsilon", field="epsilons")
     raw: list[PriceEstimate] = []
     for eps in epsilons:
-        vf = solve(params, spec, eps, variant, grid)
+        vf = solve(params, spec, eps, grid)
         raw.append(price_from_value(vf, params))
     if len(raw) >= 3:
         p = [r.value for r in raw[-3:]]
@@ -625,11 +611,11 @@ def refinement_delta(
     the node counts ``grid`` (missing counts take the desk values); only
     the refined grid is solved here.
     """
-    eps, variant = rung.meta["epsilon"], rung.meta["variant"]
-    base = default_grid(params, spec, build_family(eps, spec, params), variant, **(grid or {}))
+    eps = rung.meta["epsilon"]
+    base = default_grid(params, spec, build_family(eps, spec, params), **(grid or {}))
     if list(base.shape) != rung.meta["grid_shape"] or base.n_steps != rung.meta["n_steps"]:
         raise ParameterError("rung was not priced on these node counts", field="grid")
-    fine = solve(params, spec, eps, variant, refine_grid(base))
+    fine = solve(params, spec, eps, refine_grid(base))
     return abs(rung.value - price_from_value(fine, params).value)
 
 

@@ -101,4 +101,7 @@ def bs_expected_payoff(params: MarketParams, h_kind: str, t: float, strike: floa
     d2 = d1 - st
     # the put is priced directly, not by parity from the call: out of the
     # money, E(S-K)^+ - fwd + K keeps only the rounding noise of the call
-    return sign * (fwd * norm_cdf(sign * d1) - strike * norm_cdf(sign * d2))
+    value = sign * (fwd * norm_cdf(sign * d1) - strike * norm_cdf(sign * d2))
+    # below the smallest normal double the difference has lost its digits
+    # (it even rounds below 0), so it counts as 0
+    return value if value >= sys.float_info.min else 0.0

@@ -86,11 +86,6 @@ class PayoffSpec:
             raise ParameterError("cap g needs a positive cap", field="payoff.g_cap")
 
     @property
-    def g_is_concave(self) -> bool:
-        """Existence of an optimal adapted control is only guaranteed for concave g."""
-        return self.g_kind in ("identity", "cap")
-
-    @property
     def g_is_nondecreasing(self) -> bool:
         return self.g_kind in ("identity", "cap", "call")
 

@@ -23,11 +23,9 @@ from controlled_options import (
     ladder_price,
     price_from_value,
     refinement_delta,
-    solve_adapted,
-    solve_linear_reduced,
     tail_strategy_price,
 )
-from controlled_options.hjb import _solve_z, _z_step_matrix
+from controlled_options.hjb import _solve_z, _z_step_matrix, solve_adapted, solve_linear_reduced
 from controlled_options.market import _block_normals
 from controlled_options.mc import PAIR_BLOCK
 
@@ -113,7 +111,7 @@ def test_ac3_bang_bang_and_strategy_recovery():
     eps = 0.025
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(Z0 - 1.0, Z0 + 1.0, 81), n_steps=200)
-    pol = _quiet(extract_policy, PARAMS, spec, eps, "linear_reduced", grid)
+    pol = _quiet(extract_policy, PARAMS, spec, eps, grid)
     values = np.where(pol.table, pol.d1, pol.d0)
     bang_ok = set(np.unique(values)) <= {0.0, 2.0}
 
@@ -251,7 +249,7 @@ def test_ac6_epsilon_and_grid_convergence():
     fam = build_family(0.05, spec, PARAMS)
     from controlled_options import default_grid
 
-    base = default_grid(PARAMS, spec, fam, "linear_reduced")
+    base = default_grid(PARAMS, spec, fam)
     mid = 0.5 * (base.z_nodes[:-1] + base.z_nodes[1:])
     fine_z = np.empty(base.z_nodes.size * 2 - 1)
     fine_z[0::2] = base.z_nodes

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from controlled_options import ParameterError
 from controlled_options.cli import (
+    SCHEMA,
     RunConfig,
     build_parser,
     main,
@@ -211,6 +215,46 @@ def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, command, cas
     assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"varient": "adapted"}, "varient"),
+    ({"market": {"spot": 100.0}}, "market.spot"),
+    ({"payoff": {"d2": 1.0}}, "payoff.d2"),
+    ({"grid": {"n_x": 9}}, "grid.n_x"),
+    ({"mc": {"n_path": 10}}, "mc.n_path"),
+    # the misspelt timing left payments at spot time, which r > 0 prices lower
+    ({"market": {"r": 0.05}, "payoff": {"payment_timng": "terminal_compounded"}},
+     "payoff.payment_timng"),
+], ids=["top-level", "market", "payoff", "grid", "mc", "timing-typo"])
+def test_unknown_field_exits_2_and_names_its_path(tmp_path, capsys, overrides, field):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(_doc(**overrides)))
+    assert main(["price-mc", "--config", str(path)]) == 2
+    assert f"configuration error: {field}: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"payoff": {"g_kind": "cap", "g_cap": 8.0}}, {"payoff": {"weight_mode": "normalized"}},
+    {"methods": ["hjb"], "rel_floor": 0.1, "out_dir": "out"},
+], ids=["base", "cap", "normalized", "top-level"])
+def test_echo_is_a_config_that_echoes_itself(overrides):
+    # a report's config reprices to the same report: echo gives every
+    # schema field but where the report is written
+    cfg = RunConfig.from_dict(_doc(**overrides))
+    echo = cfg.echo()
+    assert RunConfig.from_dict(echo).echo() == echo
+    flat = {f"{head}.{key}" for head, part in echo.items() if isinstance(part, dict) for key in part}
+    flat |= {head for head, part in echo.items() if not isinstance(part, dict)}
+    assert flat == set(SCHEMA) - {"out_dir"}
+
+
+def test_readme_config_example_loads():
+    # the README's example config must stay valid under the schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Command line", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_dict(json.loads(example))
+    assert cfg.grid == {"nx": 41, "ny": 41, "nz": 81, "n_steps": 200}
+
+
 _CAP = {"g_kind": "cap", "g_cap": 8.0}
 
 
@@ -219,6 +263,7 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
     (["price-hjb"], {"payoff": _CAP, "grid": {"nx": 1}}, "grid.nx"),
     (["price-hjb"], {"payoff": _CAP, "grid": {"nx": 2}}, "grid.nx"),
     (["price-hjb"], {"payoff": _CAP, "grid": {"nz": 0}}, "grid.nz"),
+    (["price-hjb"], {"grid": {"ny": 0}}, "grid.ny"),
     (["price-hjb"], {"payoff": {"weight_mode": "normalized", "d1": 0.0}}, "payoff.d1"),
     (["price-hjb"], {"grid": {"n_steps": 0}}, "grid.n_steps"),
     (["price-hjb"], {"epsilons": [0.7]}, "epsilons"),
@@ -226,7 +271,7 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
     (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
     (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
     (["compare"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
-], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "normalized-d1-0", "steps-0",
+], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
         "epsilon-0.7", "mc-paths-1", "mc-steps-0", "closed-form-normalized", "compare-normalized"])
 def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
     # fields that only one route reads, so these cases cannot join MALFORMED;
@@ -272,7 +317,13 @@ def test_fuzzed_configs_never_end_in_a_traceback(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "run.json"
     path.write_text(json.dumps(doc))
     for command in ("price-closed-form", "price-mc", "price-hjb"):
-        assert main([command, "--config", str(path)]) in (0, 2, 3)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3)
+        if code == 2:  # the message names a field by its path in the schema
+            named = err.getvalue().removeprefix("configuration error: ").partition(":")[0]
+            assert named in SCHEMA, err.getvalue()
 
 
 def test_zero_width_deferral_window_exits_2(tmp_path, capsys):

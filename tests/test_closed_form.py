@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -121,6 +122,10 @@ def test_tail_dominates_uniform_for_convex_payoff():
 @given(f_kind=st.sampled_from(["call", "put"]), s0=st.floats(1.0, 1000.0),
        moneyness=st.floats(0.5, 2.0), sigma=st.floats(0.01, 1.0),
        t_horizon=st.floats(0.1, 10.0), d1_t=st.floats(1.01, 20.0))
+# far out of the money, where E*[h] is subnormal: the tail priced -5e-324
+# against 0.0, and 0.0 against 5e-324
+@example(f_kind="call", s0=40.0, moneyness=1.6328125, sigma=0.01, t_horizon=1.640625, d1_t=2.0)
+@example(f_kind="call", s0=118.0, moneyness=1.6328125, sigma=0.01, t_horizon=1.640625, d1_t=2.0)
 def test_tail_dominates_uniform_property(f_kind, s0, moneyness, sigma, t_horizon, d1_t):
     # at r = 0, E*[h(S(t))] is non-decreasing in t for convex h, so the last
     # 1/d1 of the horizon pays at least the uniform weight d1 = 1/T, whose
@@ -193,3 +198,19 @@ def test_non_finite_panel_fails_at_once():
     with pytest.raises(NumericalFailure):
         _adaptive_gl(poisoned, 0.0, 1.0)
     assert len(calls) == 60  # one whole panel and its two halves, no bisection
+
+
+def test_unresolvable_integrand_fails_at_the_panel_cap():
+    # deterministic noise at every scale never passes the 1e-8 refinement
+    # test, so the bisection would head for 2^30 panels
+    calls = []
+
+    def noisy(t):
+        calls.append(t)
+        return 1.0 + 1e-3 * math.sin(1e12 * t)
+
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailure, match="within 3000 panels"):
+        _adaptive_gl(noisy, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) <= 3000 * 20

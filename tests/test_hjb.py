@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +25,16 @@ from controlled_options import (
     price_from_value,
     refinement_delta,
     solve,
+)
+from controlled_options.hjb import (
+    _Axis,
+    _peak_rate,
+    _solve_z,
+    _z_step_matrix,
     solve_adapted,
     solve_linear_reduced,
     solve_normalized,
 )
-from controlled_options.hjb import _Axis, _solve_z, _z_step_matrix
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 TAIL_PRICE = 6.868449472311021  # frozen quadrature oracle (see test_closed_form)
@@ -134,8 +140,8 @@ def test_planar_grid_refused_by_3d_variants(variant, overrides):
     z0 = math.log(100.0)
     planar = StateGrid(y_nodes=np.linspace(0.0, 1.3, 21),
                        z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=4)
-    with pytest.raises(GridError, match="needs an x axis"):
-        solve(PARAMS, _spec(**overrides), 0.1, variant, planar)
+    with pytest.raises(GridError, match=f"the {variant} variant needs an x axis"):
+        solve(PARAMS, _spec(**overrides), 0.1, planar)
 
 
 def test_coarse_grid_warns_about_cutoff_resolution():
@@ -156,7 +162,7 @@ def test_zero_rate_payoff_keeps_terminal_reward():
     # a strike far above the grid makes the payment rate vanish identically
     spec = _spec(f_kind="call", f_strike=1e9, g_kind="cap", g_cap=5.0)
     fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "adapted", nx=11, ny=15, nz=21, n_steps=30)
+    grid = default_grid(PARAMS, spec, fam, nx=11, ny=15, nz=21, n_steps=30)
     history = _history(solve_adapted, PARAMS, spec, fam, grid)
     terminal = fam.terminal_reward(grid.x_nodes)[:, None, None]
     assert len(history) == grid.n_steps + 1
@@ -167,7 +173,7 @@ def test_zero_rate_payoff_keeps_terminal_reward():
 def test_reduced_zero_rate_gives_zero_value():
     spec = _spec(f_kind="call", f_strike=1e9)
     fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=15, nz=21, n_steps=30)
+    grid = default_grid(PARAMS, spec, fam, ny=15, nz=21, n_steps=30)
     history = _history(solve_linear_reduced, PARAMS, spec, fam, grid)
     assert len(history) == grid.n_steps + 1
     assert np.allclose(history, 0.0, atol=1e-12)
@@ -186,8 +192,10 @@ def test_reduced_ladder_matches_quadrature_within_2pct():
 def test_adapted_equals_reduced_for_identity_reward():
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
-    g_r = default_grid(PARAMS, spec, fam, "linear_reduced", ny=31, nz=41, n_steps=80)
-    g_a = default_grid(PARAMS, spec, fam, "adapted", nx=31, ny=31, nz=41, n_steps=80)
+    g_r = default_grid(PARAMS, spec, fam, ny=31, nz=41, n_steps=80)
+    # the x axis that default_grid lays for a reward with no kink
+    x_max = spec.bounds.d1 * PARAMS.t_horizon * _peak_rate(PARAMS, fam, g_r.z_nodes) * (1.0 + 1e-9)
+    g_a = replace(g_r, x_nodes=np.linspace(0.0, x_max, 31))
     p_r = price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, g_r), PARAMS)
     p_a = price_from_value(_quiet_solve(solve_adapted, PARAMS, spec, fam, g_a), PARAMS)
     # the value is linear in accumulated payout, so both routes coincide
@@ -226,7 +234,7 @@ def test_deterministic_spot_matches_window_search():
         z_nodes=np.linspace(z0 - 1e-4, z0 + 0.02 + 1e-4, 161),
         n_steps=200,
     )
-    est, _ = _quiet_ladder(params, spec, epsilons=(0.05, 0.025), variant="adapted", grid=grid)
+    est, _ = _quiet_ladder(params, spec, epsilons=(0.05, 0.025), grid=grid)
     assert abs(est.value - oracle) <= 0.01 * oracle
 
 
@@ -257,7 +265,7 @@ def test_price_nonincreasing_in_d0():
 def test_normalized_terminal_slice_exact():
     spec = _spec(weight_mode="normalized", f_kind="identity", payment_timing="spot")
     fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "normalized", nx=13, ny=15, nz=21, n_steps=20)
+    grid = default_grid(PARAMS, spec, fam, nx=13, ny=15, nz=21, n_steps=20)
     history = _history(solve_normalized, PARAMS, spec, fam, grid)
     want = fam.ratio_reward(grid.x_nodes[:, None], grid.y_nodes[None, :])[:, :, None]
     assert np.array_equal(history[-1], np.broadcast_to(want, history[-1].shape))
@@ -325,7 +333,7 @@ def test_extracted_policy_is_bang_bang_and_ties_go_high():
     zero_rate = _spec(f_kind="call", f_strike=1e9)  # the payment rate vanishes identically
     singleton = _spec(bounds=ControlBounds(1.0, 1.0))
     for spec, d1 in ((zero_rate, 2.0), (singleton, 1.0)):
-        pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, "linear_reduced", dims)
+        pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, dims)
         assert pol.table.dtype == bool
         assert pol.table.shape == (40,) + pol.grid.shape
         assert np.all(pol.table)
@@ -345,7 +353,7 @@ def test_extracted_policy_recovers_deferral_feedback():
     # y spacing divides d1 dt, so weight transport lands on nodes
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(z0 - 1.0, z0 + 1.0, 81), n_steps=200)
-    pol = _quiet_solve(extract_policy, PARAMS, spec, eps, "linear_reduced", grid)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, eps, grid)
     assert pol.table.dtype == bool  # bang-bang by construction
     times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
@@ -364,8 +372,8 @@ def test_extracted_policy_recovers_deferral_feedback():
 def test_extracted_policy_beats_builtins_by_mc():
     spec = _spec()
     fam = build_family(0.05, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "linear_reduced")
-    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, "linear_reduced", grid)
+    grid = default_grid(PARAMS, spec, fam)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, grid)
     mine = evaluate_policy(pol, spec, PARAMS, 60_000, 200, seed=77)
     for other in builtin_policies(spec, PARAMS):
         other_est = evaluate_policy(other, spec, PARAMS, 60_000, 200, seed=77)
@@ -377,7 +385,7 @@ def test_extracted_policy_beats_floor_on_normalized_contract():
     # gradients priced 7.57 +- 0.06 here, below spending the floor (7.92)
     spec = _spec(weight_mode="normalized")
     dims = {"nx": 27, "ny": 27, "nz": 53, "n_steps": 130}
-    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, "normalized", dims)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.05, dims)
     floor = next(p for p in builtin_policies(spec, PARAMS) if p.name == "floor")
     mine = evaluate_policy(pol, spec, PARAMS, 20_000, 100, seed=7)
     base = evaluate_policy(floor, spec, PARAMS, 20_000, 100, seed=7)
@@ -416,7 +424,7 @@ def test_price_readout_outside_hull_is_an_error():
     # the value with 1.25 budget units, 7.5287 against 6.2903
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
-    base = default_grid(PARAMS, spec, fam, "linear_reduced", ny=21, nz=31, n_steps=40)
+    base = default_grid(PARAMS, spec, fam, ny=21, nz=31, n_steps=40)
     below = StateGrid(y_nodes=np.concatenate([[-0.25], base.y_nodes]), z_nodes=base.z_nodes,
                       n_steps=base.n_steps)
     with pytest.raises(ExtrapolationError):
@@ -433,7 +441,7 @@ def test_discrete_comparison_principle():
     hi_strike = _spec(f_kind="call", f_strike=110.0)
     fam_lo = build_family(0.1, lo_strike, PARAMS)
     fam_hi = build_family(0.1, hi_strike, PARAMS)
-    grid = default_grid(PARAMS, lo_strike, fam_lo, "linear_reduced", ny=21, nz=31, n_steps=40)
+    grid = default_grid(PARAMS, lo_strike, fam_lo, ny=21, nz=31, n_steps=40)
     v_lo = _quiet_solve(_history, solve_linear_reduced, PARAMS, lo_strike, fam_lo, grid)
     v_hi = _quiet_solve(_history, solve_linear_reduced, PARAMS, hi_strike, fam_hi, grid)
     assert np.all(v_lo >= v_hi - 1e-12)
@@ -444,7 +452,7 @@ def test_values_bounded_by_data():
     # can pay (full effective budget at the largest capped rate)
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
-    grid = default_grid(PARAMS, spec, fam, "linear_reduced", ny=21, nz=31, n_steps=40)
+    grid = default_grid(PARAMS, spec, fam, ny=21, nz=31, n_steps=40)
     history = _quiet_solve(_history, solve_linear_reduced, PARAMS, spec, fam, grid)
     t_probe = np.linspace(0.0, 1.0, 9)[:, None]
     phi_max = float(np.max(fam.payoff_rate(np.exp(grid.z_nodes)[None, :], t_probe)))
@@ -478,7 +486,7 @@ PINS = {
 
 def _pin_price(variant, params, **scaled):
     spec = _spec(**{**PINS[variant][0], **scaled})
-    vf = _quiet_solve(solve, params, spec, 0.1, variant, PIN_DIMS)
+    vf = _quiet_solve(solve, params, spec, 0.1, PIN_DIMS)
     return price_from_value(vf, params).value
 
 
@@ -487,7 +495,7 @@ def test_sweep_is_pinned_bit_for_bit(variant):
     overrides, price, d1_cells, mc_price = PINS[variant]
     assert _pin_price(variant, PARAMS).hex() == price
     spec = _spec(**overrides)
-    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, variant, PIN_DIMS)
+    pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, PIN_DIMS)
     assert int(pol.table.sum()) == d1_cells
     assert evaluate_policy(pol, spec, PARAMS, 20_000, 40, seed=11).value.hex() == mc_price
 

@@ -58,12 +58,6 @@ def test_spec_validation_names_fields():
     assert err.value.field == "payoff.weight_mode"
 
 
-def test_concavity_flag():
-    assert _spec().g_is_concave
-    assert _spec(g_kind="cap", g_cap=4.0).g_is_concave
-    assert not _spec(g_kind="call", g_strike=4.0).g_is_concave
-
-
 def test_eval_f_call_spot():
     spec = _spec(f_kind="call", f_strike=100.0)
     assert eval_f(spec, PARAMS, 112.0, 0.3) == pytest.approx(12.0)
