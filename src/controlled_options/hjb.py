@@ -20,10 +20,14 @@ The scheme is monotone without a transport CFL restriction:
   degenerate) characteristic, with feet clamped to the grid (the flow is
   outward for non-negative rates).  The y-foot depends on y alone, so
   each control locates its (ny,) line of feet once and interpolates in
-  y; the x-foot x + gain(y) phi(z) is then interpolated in x.
+  y; the x-foot x + gain(y) phi(z) is then interpolated in x.  One
+  kernel, ``_Transport``, built once per sweep, does both steps in
+  scratch arrays it owns and writes each control's candidate into a
+  buffer the sweep reuses from step to step.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
-  diffusion solved implicitly (one constant tridiagonal factor per
-  sweep, unconditionally stable).  At z_min/z_max the second difference
+  diffusion solved implicitly (unconditionally stable).  The banded
+  matrix is built once per sweep, and ``solve_banded`` (LAPACK gtsv)
+  factors it again at every step.  At z_min/z_max the second difference
   is dropped (the value is asymptotically linear there) and the drift is
   kept only when its upwind neighbour lies inside the grid.
 * The Hamiltonian is affine in u, so the max is taken over the two
@@ -33,9 +37,10 @@ The scheme is monotone without a transport CFL restriction:
 
 The payoff weight u enters both transport rates linearly, which is what
 makes the optimal control bang-bang.  The sweep keeps one slice at a
-time.  ``extract_policy`` records the scheme's own choice at every node
-and step (the ``hjb`` policy): d1 where its candidate value is >= that
-of d0, so ties go to d1.
+time; the slices and choices it hands an observer are fresh arrays,
+never reused by the sweep.  ``extract_policy`` records the scheme's own
+choice at every node and step (the ``hjb`` policy): d1 where its
+candidate value is >= that of d0, so ties go to d1.
 """
 from __future__ import annotations
 
@@ -66,29 +71,45 @@ class _Axis:
     """A validated 1-d axis that places query points on it, with a uniform fast path."""
 
     def __init__(self, nodes: np.ndarray, name: str):
-        nodes = np.asarray(nodes)
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise GridError(f"{name} axis needs at least two nodes")
         d = np.diff(nodes)
         if np.any(d <= 0.0):
             raise GridError(f"{name} axis must be strictly increasing")
         self.nodes = nodes
+        self.step = d  # step[i] = nodes[i + 1] - nodes[i]
         self.uniform = bool(np.allclose(d, d[0], rtol=1e-9))
         self.lo = nodes[0]
         self.hi = nodes[-1]
         self.inv_step = 1.0 / d[0] if self.uniform else None
 
-    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.clip(q, self.lo, self.hi)
-        if self.uniform:
-            pos = (q - self.lo) * self.inv_step
-            idx = np.minimum(pos.astype(np.int64), self.nodes.size - 2)
-            frac = pos - idx
+    def locate(self, q: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and in-cell fraction of each query, clamped to the axis.
+
+        With ``out=(idx, frac)``, an int64 and a float array of q's shape,
+        the result is written there and q, a float array, is overwritten as
+        scratch; without it, q is left alone and fresh arrays come back.
+        """
+        if out is None:
+            q = np.array(q, dtype=float)
+            idx, frac = np.empty(q.shape, dtype=np.int64), np.empty(q.shape)
         else:
-            idx = np.searchsorted(self.nodes, q, side="right") - 1
-            idx = np.clip(idx, 0, self.nodes.size - 2)
-            frac = (q - self.nodes[idx]) / (self.nodes[idx + 1] - self.nodes[idx])
-        return idx, np.clip(frac, 0.0, 1.0)
+            idx, frac = out
+        np.clip(q, self.lo, self.hi, out=q)
+        if self.uniform:
+            pos = np.multiply(np.subtract(q, self.lo, out=q), self.inv_step, out=q)
+            np.copyto(idx, pos, casting="unsafe")  # truncation: pos >= 0
+            np.minimum(idx, self.nodes.size - 2, out=idx)
+            np.subtract(pos, idx, out=frac)
+        else:
+            np.subtract(np.searchsorted(self.nodes, q, side="right"), 1, out=idx)
+            np.clip(idx, 0, self.nodes.size - 2, out=idx)
+            np.subtract(q, self.nodes.take(idx, out=frac, mode="clip"), out=frac)
+            np.divide(frac, self.step.take(idx, out=q, mode="clip"), out=frac)
+        np.clip(frac, 0.0, 1.0, out=frac)
+        return idx, frac
 
     def nearest(self, q: np.ndarray) -> np.ndarray:
         """Index of the node nearest each query; a query halfway between takes the lower."""
@@ -163,22 +184,15 @@ def default_grid(
         # the ratio reward bends on the y ~ eps^2 scale near the origin;
         # geometric packing there keeps the interpolation honest
         y_max = spec.bounds.d1 * T + 1.0
-        n_fine = min(max(3, ny // 4), max(ny - 2, 1))
-        fine = np.geomspace(0.25 * eps * eps, min(4.0 * eps, 0.5 * y_max), n_fine)
-        coarse = np.linspace(0.0, y_max, max(ny - n_fine, 2))
-        y_nodes = np.unique(np.concatenate([coarse, fine]))
-        distinct = np.concatenate([[True], np.diff(y_nodes) > 1e-12 * y_max])
-        y_nodes = y_nodes[distinct]
+        fine_top = min(4.0 * eps, 0.5 * y_max)
+        y_nodes = _y_axis(y_max, lambda k: np.geomspace(0.25 * eps * eps, fine_top, k),
+                          min(max(3, ny // 4), ny - 2), ny, 1e-12 * y_max)
     else:
         # keep the node budget but resolve the eps^2 cutoff band, where the
         # value has a kink in y that coarse linear interpolation biases
         y_max = max(1.25, 1.0 + eps + 0.05)
-        n_band = min(9, max(3, ny // 5))
-        band = np.linspace(1.0 - eps, 1.0 - eps + eps * eps, n_band)
-        base = np.linspace(0.0, y_max, max(ny - n_band, 2))
-        y_nodes = np.unique(np.concatenate([base, band]))
-        distinct = np.concatenate([[True], np.diff(y_nodes) > 1e-9 * y_max])
-        y_nodes = y_nodes[distinct]
+        y_nodes = _y_axis(y_max, lambda k: np.linspace(1.0 - eps, 1.0 - eps + eps * eps, k),
+                          min(9, max(3, ny // 5)), ny, 1e-9 * y_max)
 
     x_nodes = None
     if not planar:
@@ -203,6 +217,21 @@ def default_grid(
             else:
                 x_nodes = np.linspace(0.0, x_max, nx)
     return StateGrid(y_nodes=y_nodes, z_nodes=z_nodes, n_steps=n_steps, x_nodes=x_nodes)
+
+
+def _y_axis(y_max: float, run: Callable, n_run: int, ny: int, tol: float) -> np.ndarray:
+    """``ny`` distinct y nodes: ``run(k)`` merged with ny - k even nodes over [0, y_max].
+
+    k starts at ``n_run``.  While a base node coincides with a run node
+    (within ``tol``), the run takes one more node from the base, so the
+    axis keeps the count it was asked for.
+    """
+    for k in range(n_run, ny - 1):
+        y_nodes = np.unique(np.concatenate([np.linspace(0.0, y_max, ny - k), run(k)]))
+        y_nodes = y_nodes[np.concatenate([[True], np.diff(y_nodes) > tol])]
+        if y_nodes.size == ny:
+            return y_nodes
+    raise ParameterError(f"the y axis cannot lay {ny} distinct nodes", field="grid.ny")
 
 
 def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
@@ -230,21 +259,55 @@ def refine_grid(grid: StateGrid) -> StateGrid:
 
 
 # ---------------------------------------------------------------------------
-# interpolation helpers
+# semi-Lagrangian transport
 # ---------------------------------------------------------------------------
 
-def _interp_y(values: np.ndarray, axis_y: _Axis, foot_y: np.ndarray) -> np.ndarray:
-    """Linear interpolation along y (axis -2) of values (..., ny, nz) at feet (ny,)."""
-    iy, wy = axis_y.locate(foot_y)
-    wy = wy[:, None]
-    return (1.0 - wy) * values[..., iy, :] + wy * values[..., iy + 1, :]
+class _Transport:
+    """The transport step of one sweep: a slice read at the characteristic feet.
 
+    Built once per sweep, it owns scratch arrays of the grid's shape and
+    writes each candidate into a buffer the caller passes.  The feet are
+    interpolated linearly, (1 - w) a + w b, in y on the (ny,) line of
+    y-feet and then in x, where node i's foot is x_i + pay(y, z); the x
+    gather is one flat ``take`` of x-plane offsets.
+    """
 
-def _interp_x(values: np.ndarray, axis_x: _Axis, foot_x: np.ndarray) -> np.ndarray:
-    """Linear interpolation along x (axis 0) of values (nx, ny, nz) at feet (nx, ny, nz)."""
-    ix, wx = axis_x.locate(foot_x)
-    return ((1.0 - wx) * np.take_along_axis(values, ix, axis=0)
-            + wx * np.take_along_axis(values, ix + 1, axis=0))
+    def __init__(self, grid: StateGrid):
+        self.ax_y = _Axis(grid.y_nodes, "y")
+        self.a, self.b = np.empty(grid.shape), np.empty(grid.shape)
+        if grid.x_nodes is None:
+            self.ax_x = None
+            return
+        self.ax_x = _Axis(grid.x_nodes, "x")
+        self.x_col = grid.x_nodes[:, None, None]
+        self.foot, self.wx = np.empty(grid.shape), np.empty(grid.shape)
+        self.ix = np.empty(grid.shape, dtype=np.int64)
+        _, ny, nz = grid.shape
+        self.plane = ny * nz
+        self.col = np.arange(self.plane).reshape(ny, nz)  # offset of (y, z) in an x plane
+
+    def __call__(self, cur: np.ndarray, foot_y: np.ndarray, pay: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """Write into ``out`` the slice ``cur`` read at the feet, and return it.
+
+        ``foot_y`` (ny,) holds the y-feet.  ``pay`` (ny, nz) is added to the
+        result on a (y, z) grid and is the x-foot offset on an (x, y, z) grid.
+        """
+        # every index is in range; mode="clip" lets take write into out unbuffered
+        a, b = self.a, self.b
+        iy, wy = self.ax_y.locate(foot_y)
+        wy = wy[:, None]
+        np.multiply(1.0 - wy, np.take(cur, iy, axis=-2, out=a, mode="clip"), out=a)
+        np.multiply(wy, np.take(cur, iy + 1, axis=-2, out=b, mode="clip"), out=b)
+        if self.ax_x is None:
+            return np.add(np.add(a, b, out=out), pay, out=out)
+        flat = np.add(a, b, out=a).reshape(-1)
+        ix, wx = self.ax_x.locate(np.add(self.x_col, pay, out=self.foot), out=(self.ix, self.wx))
+        np.add(np.multiply(ix, self.plane, out=ix), self.col, out=ix)
+        flat.take(ix, out=b, mode="clip")
+        flat.take(np.add(ix, self.plane, out=ix), out=out, mode="clip")
+        np.multiply(np.subtract(1.0, wx, out=self.foot), b, out=b)
+        return np.add(b, np.multiply(wx, out, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +470,10 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     controls = (d0,) if d1 == d0 else (d0, d1)
     ab = _z_step_matrix(params, z, dt)
-    ax_y = _Axis(y, "y")
+    transport = _Transport(grid)
+    cands = [np.empty(grid.shape) for _ in controls]
 
     x = grid.x_nodes
-    ax_x = None if x is None else _Axis(x, "x")
     if variant == "linear_reduced":
         terminal = 0.0
     elif variant == "adapted":
@@ -424,8 +487,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     for n in range(nt - 1, -1, -1):
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
-        cands = []
-        for u in controls:
+        for u, cand in zip(controls, cands):
             # the cutoff and ramp factors integrate in closed form along the
             # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
             # are credited exactly rather than sampled at nodes
@@ -435,19 +497,15 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
             else:
                 foot_y = y + dt * u
                 gain = fam.budget_cutoff_integral(foot_y) - fam.budget_cutoff_integral(y)
-            pay = gain[:, None] * phi[None, :]  # (ny, nz)
-            cand = _interp_y(cur, ax_y, foot_y)
-            if x is None:
-                cand = cand + pay
-            else:
-                cand = _interp_x(cand, ax_x, x[:, None, None] + pay)
-            cands.append(cand)
-        best = cands[0] if len(cands) == 1 else np.maximum(cands[0], cands[1])
+            transport(cur, foot_y, gain[:, None] * phi[None, :], out=cand)
+        d1_wins = None
+        if observe is not None:
+            d1_wins = np.ones(cur.shape, dtype=bool) if len(cands) == 1 else cands[1] >= cands[0]
+        best = cands[0] if len(cands) == 1 else np.maximum(cands[0], cands[1], out=cands[0])
         cur = _solve_z(ab, best)
         if not np.all(np.isfinite(cur)):
             raise NumericalFailure(f"non-finite values in slice {n}", time_index=n)
         if observe is not None:
-            d1_wins = np.ones(cur.shape, dtype=bool) if len(cands) == 1 else cands[1] >= cands[0]
             observe(n, cur, d1_wins)
 
     return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon, values=cur)

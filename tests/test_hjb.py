@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from controlled_options import (
@@ -30,7 +30,9 @@ from controlled_options.hjb import (
     _Axis,
     _peak_rate,
     _solve_z,
+    _Transport,
     _z_step_matrix,
+    refine_grid,
     solve_adapted,
     solve_linear_reduced,
     solve_normalized,
@@ -112,6 +114,95 @@ def test_axis_nearest_breaks_ties_low():
     for nodes, q, want in (([0.0, 1.0, 2.0], [0.5, 1.5], [0, 1]),  # uniform
                            ([0.0, 1.0, 3.0], [0.5, 2.0], [0, 1])):  # searched
         assert _Axis(np.array(nodes), "q").nearest(np.array(q)).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized=st.booleans(), ny=st.integers(3, 199), eps=st.floats(0.01, 0.2))
+@example(normalized=True, ny=41, eps=0.2)  # a fine node fell on a coarse one: 40 nodes
+@example(normalized=False, ny=32, eps=0.2)  # a band node fell on a base one: 31 nodes
+def test_default_grid_lays_the_asked_y_count(normalized, ny, eps):
+    spec = _spec(weight_mode="normalized") if normalized else _spec()
+    if not normalized:
+        ny = max(ny, 5)
+    grid = default_grid(PARAMS, spec, build_family(eps, spec, PARAMS), ny=ny, nz=5, n_steps=4)
+    assert grid.y_nodes.size == ny
+
+
+# The transport step as first written, before the buffered kernel: fresh
+# arrays throughout, each cell's width by subtraction, and the x gather by
+# take_along_axis.  The kernel must reproduce it bit for bit.
+def _oracle_locate(nodes, q):
+    d = np.diff(nodes)
+    q = np.clip(q, nodes[0], nodes[-1])
+    if np.allclose(d, d[0], rtol=1e-9):
+        pos = (q - nodes[0]) * (1.0 / d[0])
+        idx = np.minimum(pos.astype(np.int64), nodes.size - 2)
+        frac = pos - idx
+    else:
+        idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
+        frac = (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    return idx, np.clip(frac, 0.0, 1.0)
+
+
+def _oracle_transport(values, grid, foot_y, pay):
+    iy, wy = _oracle_locate(grid.y_nodes, foot_y)
+    wy = wy[:, None]
+    cand = (1.0 - wy) * values[..., iy, :] + wy * values[..., iy + 1, :]
+    if grid.x_nodes is None:
+        return cand + pay
+    ix, wx = _oracle_locate(grid.x_nodes, grid.x_nodes[:, None, None] + pay)
+    return ((1.0 - wx) * np.take_along_axis(cand, ix, axis=0)
+            + wx * np.take_along_axis(cand, ix + 1, axis=0))
+
+
+@st.composite
+def _transport_axes(draw):
+    """An axis from 0 of each kind the grids use: uniform, a knee, [0] + geomspace."""
+    n = draw(st.integers(3, 30))
+    top = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["uniform", "knee", "geometric"]))
+    if kind == "uniform":
+        return np.linspace(0.0, top, n)
+    if kind == "knee":
+        n_dense = max(2, int(round(0.8 * n)))
+        knee = top * draw(st.floats(0.01, 0.3))
+        return np.concatenate([np.linspace(0.0, 3.0 * knee, n_dense),
+                               np.linspace(3.0 * knee, top, n - n_dense + 1)[1:]])
+    return np.concatenate([[0.0], np.geomspace(top * 10.0 ** draw(st.floats(-6.0, -1.0)), top, n - 1)])
+
+
+def _feet(nodes):
+    """Every node, one ulp either side of each, and points beyond both ends."""
+    span = nodes[-1] - nodes[0]
+    return np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                           [nodes[0] - 0.5 * span, nodes[-1] + 0.5 * span]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_transport_axes(), y=_transport_axes(), y0=st.sampled_from([0.0, -1.5, 3.25]),
+       halve=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
+    feet_x = _feet(x)
+    grid = StateGrid(x_nodes=x, y_nodes=y0 + y, z_nodes=np.linspace(0.0, 1.0, feet_x.size),
+                     n_steps=1)
+    if halve:
+        grid = refine_grid(grid)
+        feet_x = _feet(grid.x_nodes)
+        grid = replace(grid, z_nodes=np.linspace(0.0, 1.0, feet_x.size))
+    feet_y = _feet(grid.y_nodes)
+    ny = grid.y_nodes.size
+    # x node 0 is 0, so its feet are the x-shifts themselves: every entry of feet_x
+    pay = np.broadcast_to(feet_x, (ny, feet_x.size))
+    rng = np.random.default_rng(seed)
+    for g in (grid, replace(grid, x_nodes=None)):
+        values = rng.standard_normal(g.shape)
+        kernel = _Transport(g)
+        out = np.empty(g.shape)
+        for start in range(0, feet_y.size, ny):
+            foot_y = np.resize(feet_y[start:], ny)
+            want = _oracle_transport(values, g, foot_y, pay)
+            assert kernel(values, foot_y, pay, out=out) is out
+            assert np.array_equal(out, want)
 
 
 def test_solver_rejects_uncovering_grids():
@@ -500,6 +591,20 @@ def test_sweep_is_pinned_bit_for_bit(variant):
     assert evaluate_policy(pol, spec, PARAMS, 20_000, 40, seed=11).value.hex() == mc_price
 
 
+@pytest.mark.parametrize("variant", sorted(PINS))
+def test_observed_arrays_are_not_reused(variant):
+    # the sweep writes its candidates into reused buffers; what it hands the
+    # observer must stay as it was seen, or _history and extract_policy break
+    kept = []
+
+    def keep(n, slice_n, d1_wins):
+        kept.extend((a, a.copy()) for a in (slice_n, d1_wins) if a is not None)
+
+    _quiet_solve(solve, PARAMS, _spec(**PINS[variant][0]), 0.1, PIN_DIMS, observe=keep)
+    assert len(kept) == 2 * PIN_DIMS["n_steps"] + 1
+    assert all(np.array_equal(a, seen) for a, seen in kept)
+
+
 @settings(max_examples=10, deadline=None)
 @given(lam=st.floats(-2.0, 2.0).map(lambda e: 10.0**e))
 def test_price_scales_with_s0(lam):
@@ -515,10 +620,10 @@ def test_price_scales_with_s0(lam):
 
 
 def test_diverging_ladder_raises_numerical_failure():
-    # on this coarse grid the normalized rungs read 9.64, 12.62, 18.08:
-    # Richardson would report 23.54, above E[max S] - K = 16.98
+    # on this coarse grid the normalized rungs read 9.35, 11.96, 15.49:
+    # Richardson would report 19.01, above E[max S] - K = 16.98
     spec = _spec(weight_mode="normalized")
-    with pytest.raises(NumericalFailure, match="2.98015 then 5.4639"):
+    with pytest.raises(NumericalFailure, match="2.61501 then 3.52424"):
         _quiet_ladder(PARAMS, spec, grid={"nx": 21, "ny": 21, "nz": 41, "n_steps": 100})
 
 
