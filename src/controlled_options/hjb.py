@@ -24,6 +24,15 @@ The scheme is monotone without a transport CFL restriction:
   kernel, ``_Transport``, built once per sweep, does both steps in
   scratch arrays it owns and writes each control's candidate into a
   buffer the sweep reuses from step to step.
+* A control whose y-shift is exactly 0 (u = 0 in budget mode, and u = 0
+  before the eps ramp in normalized mode) has an x-shift of 0 too, so its
+  characteristic does not move: its candidate is the slice as it is, and
+  the transport is skipped.  That is bit-identical to the transport
+  wherever the locate places node i at (i, 0.0), which a searched
+  (non-uniform) axis does: every y axis ``default_grid`` lays, and its
+  x axis with a knee or in log spacing.  On a uniform axis
+  (x_i - x_0) / step need not be exactly i, and the transport blended
+  the neighbours in at about 1e-16.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
   diffusion solved implicitly (unconditionally stable).  The banded
   matrix is built once per sweep, and ``solve_banded`` (LAPACK gtsv)
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -394,15 +403,22 @@ class Policy:
         if self.source == "analytic":
             u = np.asarray(self.fn(t, x, y, s), dtype=float)
             return np.clip(u, self.d0, self.d1)
-        g = self.grid
         n_steps = self.table.shape[0]
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
-        node = (_Axis(g.y_nodes, "y").nearest(y), _Axis(g.z_nodes, "z").nearest(np.log(s)))
-        if g.x_nodes is not None:
-            node = (_Axis(g.x_nodes, "x").nearest(x),) + node
-        picks = self.table[(n,) + node]
+        query = (y, np.log(s)) if self.grid.x_nodes is None else (x, y, np.log(s))
+        flat = 0  # the node's offset in slice n, ((ix) ny + iy) nz + iz
+        for axis, q in zip(self._axes, query):
+            flat = flat * axis.nodes.size + axis.nearest(q)
+        picks = self.table[n].reshape(-1).take(flat)
         return np.where(picks, self.d1, self.d0)
+
+    @cached_property
+    def _axes(self) -> tuple[_Axis, ...]:
+        """The table's axes, (x,) y and z, built on the first lookup."""
+        g = self.grid
+        axes = (_Axis(g.y_nodes, "y"), _Axis(g.z_nodes, "z"))
+        return axes if g.x_nodes is None else (_Axis(g.x_nodes, "x"),) + axes
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +503,30 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     for n in range(nt - 1, -1, -1):
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
+        picks = []
         for u, cand in zip(controls, cands):
             # the cutoff and ramp factors integrate in closed form along the
             # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
             # are credited exactly rather than sampled at nodes
             if variant == "normalized":
-                h_int = float(fam.effective_control_integral(u, t_n, times[n + 1]))
-                foot_y, gain = y + h_int, np.full(y.size, h_int)
+                shift = float(fam.effective_control_integral(u, t_n, times[n + 1]))
             else:
-                foot_y = y + dt * u
+                shift = dt * u
+            if shift == 0.0:
+                # the characteristic does not move: the candidate is the slice as it is
+                picks.append(cur)
+                continue
+            foot_y = y + shift
+            if variant == "normalized":
+                gain = np.full(y.size, shift)
+            else:
                 gain = fam.budget_cutoff_integral(foot_y) - fam.budget_cutoff_integral(y)
-            transport(cur, foot_y, gain[:, None] * phi[None, :], out=cand)
+            picks.append(transport(cur, foot_y, gain[:, None] * phi[None, :], out=cand))
         d1_wins = None
         if observe is not None:
-            d1_wins = np.ones(cur.shape, dtype=bool) if len(cands) == 1 else cands[1] >= cands[0]
-        best = cands[0] if len(cands) == 1 else np.maximum(cands[0], cands[1], out=cands[0])
+            d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]
+        # the d0 buffer holds no d1 candidate, and cur is never written
+        best = picks[0] if len(picks) == 1 else np.maximum(picks[0], picks[1], out=cands[0])
         cur = _solve_z(ab, best)
         if not np.all(np.isfinite(cur)):
             raise NumericalFailure(f"non-finite values in slice {n}", time_index=n)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, PricingError
+from .errors import ParameterError
 from .market import MarketParams
 from .payoffs import PayoffSpec
 
@@ -192,21 +192,21 @@ class SmoothingFamily:
         s = np.linspace(0.2 * p.s0, 5.0 * p.s0, n)
         t = np.linspace(0.0, p.t_horizon, n)[:, None]
         if np.any(self.payoff_rate(s[None, :], t) > eval_f(spec, p, s[None, :], t) + 1e-12 * p.s0):
-            raise PricingError("payoff_rate exceeds the raw payment rate")
+            raise ParameterError("payoff_rate exceeds the raw payment rate", field="epsilons")
         y = np.linspace(1e-3, max(1.5, spec.bounds.d1 * p.t_horizon + 1.0), n)
         xi = self.budget_cutoff(y)
         if np.any(xi < -1e-15) or np.any(xi > 1.0 + 1e-15) or np.any(np.diff(xi) > 1e-15):
-            raise PricingError("budget_cutoff must be non-increasing with range [0, 1]")
+            raise ParameterError("budget_cutoff must be non-increasing with range [0, 1]", field="epsilons")
         psi = self.terminal_ramp(t.ravel())
         if np.any(psi < -1e-15) or np.any(psi > 1.0 + 1e-15) or np.any(np.diff(psi) < -1e-15):
-            raise PricingError("terminal_ramp must be non-decreasing with range [0, 1]")
+            raise ParameterError("terminal_ramp must be non-decreasing with range [0, 1]", field="epsilons")
         x = np.linspace(0.0, 4.0 * self.reward_scale, n)
         if np.any(self.terminal_reward(x) > eval_g(spec, x) + 1e-12 * self.reward_scale):
-            raise PricingError("terminal_reward exceeds the raw reward")
+            raise ParameterError("terminal_reward exceeds the raw reward", field="epsilons")
         if spec.g_is_nondecreasing:
             xx, yy = np.meshgrid(np.linspace(0.0, 2.0 * p.s0, n), y)
             if np.any(self.ratio_reward(xx, yy) > eval_g(spec, xx / yy) + 1e-12 * self.reward_scale):
-                raise PricingError("ratio_reward exceeds g at the weight ratio")
+                raise ParameterError("ratio_reward exceeds g at the weight ratio", field="epsilons")
 
 
 def build_family(epsilon: float, spec: PayoffSpec, params: MarketParams) -> SmoothingFamily:

@@ -267,12 +267,14 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
     (["price-hjb"], {"payoff": {"weight_mode": "normalized", "d1": 0.0}}, "payoff.d1"),
     (["price-hjb"], {"grid": {"n_steps": 0}}, "grid.n_steps"),
     (["price-hjb"], {"epsilons": [0.7]}, "epsilons"),
+    (["price-hjb"], {"epsilons": [5e-05]}, "epsilons"),
     (["price-mc"], {"mc": {"n_paths": 1}}, "mc.n_paths"),
     (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
     (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
     (["compare"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
-        "epsilon-0.7", "mc-paths-1", "mc-steps-0", "closed-form-normalized", "compare-normalized"])
+        "epsilon-0.7", "epsilon-5e-05", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
+        "compare-normalized"])
 def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
     # fields that only one route reads, so these cases cannot join MALFORMED;
     # the closed form has no formula for the normalized weight, and compare

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from controlled_options import (
@@ -156,11 +156,11 @@ def _oracle_transport(values, grid, foot_y, pay):
 
 
 @st.composite
-def _transport_axes(draw):
+def _transport_axes(draw, kinds=("uniform", "knee", "geometric")):
     """An axis from 0 of each kind the grids use: uniform, a knee, [0] + geomspace."""
     n = draw(st.integers(3, 30))
     top = 10.0 ** draw(st.floats(-3.0, 3.0))
-    kind = draw(st.sampled_from(["uniform", "knee", "geometric"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "uniform":
         return np.linspace(0.0, top, n)
     if kind == "knee":
@@ -203,6 +203,35 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
             want = _oracle_transport(values, g, foot_y, pay)
             assert kernel(values, foot_y, pay, out=out) is out
             assert np.array_equal(out, want)
+
+
+@st.composite
+def _desk_y_axes(draw):
+    """The y axis default_grid lays: an even base merged with the eps^2 band or fine run."""
+    spec = _spec(weight_mode="normalized") if draw(st.booleans()) else _spec()
+    fam = build_family(draw(st.floats(0.01, 0.2)), spec, PARAMS)
+    return default_grid(PARAMS, spec, fam, ny=draw(st.integers(5, 80)), nz=2, n_steps=1).y_nodes
+
+
+# A control whose y-shift is exactly 0 reads the slice at its own nodes, and
+# the sweep takes the slice itself as its candidate.  That is bit-identical
+# to the transport where the locate places node i at (i, 0.0): on every
+# axis it searches, which is every y axis default_grid lays and its x axis
+# with a knee or in log spacing.
+@settings(max_examples=60, deadline=None)
+@given(x=_transport_axes(kinds=("knee", "geometric")),
+       y=st.one_of(_transport_axes(kinds=("knee", "geometric")), _desk_y_axes()),
+       halve=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_transport_without_shift_returns_the_slice(x, y, halve, seed):
+    grid = StateGrid(x_nodes=x, y_nodes=y, z_nodes=np.linspace(0.0, 1.0, 7), n_steps=1)
+    if halve:
+        grid = refine_grid(grid)
+    assume(not _Axis(grid.x_nodes, "x").uniform and not _Axis(grid.y_nodes, "y").uniform)
+    rng = np.random.default_rng(seed)
+    for g in (grid, replace(grid, x_nodes=None)):
+        values = rng.standard_normal(g.shape)
+        out = _Transport(g)(values, g.y_nodes.copy(), np.zeros(g.shape[-2:]), out=np.empty(g.shape))
+        assert out.tobytes() == values.tobytes()
 
 
 def test_solver_rejects_uncovering_grids():
@@ -567,10 +596,14 @@ def test_epsilon_domination():
 # price, the number of d1 cells in the policy table, and the exact Monte
 # Carlo price of that table (20k paths, 40 steps, seed 11).  Any change to
 # the order of the sweep's arithmetic, or to the table lookup, shows here.
+# ``adapted_d0`` puts a floor d0 = 0.5 under the capped contract, so both of
+# its controls move the state and both take the transport.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
     "linear_reduced": ({}, "0x1.958612693ccb6p+2", 1064, "0x1.b26e95f816c30p+2"),
     "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78af0p+1", 14627, "0x1.f11d6ba8c5d96p+1"),
+    "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
+                   "0x1.803893f669b36p+1", 16000, "0x1.f51dbe5785ec2p+1"),
     "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a14bp+4", 7321, "0x1.f4e551c827e0bp+2"),
 }
 
