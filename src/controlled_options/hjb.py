@@ -41,8 +41,11 @@ The scheme is monotone without a transport CFL restriction:
   kept only when its upwind neighbour lies inside the grid.
 * The Hamiltonian is affine in u, so the max is taken over the two
   endpoint controls only; ties go to d1.
-* One locator, ``_Axis``, validates each axis and places every query on
-  it: the characteristic feet, the readout at log s0, the policy table.
+* One class, ``_Axis``, validates each axis and places every query on
+  it.  ``locate`` places the characteristic feet and the readout at
+  log s0; ``nearest``, the policy table's lookup, counts the cell
+  midpoints below each query through a bucket table the axis builds on
+  its first call.
 
 The payoff weight u enters both transport rates linearly, which is what
 makes the optimal control bang-bang.  The sweep keeps one slice at a
@@ -88,7 +91,11 @@ class _Axis:
             raise GridError(f"{name} axis must be strictly increasing")
         self.nodes = nodes
         self.step = d  # step[i] = nodes[i + 1] - nodes[i]
-        self.uniform = bool(np.allclose(d, d[0], rtol=1e-9))
+        # the tolerance follows the axis' own scale: relative to the step, plus
+        # the rounding of the nodes themselves; a fixed absolute one would call
+        # every axis with steps below it uniform
+        tol = 1e-9 * d[0] + 4.0 * np.spacing(np.max(np.abs(nodes)))
+        self.uniform = bool(np.all(np.abs(d - d[0]) <= tol))
         self.lo = nodes[0]
         self.hi = nodes[-1]
         self.inv_step = 1.0 / d[0] if self.uniform else None
@@ -121,9 +128,43 @@ class _Axis:
         return idx, frac
 
     def nearest(self, q: np.ndarray) -> np.ndarray:
-        """Index of the node nearest each query; a query halfway between takes the lower."""
-        idx, frac = self.locate(q)
-        return idx + (frac > 0.5)
+        """Index of the node nearest each query; a query halfway between takes the lower.
+
+        That index is the number of cell midpoints strictly below the query,
+        ``np.searchsorted(mids, q, side="left")``, counted through the bucket
+        table: the count below the query's bucket, plus the midpoints in that
+        bucket that lie below the query.
+        """
+        lo, inv_width, top, first, mids, n_cmp = self._midpoint_buckets
+        pos = np.multiply(np.subtract(q, lo), inv_width)
+        k = first.take(np.clip(pos, 0.0, top, out=pos).astype(np.int64), mode="clip")
+        for _ in range(n_cmp):
+            k += mids.take(k, mode="clip") < q
+        return k
+
+    @cached_property
+    def _midpoint_buckets(self) -> tuple:
+        """The table ``nearest`` reads, built on its first call.
+
+        The buckets are half as wide as the smallest midpoint gap, but no
+        more than 2^16 of them; ``first[b]`` is the number of midpoints in
+        the buckets below b.  The bucket map is monotone in the query, so a
+        midpoint in a lower bucket is below it and one in a higher bucket is
+        not.  ``n_cmp`` is the most midpoints one bucket holds, and ``mids``
+        ends in +inf so that no compare runs off the axis.
+        """
+        mids = self.nodes[:-1] + 0.5 * self.step
+        lo, span = mids[0], mids[-1] - mids[0]
+        # one midpoint takes half the step; the smallest normal float keeps
+        # 1 / width finite on an axis of subnormal steps
+        width = max(0.5 * np.min(np.diff(mids), initial=self.step[0]), span / (2**16 - 1),
+                    np.finfo(float).tiny)
+        inv_width = 1.0 / width
+        top = float(np.floor(span * inv_width))
+        bucket = np.clip((mids - lo) * inv_width, 0.0, top).astype(np.int64)
+        first = np.searchsorted(bucket, np.arange(int(top) + 1), side="left")
+        n_cmp = int(np.bincount(bucket).max())
+        return lo, inv_width, top, first, np.append(mids, np.inf), n_cmp
 
 
 @dataclass(frozen=True)
@@ -385,7 +426,9 @@ class Policy:
 
     ``grid_table`` policies hold one boolean slab per time step (True
     selects d1) and use nearest-node lookup in (x, y, z) with the
-    enclosing time slice.  ``analytic`` policies wrap a callable.
+    enclosing time slice: ``_Axis.nearest`` counts the cell midpoints
+    below each coordinate through a bucket table, not a search.
+    ``analytic`` policies wrap a callable.
     """
 
     source: str

@@ -296,7 +296,8 @@ _fuzz_payoffs = st.tuples(st.fixed_dictionaries({
 }), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted)).map(
     lambda pair: {**pair[0], "d0": pair[1][0], "d1": pair[1][1]})
 _fuzz_configs = st.fixed_dictionaries({
-    "market": st.just(BASE_DOC["market"]),
+    "market": st.fixed_dictionaries({"s0": st.floats(1e-3, 1e4), "r": st.floats(-0.05, 0.2),
+                                     "sigma": st.floats(1e-3, 1.5), "t_horizon": st.floats(0.05, 5.0)}),
     "payoff": _fuzz_payoffs,
     "grid": st.fixed_dictionaries({"nx": st.integers(0, 9), "ny": st.integers(0, 9),
                                    "nz": st.integers(0, 9), "n_steps": st.integers(0, 10)}),

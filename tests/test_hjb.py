@@ -88,14 +88,25 @@ def _axes_and_queries(draw):
     # nodes on a binary lattice are exact floats, so the check below measures
     # the lookup rather than the rounding of the axis itself
     n = draw(st.integers(2, 40))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "ragged", "crowded"]))
+    if kind == "uniform":
         gaps = [draw(st.integers(1, 1000))] * (n - 1)
-    else:
+    elif kind == "ragged":
         gaps = draw(st.lists(st.integers(1, 1000), min_size=n - 1, max_size=n - 1))
+    else:
+        # one wide cell among unit ones: span over smallest gap passes 2^15, so
+        # the 2^16 buckets of nearest's table are capped and hold several midpoints
+        gaps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+        gaps[draw(st.integers(0, n - 2))] = draw(st.integers(2**17, 2**22))
     start = draw(st.integers(-1000, 1000))
     nodes = 2.0 ** draw(st.integers(-20, 20)) * (start + np.concatenate([[0], np.cumsum(gaps)]))
     span = nodes[-1] - nodes[0]
+    mids = nodes[:-1] + 0.5 * np.diff(nodes)
+    marks = np.concatenate([nodes, mids])
     queries = draw(st.lists(st.floats(nodes[0] - span, nodes[-1] + span), min_size=1, max_size=50))
+    # every node and midpoint, their float neighbours, and points off both ends
+    queries += [*marks, *np.nextafter(marks, -np.inf), *np.nextafter(marks, np.inf),
+                nodes[0] - span, nodes[-1] + span]
     return nodes, np.array(queries)
 
 
@@ -108,6 +119,9 @@ def test_axis_nearest_picks_a_closest_node(case):
     cell = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
     width = nodes[cell + 1] - nodes[cell]
     assert np.all(dist[np.arange(q.size), got] - dist.min(axis=1) <= 1e-12 * width)
+    # the lookup counts the midpoints strictly below each query, exactly
+    mids = nodes[:-1] + 0.5 * np.diff(nodes)
+    assert np.array_equal(got, np.searchsorted(mids, q, side="left"))
 
 
 def test_axis_nearest_breaks_ties_low():
@@ -650,6 +664,21 @@ def test_price_scales_with_s0(lam):
             scaled["g_cap"] = overrides["g_cap"] * lam
         got = _pin_price(variant, params, **scaled) / lam
         assert got == pytest.approx(float.fromhex(price), rel=1e-10, abs=0.0)
+
+
+def test_tiny_spot_prices_at_scale():
+    # at s0 = 1e-9 every x step of the knee axis lies below 1e-8; an absolute
+    # uniformity tolerance called that axis uniform, located its feet by
+    # arithmetic, and the price came out 7.5 times too high
+    lam = 1e-11
+    dims = {"nx": 21, "ny": 21, "nz": 41, "n_steps": 60}
+    prices = []
+    for scale in (1.0, lam):
+        params = MarketParams(s0=100.0 * scale, r=0.0, sigma=0.2, t_horizon=1.0)
+        spec = _spec(f_strike=100.0 * scale, g_kind="call", g_strike=8.0 * scale)
+        prices.append(_quiet_ladder(params, spec, epsilons=(0.2, 0.1), grid=dims)[0].value)
+    assert prices[0] == pytest.approx(3.5169, abs=1e-4)
+    assert prices[1] / lam == pytest.approx(prices[0], rel=1e-10, abs=0.0)
 
 
 def test_diverging_ladder_raises_numerical_failure():

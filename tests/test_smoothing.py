@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from controlled_options import (
@@ -11,6 +13,7 @@ from controlled_options import (
     eval_f,
     eval_g,
 )
+from controlled_options.payoffs import F_KINDS, G_KINDS
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 
@@ -180,3 +183,22 @@ def test_family_self_check_runs_at_build():
     # build_family re-verifies the inequalities numerically; a valid spec passes
     build_family(0.1, _spec(g_kind="cap", g_cap=10.0), PARAMS)
     build_family(0.1, _spec(weight_mode="normalized"), PARAMS)
+
+
+def _points(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=20).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=st.floats(1e-3, 0.49), f_kind=st.sampled_from(F_KINDS), g_kind=st.sampled_from(G_KINDS),
+       s=_points(0.0, 600.0), t=st.floats(0.0, 1.0), x=_points(0.0, 300.0), y=_points(0.05, 3.0))
+def test_family_stays_below_the_raw_data(eps, f_kind, g_kind, s, t, x, y):
+    # the regularised problem prices below the raw one because every member
+    # of the family lies below the data it smooths; tolerances as above
+    spec = _spec(f_kind=f_kind, g_kind=g_kind, g_strike=40.0, g_cap=50.0)
+    fam = build_family(eps, spec, PARAMS)
+    assert np.all(fam.payoff_rate(s, t) <= eval_f(spec, PARAMS, s, t) + 1e-10)
+    assert np.all(fam.terminal_reward(x) <= eval_g(spec, x) + 1e-10)
+    if spec.g_is_nondecreasing:  # g(xy / (y^2 + eps^4)) <= g(x / y) needs g nondecreasing
+        xx, yy = x[:, None], y[None, :]
+        assert np.all(fam.ratio_reward(xx, yy) <= eval_g(spec, xx / yy) + 1e-9)
