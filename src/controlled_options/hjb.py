@@ -19,20 +19,19 @@ The scheme is monotone without a transport CFL restriction:
   each backward step reads the next slice at the foot of the (exact,
   degenerate) characteristic, with feet clamped to the grid (the flow is
   outward for non-negative rates).  The y-foot depends on y alone, so
-  each control locates its (ny,) line of feet once and interpolates in
-  y; the x-foot x + gain(y) phi(z) is then interpolated in x.  One
-  kernel, ``_Transport``, built once per sweep, does both steps in
-  scratch arrays it owns and writes each control's candidate into a
-  buffer the sweep reuses from step to step.
+  each control locates its (ny,) line of feet and interpolates in y; the
+  x-foot x + gain(y) phi(z) depends on y only through the gain, so it is
+  located once per distinct gain value and then interpolated in x.  One
+  kernel, ``_Transport``, built once per sweep, does both steps and
+  writes each control's candidate into a buffer the sweep reuses from
+  step to step.  It keeps each control's located feet and locates them
+  again only when that control's y-feet, gain or phi change: at r = 0
+  in budget mode, never after the first step.
 * A control whose y-shift is exactly 0 (u = 0 in budget mode, and u = 0
   before the eps ramp in normalized mode) has an x-shift of 0 too, so its
   characteristic does not move: its candidate is the slice as it is, and
-  the transport is skipped.  That is bit-identical to the transport
-  wherever the locate places node i at (i, 0.0), which a searched
-  (non-uniform) axis does: every y axis ``default_grid`` lays, and its
-  x axis with a knee or in log spacing.  On a uniform axis
-  (x_i - x_0) / step need not be exactly i, and the transport blended
-  the neighbours in at about 1e-16.
+  the transport is skipped.  That is bit-identical to the transport,
+  because the locate places node i at (i, 0.0) on every axis.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
   diffusion solved implicitly (unconditionally stable).  The banded
   matrix is built once per sweep, and ``solve_banded`` (LAPACK gtsv)
@@ -43,9 +42,9 @@ The scheme is monotone without a transport CFL restriction:
   endpoint controls only; ties go to d1.
 * One class, ``_Axis``, validates each axis and places every query on
   it.  ``locate`` places the characteristic feet and the readout at
-  log s0; ``nearest``, the policy table's lookup, counts the cell
-  midpoints below each query through a bucket table the axis builds on
-  its first call.
+  log s0 by a search on every axis, uniform or not; ``nearest``, the
+  policy table's lookup, counts the cell midpoints below each query
+  through a bucket table the axis builds on its first call.
 
 The payoff weight u enters both transport rates linearly, which is what
 makes the optimal control bang-bang.  The sweep keeps one slice at a
@@ -80,7 +79,7 @@ DESK_EPSILONS = (0.2, 0.1, 0.05)
 # ---------------------------------------------------------------------------
 
 class _Axis:
-    """A validated 1-d axis that places query points on it, with a uniform fast path."""
+    """A validated 1-d axis that places query points on it."""
 
     def __init__(self, nodes: np.ndarray, name: str):
         nodes = np.asarray(nodes, dtype=float)
@@ -98,34 +97,18 @@ class _Axis:
         self.uniform = bool(np.all(np.abs(d - d[0]) <= tol))
         self.lo = nodes[0]
         self.hi = nodes[-1]
-        self.inv_step = 1.0 / d[0] if self.uniform else None
 
-    def locate(self, q: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and in-cell fraction of each query, clamped to the axis.
 
-        With ``out=(idx, frac)``, an int64 and a float array of q's shape,
-        the result is written there and q, a float array, is overwritten as
-        scratch; without it, q is left alone and fresh arrays come back.
+        The cell is searched on every axis, uniform or not, and the fraction
+        is (q - nodes[i]) / step[i], so node i is placed at (i, 0.0) exactly.
         """
-        if out is None:
-            q = np.array(q, dtype=float)
-            idx, frac = np.empty(q.shape, dtype=np.int64), np.empty(q.shape)
-        else:
-            idx, frac = out
-        np.clip(q, self.lo, self.hi, out=q)
-        if self.uniform:
-            pos = np.multiply(np.subtract(q, self.lo, out=q), self.inv_step, out=q)
-            np.copyto(idx, pos, casting="unsafe")  # truncation: pos >= 0
-            np.minimum(idx, self.nodes.size - 2, out=idx)
-            np.subtract(pos, idx, out=frac)
-        else:
-            np.subtract(np.searchsorted(self.nodes, q, side="right"), 1, out=idx)
-            np.clip(idx, 0, self.nodes.size - 2, out=idx)
-            np.subtract(q, self.nodes.take(idx, out=frac, mode="clip"), out=frac)
-            np.divide(frac, self.step.take(idx, out=q, mode="clip"), out=frac)
-        np.clip(frac, 0.0, 1.0, out=frac)
-        return idx, frac
+        q = np.clip(q, self.lo, self.hi)
+        idx = np.searchsorted(self.nodes, q, side="right")
+        np.clip(np.subtract(idx, 1, out=idx), 0, self.nodes.size - 2, out=idx)
+        frac = np.divide(np.subtract(q, self.nodes.take(idx), out=q), self.step.take(idx), out=q)
+        return idx, np.clip(frac, 0.0, 1.0, out=frac)
 
     def nearest(self, q: np.ndarray) -> np.ndarray:
         """Index of the node nearest each query; a query halfway between takes the lower.
@@ -315,48 +298,74 @@ def refine_grid(grid: StateGrid) -> StateGrid:
 class _Transport:
     """The transport step of one sweep: a slice read at the characteristic feet.
 
-    Built once per sweep, it owns scratch arrays of the grid's shape and
-    writes each candidate into a buffer the caller passes.  The feet are
-    interpolated linearly, (1 - w) a + w b, in y on the (ny,) line of
-    y-feet and then in x, where node i's foot is x_i + pay(y, z); the x
+    Built once per sweep, it owns two scratch slices and writes each
+    candidate into a buffer the caller passes.  The feet are interpolated
+    linearly, (1 - w) a + w b, in y on the (ny,) line of y-feet and then
+    in x, where node i's foot is x_i + gain(y) phi(z).  That foot depends
+    on y only through the gain, so the x-feet are located once for each
+    distinct value of ``gain`` and spread over y with one take; the x
     gather is one flat ``take`` of x-plane offsets.
+
+    Each slot (the sweep gives each control its own) keeps the feet it
+    located last, and a call whose ``foot_y``, ``gain`` and ``phi`` are
+    bitwise those of the slot's previous call reads them as they are.
+    Every index a take reads is in range; mode="clip" only lets take write
+    into its out unbuffered.
     """
 
     def __init__(self, grid: StateGrid):
         self.ax_y = _Axis(grid.y_nodes, "y")
         self.a, self.b = np.empty(grid.shape), np.empty(grid.shape)
+        self.kept = {}  # slot -> (inputs, 1 - wy, wy, iy, flat x offsets, wx)
         if grid.x_nodes is None:
             self.ax_x = None
             return
         self.ax_x = _Axis(grid.x_nodes, "x")
         self.x_col = grid.x_nodes[:, None, None]
-        self.foot, self.wx = np.empty(grid.shape), np.empty(grid.shape)
-        self.ix = np.empty(grid.shape, dtype=np.int64)
         _, ny, nz = grid.shape
         self.plane = ny * nz
         self.col = np.arange(self.plane).reshape(ny, nz)  # offset of (y, z) in an x plane
 
-    def __call__(self, cur: np.ndarray, foot_y: np.ndarray, pay: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
+    def _feet(self, slot: int, foot_y: np.ndarray, gain: np.ndarray, phi: np.ndarray) -> tuple:
+        """The slot's feet for these inputs, located again only when the inputs changed."""
+        inputs = foot_y.tobytes() + gain.tobytes() + phi.tobytes()
+        kept = self.kept.get(slot)
+        if kept is not None and kept[0] == inputs:
+            return kept
+        iy, wy = self.ax_y.locate(foot_y)
+        ix = wx = None
+        if self.ax_x is not None:
+            # the slot's full-size arrays are written over, or made on its first call
+            ix, wx = kept[4:] if kept is not None else (np.empty(self.a.shape, dtype=np.int64),
+                                                        np.empty(self.a.shape))
+            g, row = np.unique(gain, return_inverse=True)
+            ic, wc = self.ax_x.locate(self.x_col + g[:, None] * phi[None, :])
+            wc.take(row, axis=1, out=wx, mode="clip")
+            ic.take(row, axis=1, out=ix, mode="clip")
+            np.add(np.multiply(ix, self.plane, out=ix), self.col, out=ix)
+        kept = self.kept[slot] = (inputs, 1.0 - wy[:, None], wy[:, None], iy, ix, wx)
+        return kept
+
+    def __call__(self, cur: np.ndarray, foot_y: np.ndarray, gain: np.ndarray, phi: np.ndarray,
+                 out: np.ndarray, slot: int = 0) -> np.ndarray:
         """Write into ``out`` the slice ``cur`` read at the feet, and return it.
 
-        ``foot_y`` (ny,) holds the y-feet.  ``pay`` (ny, nz) is added to the
-        result on a (y, z) grid and is the x-foot offset on an (x, y, z) grid.
+        ``foot_y`` (ny,) holds the y-feet.  ``gain`` (ny,) times ``phi``
+        (nz,) is added to the result on a (y, z) grid and is the x-foot
+        offset on an (x, y, z) grid.
         """
-        # every index is in range; mode="clip" lets take write into out unbuffered
         a, b = self.a, self.b
-        iy, wy = self.ax_y.locate(foot_y)
-        wy = wy[:, None]
-        np.multiply(1.0 - wy, np.take(cur, iy, axis=-2, out=a, mode="clip"), out=a)
+        _, vy, wy, iy, ix, wx = self._feet(slot, foot_y, gain, phi)
+        np.multiply(vy, np.take(cur, iy, axis=-2, out=a, mode="clip"), out=a)
         np.multiply(wy, np.take(cur, iy + 1, axis=-2, out=b, mode="clip"), out=b)
         if self.ax_x is None:
-            return np.add(np.add(a, b, out=out), pay, out=out)
+            return np.add(np.add(a, b, out=out), gain[:, None] * phi[None, :], out=out)
         flat = np.add(a, b, out=a).reshape(-1)
-        ix, wx = self.ax_x.locate(np.add(self.x_col, pay, out=self.foot), out=(self.ix, self.wx))
-        np.add(np.multiply(ix, self.plane, out=ix), self.col, out=ix)
         flat.take(ix, out=b, mode="clip")
-        flat.take(np.add(ix, self.plane, out=ix), out=out, mode="clip")
-        np.multiply(np.subtract(1.0, wx, out=self.foot), b, out=b)
+        # the cell's upper x node is one plane on; the highest cell is nx - 2, so
+        # no offset leaves the view
+        flat[self.plane:].take(ix, out=out, mode="clip")
+        np.multiply(np.subtract(1.0, wx, out=a), b, out=b)  # flat is read no more
         return np.add(b, np.multiply(wx, out, out=out), out=out)
 
 
@@ -499,7 +508,8 @@ def _validate(params, spec, fam, grid, variant):
             RuntimeWarning,
             stacklevel=3,
         )
-    if dt > 0.5 * eps * eps:
+    # only the normalized weight ramps up near T; a budget contract has no ramp
+    if variant == "normalized" and dt > 0.5 * eps * eps:
         warnings.warn(
             f"time step {dt:.4g} does not resolve the eps^2 ramp near T",
             RuntimeWarning,
@@ -547,7 +557,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
         picks = []
-        for u, cand in zip(controls, cands):
+        for slot, (u, cand) in enumerate(zip(controls, cands)):
             # the cutoff and ramp factors integrate in closed form along the
             # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
             # are credited exactly rather than sampled at nodes
@@ -564,7 +574,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
                 gain = np.full(y.size, shift)
             else:
                 gain = fam.budget_cutoff_integral(foot_y) - fam.budget_cutoff_integral(y)
-            picks.append(transport(cur, foot_y, gain[:, None] * phi[None, :], out=cand))
+            picks.append(transport(cur, foot_y, gain, phi, out=cand, slot=slot))
         d1_wins = None
         if observe is not None:
             d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]

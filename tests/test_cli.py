@@ -295,12 +295,25 @@ _fuzz_payoffs = st.tuples(st.fixed_dictionaries({
     "weight_mode": st.sampled_from(WEIGHT_MODES),
 }), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted)).map(
     lambda pair: {**pair[0], "d0": pair[1][0], "d1": pair[1][1]})
+
+
+def _mostly(valid, wide):
+    """``valid`` about 9 draws in 10, so that most examples reach a pricing route; else ``wide``."""
+    return st.integers(0, 9).flatmap(lambda k: wide if k == 0 else valid)
+
+
+def _grid_counts(nx, ny, nz, n_steps):
+    return st.fixed_dictionaries({"nx": st.integers(*nx), "ny": st.integers(*ny),
+                                  "nz": st.integers(*nz), "n_steps": st.integers(*n_steps)})
+
+
 _fuzz_configs = st.fixed_dictionaries({
-    "market": st.fixed_dictionaries({"s0": st.floats(1e-3, 1e4), "r": st.floats(-0.05, 0.2),
+    "market": st.fixed_dictionaries({"s0": st.floats(1e-3, 1e4),
+                                     "r": _mostly(st.floats(0.0, 0.2), st.floats(-0.05, 0.2)),
                                      "sigma": st.floats(1e-3, 1.5), "t_horizon": st.floats(0.05, 5.0)}),
     "payoff": _fuzz_payoffs,
-    "grid": st.fixed_dictionaries({"nx": st.integers(0, 9), "ny": st.integers(0, 9),
-                                   "nz": st.integers(0, 9), "n_steps": st.integers(0, 10)}),
+    "grid": _mostly(_grid_counts((3, 9), (5, 9), (2, 9), (1, 10)),
+                    _grid_counts((0, 9), (0, 9), (0, 9), (0, 10))),
     "epsilons": st.lists(st.floats(0.01, 0.5), min_size=1, max_size=2),
     "mc": st.fixed_dictionaries({
         "n_paths": st.integers(0, 400), "n_steps": st.integers(0, 10), "seed": st.integers(0, 2**31),

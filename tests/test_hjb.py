@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from controlled_options import (
@@ -143,18 +143,13 @@ def test_default_grid_lays_the_asked_y_count(normalized, ny, eps):
 
 
 # The transport step as first written, before the buffered kernel: fresh
-# arrays throughout, each cell's width by subtraction, and the x gather by
-# take_along_axis.  The kernel must reproduce it bit for bit.
+# arrays throughout, each cell's width by subtraction, the x gather by
+# take_along_axis, and every foot located again at every call.  The kernel
+# must reproduce it bit for bit.
 def _oracle_locate(nodes, q):
-    d = np.diff(nodes)
     q = np.clip(q, nodes[0], nodes[-1])
-    if np.allclose(d, d[0], rtol=1e-9):
-        pos = (q - nodes[0]) * (1.0 / d[0])
-        idx = np.minimum(pos.astype(np.int64), nodes.size - 2)
-        frac = pos - idx
-    else:
-        idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
-        frac = (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
+    frac = (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, np.clip(frac, 0.0, 1.0)
 
 
@@ -167,6 +162,17 @@ def _oracle_transport(values, grid, foot_y, pay):
     ix, wx = _oracle_locate(grid.x_nodes, grid.x_nodes[:, None, None] + pay)
     return ((1.0 - wx) * np.take_along_axis(cand, ix, axis=0)
             + wx * np.take_along_axis(cand, ix + 1, axis=0))
+
+
+class _OracleTransport:
+    """``_Transport``'s interface over ``_oracle_transport``: nothing is kept between calls."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def __call__(self, cur, foot_y, gain, phi, out, slot=0):
+        out[...] = _oracle_transport(cur, self.grid, foot_y, gain[:, None] * phi[None, :])
+        return out
 
 
 @st.composite
@@ -205,18 +211,24 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
         grid = replace(grid, z_nodes=np.linspace(0.0, 1.0, feet_x.size))
     feet_y = _feet(grid.y_nodes)
     ny = grid.y_nodes.size
-    # x node 0 is 0, so its feet are the x-shifts themselves: every entry of feet_x
-    pay = np.broadcast_to(feet_x, (ny, feet_x.size))
     rng = np.random.default_rng(seed)
+    # gain rows that repeat, one of 0 and distinct ones; x node 0 is 0, so
+    # where the gain is 1 the feet are the x-shifts themselves: every entry
+    # of feet_x
+    gain = np.resize(np.concatenate([[0.0, 1.0, 1.0], rng.uniform(0.0, 2.0, ny)]), ny)
+    rng.shuffle(gain)
     for g in (grid, replace(grid, x_nodes=None)):
-        values = rng.standard_normal(g.shape)
         kernel = _Transport(g)
         out = np.empty(g.shape)
+        # each start is a changed shift; at each, the same inputs twice (the
+        # second call reads the kept feet), then a changed phi
         for start in range(0, feet_y.size, ny):
             foot_y = np.resize(feet_y[start:], ny)
-            want = _oracle_transport(values, g, foot_y, pay)
-            assert kernel(values, foot_y, pay, out=out) is out
-            assert np.array_equal(out, want)
+            for phi in (feet_x, feet_x.copy(), feet_x[::-1].copy()):
+                values = rng.standard_normal(g.shape)
+                want = _oracle_transport(values, g, foot_y, gain[:, None] * phi[None, :])
+                assert kernel(values, foot_y, gain, phi, out=out) is out
+                assert np.array_equal(out, want)
 
 
 @st.composite
@@ -229,22 +241,20 @@ def _desk_y_axes(draw):
 
 # A control whose y-shift is exactly 0 reads the slice at its own nodes, and
 # the sweep takes the slice itself as its candidate.  That is bit-identical
-# to the transport where the locate places node i at (i, 0.0): on every
-# axis it searches, which is every y axis default_grid lays and its x axis
-# with a knee or in log spacing.
+# to the transport because the locate places node i at (i, 0.0) on every
+# axis, uniform or not.
 @settings(max_examples=60, deadline=None)
-@given(x=_transport_axes(kinds=("knee", "geometric")),
-       y=st.one_of(_transport_axes(kinds=("knee", "geometric")), _desk_y_axes()),
+@given(x=_transport_axes(), y=st.one_of(_transport_axes(), _desk_y_axes()),
        halve=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_transport_without_shift_returns_the_slice(x, y, halve, seed):
     grid = StateGrid(x_nodes=x, y_nodes=y, z_nodes=np.linspace(0.0, 1.0, 7), n_steps=1)
     if halve:
         grid = refine_grid(grid)
-    assume(not _Axis(grid.x_nodes, "x").uniform and not _Axis(grid.y_nodes, "y").uniform)
     rng = np.random.default_rng(seed)
+    gain, phi = np.zeros(grid.y_nodes.size), rng.standard_normal(grid.z_nodes.size)
     for g in (grid, replace(grid, x_nodes=None)):
         values = rng.standard_normal(g.shape)
-        out = _Transport(g)(values, g.y_nodes.copy(), np.zeros(g.shape[-2:]), out=np.empty(g.shape))
+        out = _Transport(g)(values, g.y_nodes.copy(), gain, phi, out=np.empty(g.shape))
         assert out.tobytes() == values.tobytes()
 
 
@@ -286,6 +296,16 @@ def test_coarse_grid_warns_about_cutoff_resolution():
                        z_nodes=np.linspace(z0 - 1, z0 + 1, 31), n_steps=40)
     with pytest.warns(RuntimeWarning):
         solve_linear_reduced(PARAMS, spec, fam, coarse)
+
+
+def test_ramp_advisory_only_for_the_normalized_weight():
+    # a budget contract has no terminal ramp, so its time step resolves none
+    for g in ({}, {"g_kind": "cap", "g_cap": 8.0}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solve(PARAMS, _spec(**g), 0.05, None)
+    with pytest.warns(RuntimeWarning, match="eps\\^2 ramp near T"):
+        solve(PARAMS, _spec(weight_mode="normalized"), 0.05, PIN_DIMS)
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +634,11 @@ def test_epsilon_domination():
 # its controls move the state and both take the transport.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
-    "linear_reduced": ({}, "0x1.958612693ccb6p+2", 1064, "0x1.b26e95f816c30p+2"),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78af0p+1", 14627, "0x1.f11d6ba8c5d96p+1"),
+    "linear_reduced": ({}, "0x1.958612693cc6dp+2", 1064, "0x1.b26e95f816c30p+2"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78ab1p+1", 14627, "0x1.f11d6ba8c5d96p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.803893f669b36p+1", 16000, "0x1.f51dbe5785ec2p+1"),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a14bp+4", 7321, "0x1.f4e551c827e0bp+2"),
+                   "0x1.803893f669af6p+1", 16000, "0x1.f51dbe5785ec2p+1"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a0fbp+4", 7321, "0x1.f4e551c827e0bp+2"),
 }
 
 
@@ -650,6 +670,31 @@ def test_observed_arrays_are_not_reused(variant):
     _quiet_solve(solve, PARAMS, _spec(**PINS[variant][0]), 0.1, PIN_DIMS, observe=keep)
     assert len(kept) == 2 * PIN_DIMS["n_steps"] + 1
     assert all(np.array_equal(a, seen) for a, seen in kept)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+@pytest.mark.parametrize("variant", sorted(PINS))
+def test_sweep_with_kept_feet_matches_oracle_transport(variant, r, monkeypatch):
+    # at r = 0 every step after the first reads the feet its control kept;
+    # at r = 0.05 the compounded payment rate changes phi at every step, so
+    # every step locates them again
+    params = replace(PARAMS, r=r)
+    spec = _spec(**PINS[variant][0])
+    dims = {"nx": 9, "ny": 9, "nz": 11, "n_steps": 12}
+
+    def seen():
+        kept = []
+        _quiet_solve(solve, params, spec, 0.1, dims,
+                     observe=lambda n, slice_n, d1_wins: kept.append((slice_n, d1_wins)))
+        return kept
+
+    got = seen()
+    monkeypatch.setattr("controlled_options.hjb._Transport", _OracleTransport)
+    want = seen()
+    assert len(got) == len(want) == dims["n_steps"] + 1
+    for (slice_g, wins_g), (slice_w, wins_w) in zip(got, want):
+        assert slice_g.tobytes() == slice_w.tobytes()
+        assert (wins_g is None and wins_w is None) or np.array_equal(wins_g, wins_w)
 
 
 @settings(max_examples=10, deadline=None)
