@@ -15,7 +15,14 @@ exact finish impossible are counted in ``meta["forced_ramp_warnings"]``.
 Antithetic variates are on by default; estimates and standard errors are
 computed on pair averages.  Paths stream through fixed-size blocks with
 per-block substreams (see ``market``), and block partials reduce in
-index order, so results do not depend on how work is chunked.  The
+index order.  Each block is walked in chunks of ``CHUNK_ROWS`` rows: a
+chunk draws its normals in turn from the block's generator, takes the
+growth factors exp(drift + vol * (sign * z)) of all its steps at once
+into a step-major buffer, so step i multiplies the spots by one
+contiguous row, and writes its terminal payoffs into the block's arrays.
+The block's sums then run over the same arrays in the same order, so the
+chunking changes no result, and the loop holds two chunk-sized buffers
+rather than a block of normals.  The
 second moment is summed about the first block's mean and divided by its
 largest payoff, so the standard error scales with the price instead of
 overflowing or underflowing at extreme spot levels.
@@ -32,11 +39,12 @@ import numpy as np
 from .closed_form import switch_time
 from .errors import ParameterError
 from .hjb import Policy
-from .market import MarketParams, _block_normals
+from .market import MarketParams, _block_stream
 from .payoffs import DEGENERATE_WEIGHT, PayoffSpec, eval_f, eval_g, validate_spec
 from .results import PriceEstimate
 
 PAIR_BLOCK = 1 << 16
+CHUNK_ROWS = 1 << 13  # rows of a block walked at once: 16 MB of normals at 250 steps
 _FORCE_TOL = 1e-12
 
 
@@ -84,35 +92,48 @@ def evaluate_policy(
     warnings_count = 0
     disc = math.exp(-params.r * T)
 
+    # one chunk's normals, and the growth factors of one leg, step-major
+    chunk = min(CHUNK_ROWS, n_rows_total)
+    z_flat = np.empty(chunk * n_steps)
+    growth_flat = np.empty(chunk * n_steps)
     n_blocks = (n_rows_total + PAIR_BLOCK - 1) // PAIR_BLOCK
     for b in range(n_blocks):
         rows = min(PAIR_BLOCK, n_rows_total - b * PAIR_BLOCK)
-        z = _block_normals(seed, b, (rows, n_steps))
-        payoffs = []
-        for sign in signs:
-            s = np.full(rows, params.s0)
-            x = np.zeros(rows)
-            y = np.zeros(rows)
-            for i in range(n_steps):
-                t = i * dt
-                u = np.broadcast_to(
-                    np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape
-                )
+        stream = _block_stream(seed, b)
+        payoffs = [np.empty(rows) for _ in signs]
+        for lo in range(0, rows, CHUNK_ROWS):
+            n = min(CHUNK_ROWS, rows - lo)
+            z = stream.standard_normal(out=z_flat[: n * n_steps].reshape(n, n_steps))
+            growth = growth_flat[: n * n_steps].reshape(n_steps, n)
+            for leg, sign in enumerate(signs):
+                # exp(drift + vol * (sign * z)) for every step at once: sign = +-1
+                # scales exactly, so each factor is bit for bit the one-step formula
+                np.multiply(z.T, sign * vol, out=growth)
+                np.add(growth, drift, out=growth)
+                np.exp(growth, out=growth)
+                s = np.full(n, params.s0)
+                x = np.zeros(n)
+                y = np.zeros(n)
+                for i in range(n_steps):
+                    t = i * dt
+                    u = np.broadcast_to(
+                        np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape
+                    )
+                    if budget_mode:
+                        u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
+                        warnings_count += bad
+                    else:
+                        u = np.clip(u, d0, d1)
+                    f_now = eval_f(spec, params, s, t)
+                    x = x + u * f_now * dt
+                    y = y + u * dt
+                    s = s * growth[i]
                 if budget_mode:
-                    u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
-                    warnings_count += bad
+                    payoffs[leg][lo : lo + n] = eval_g(spec, x)
                 else:
-                    u = np.clip(u, d0, d1)
-                f_now = eval_f(spec, params, s, t)
-                x = x + u * f_now * dt
-                y = y + u * dt
-                s = s * np.exp(drift + vol * (sign * z[:, i]))
-            if budget_mode:
-                payoffs.append(eval_g(spec, x))
-            else:
-                terminal = eval_f(spec, params, s, T)
-                ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)
-                payoffs.append(eval_g(spec, ratio))
+                    terminal = eval_f(spec, params, s, T)
+                    ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)
+                    payoffs[leg][lo : lo + n] = eval_g(spec, ratio)
         w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
         if b == 0:  # the moments are taken about the first block's mean, in its units
             shift = float(np.mean(w))

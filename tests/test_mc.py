@@ -15,7 +15,8 @@ from controlled_options import (
     tail_strategy_price,
 )
 from controlled_options.market import _block_normals
-from controlled_options.mc import PAIR_BLOCK
+from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _project_budget
+from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 
@@ -39,6 +40,24 @@ def test_martingale_identity_for_three_policies():
         est = evaluate_policy(pols[name], spec, PARAMS, n_paths=60_000, n_steps=200, seed=31)
         assert abs(est.value - 100.0) <= 3.0 * est.stderr, (name, est.value, est.stderr)
         assert est.meta["forced_ramp_warnings"] == 0
+
+
+# drawn so that the tail window T - 1/d1 and the unit budget fall on whole
+# steps: with n_tail steps after the switch, T = 0.5 * n_steps / n_tail
+@settings(max_examples=10, deadline=None)
+@given(s0=st.floats(1e-2, 1e4), r=st.floats(0.0, 0.2), n_tail=st.integers(10, 40),
+       vol_reach=st.floats(0.05, 1.0))
+def test_martingale_identity_for_a_drawn_market(s0, r, n_tail, vol_reach):
+    # sigma sqrt(T) = vol_reach <= 1 keeps the sample stderr itself reliable
+    n_steps = 40
+    t_horizon = 0.5 * n_steps / n_tail
+    params = MarketParams(s0=s0, r=r, sigma=vol_reach / math.sqrt(t_horizon), t_horizon=t_horizon)
+    spec = _spec(payment_timing="terminal_compounded")
+    pols = _policies_by_name(spec, params)
+    for name in ("uniform", "tail", "threshold[+0.0]"):
+        est = evaluate_policy(pols[name], spec, params, n_paths=8_000, n_steps=n_steps, seed=31)
+        assert abs(est.value - s0) <= 5.0 * est.stderr, (name, est.value, est.stderr)
+        assert est.meta["forced_ramp_warnings"] == 0, name
 
 
 def test_seed_determinism():
@@ -208,3 +227,85 @@ def test_estimates_carry_positive_stderr_and_meta():
     assert est.method == "monte_carlo"
     assert est.meta["n_paths"] == 10_000
     assert est.meta["seed"] == 1
+
+
+def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
+    """(value, stderr, forced_ramp_warnings) from one draw per block and z[:, i] per step."""
+    T = params.t_horizon
+    dt = T / n_steps
+    drift = (params.r - 0.5 * params.sigma**2) * dt
+    vol = params.sigma * math.sqrt(dt)
+    budget_mode = spec.weight_mode == "adapted_fixed_cumulative"
+    d0, d1 = spec.bounds.d0, spec.bounds.d1
+    signs = (1.0, -1.0) if antithetic else (1.0,)
+    n_rows = (n_paths + 1) // 2 if antithetic else n_paths
+    disc = math.exp(-params.r * T)
+    sum_w = sum_d = sum_d2 = 0.0
+    warnings_count = 0
+    for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
+        rows = min(PAIR_BLOCK, n_rows - start)
+        z = _block_normals(seed, b, (rows, n_steps))
+        payoffs = []
+        for sign in signs:
+            s = np.full(rows, params.s0)
+            x = np.zeros(rows)
+            y = np.zeros(rows)
+            for i in range(n_steps):
+                t = i * dt
+                u = np.broadcast_to(np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape)
+                if budget_mode:
+                    u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
+                    warnings_count += bad
+                else:
+                    u = np.clip(u, d0, d1)
+                x = x + u * eval_f(spec, params, s, t) * dt
+                y = y + u * dt
+                s = s * np.exp(drift + vol * (sign * z[:, i]))
+            if budget_mode:
+                payoffs.append(eval_g(spec, x))
+            else:
+                terminal = eval_f(spec, params, s, T)
+                payoffs.append(eval_g(spec, np.where(
+                    y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)))
+        w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
+        if b == 0:
+            shift = float(np.mean(w))
+            scale = float(np.max(np.abs(w))) or 1.0
+        d = (w - shift) / scale
+        sum_w += float(np.sum(w))
+        sum_d += float(np.sum(d))
+        sum_d2 += float(np.sum(d * d))
+    mean = sum_w / n_rows
+    var = max(sum_d2 - sum_d * sum_d / n_rows, 0.0) / (n_rows - 1) if n_rows > 1 else 0.0
+    stderr = max(scale * math.sqrt(var / n_rows), 1e-16 * abs(mean), math.ulp(0.0))
+    return mean, stderr, warnings_count
+
+
+C = CHUNK_ROWS
+CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C + 3, PAIR_BLOCK + C + 1]
+CHUNK_EDGE_CONTRACTS = {
+    # d0 > 0: paths that spend their budget early are projected below d0
+    "budget": _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(0.25, 2.0)),
+    # d0 = 0: paths never above the cutoff keep y = 0 and take the terminal branch
+    "normalized": _spec(weight_mode="normalized", f_kind="call", f_strike=100.0),
+}
+
+
+@pytest.mark.parametrize("contract", sorted(CHUNK_EDGE_CONTRACTS))
+@pytest.mark.parametrize("rows,antithetic", [
+    (rows, antithetic) for rows in CHUNK_EDGE_ROWS for antithetic in (True, False)
+    if rows > 1 or antithetic  # one plain row is one path, which is refused
+])
+def test_row_chunks_match_full_block_loop(rows, antithetic, contract):
+    # walking a block in row chunks changes no bit of any result
+    params = MarketParams(s0=100.0, r=0.03, sigma=0.25, t_horizon=1.0)
+    spec = CHUNK_EDGE_CONTRACTS[contract]
+    pol = _policies_by_name(spec, params)["threshold[+0.0]"]
+    n_paths = 2 * rows if antithetic else rows
+    est = evaluate_policy(pol, spec, params, n_paths, 6, seed=41, antithetic=antithetic)
+    value, stderr, warnings_count = _full_block_loop(pol, spec, params, n_paths, 6, 41, antithetic)
+    assert est.value == value
+    assert est.stderr == stderr
+    assert est.meta["forced_ramp_warnings"] == warnings_count
+    if contract == "budget" and rows >= C:
+        assert warnings_count > 0  # the projection is exercised
