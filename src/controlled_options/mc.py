@@ -8,21 +8,34 @@ by construction.
 
 In the budget mode the engine projects the policy onto the feasible set:
 u is clipped to [d0, d1], forced to d1 once the remaining budget can
-only just be spent at full rate, capped so the budget never overshoots,
+only just be spent at full rate, raised so that what d1 cannot spend
+after the step is paid within it, capped so the budget never overshoots,
 and adjusted exactly on the final step.  Paths where the bounds make the
 exact finish impossible are counted in ``meta["forced_ramp_warnings"]``.
 
 Antithetic variates are on by default; estimates and standard errors are
 computed on pair averages.  Paths stream through fixed-size blocks with
 per-block substreams (see ``market``), and block partials reduce in
-index order.  Each block is walked in chunks of ``CHUNK_ROWS`` rows: a
-chunk draws its normals in turn from the block's generator, takes the
-growth factors exp(drift + vol * (sign * z)) of all its steps at once
-into a step-major buffer, so step i multiplies the spots by one
-contiguous row, and writes its terminal payoffs into the block's arrays.
-The block's sums then run over the same arrays in the same order, so the
-chunking changes no result, and the loop holds two chunk-sized buffers
-rather than a block of normals.  The
+index order.  Each block is walked in chunks of ``CHUNK_ROWS`` rows, and
+each chunk runs in two parts.  *Prepare* draws the chunk's normals in
+turn from the block's generator, ``DRAW_ROWS`` rows at a time into a
+small staging buffer, and writes the growth factors
+exp(drift + vol * (sign * z)) of all its steps and of both antithetic
+legs into a step-major slot: leg + in columns [0, n), leg - in [n, 2n).
+*Walk* is the step loop; it advances both legs at once on 2n rows, so
+step i multiplies the spots by one contiguous row of the slot and the
+policy sees one call per step, and it writes the terminal payoffs,
+split back by leg, into the block's arrays.  One worker thread prepares
+chunk k + 1 into the other slot while the main thread walks chunk k:
+the draws and the exp are numpy calls that release the interpreter lock,
+and the policy, ``eval_f`` and ``eval_g`` run on the main thread only.
+The worker prepares the chunks in stream order, every value is the same
+elementwise arithmetic on the same normals, and the block's sums run
+over the same arrays in the same order, so neither the chunking nor the
+thread changes a result.  Memory stays flat in the number of paths: two
+slots of 2 * ``CHUNK_ROWS`` rows and the staging buffer, about what one
+chunk of normals and one of growth factors took when the legs were
+walked in turn, rather than a block of normals.  The
 second moment is summed about the first block's mean and divided by its
 largest payoff, so the standard error scales with the price instead of
 overflowing or underflowing at extreme spot levels.
@@ -33,6 +46,7 @@ The built-in ``tail`` policy is the deferral strategy that
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,7 +58,8 @@ from .payoffs import DEGENERATE_WEIGHT, PayoffSpec, eval_f, eval_g, validate_spe
 from .results import PriceEstimate
 
 PAIR_BLOCK = 1 << 16
-CHUNK_ROWS = 1 << 13  # rows of a block walked at once: 16 MB of normals at 250 steps
+CHUNK_ROWS = 1 << 12  # rows of a block walked at once: 16 MB of growth factors per slot at 250 steps
+DRAW_ROWS = 1 << 9  # rows of normals drawn at once: 1 MB of staging at 250 steps
 _FORCE_TOL = 1e-12
 
 
@@ -57,6 +72,13 @@ def _project_budget(u, y, t, dt, i, n_steps, d0, d1, t_horizon):
     if i == n_steps - 1:
         u = need / dt
     else:
+        # pay now what d1 cannot spend after this step, so a path behind the
+        # schedule (the tail's switch between two steps) still finishes;
+        # forced paths already pay d1
+        behind = need - d1 * (t_horizon - t - dt)
+        late = (behind > _FORCE_TOL) & ~force
+        if late.any():
+            u = np.where(late, np.maximum(u, behind / dt), u)
         u = np.minimum(u, need / dt)
     bad = int(np.count_nonzero((u > d1 + _FORCE_TOL) | (u < d0 - _FORCE_TOL)))
     return np.clip(u, max(d0, 0.0), d1), bad
@@ -85,6 +107,7 @@ def evaluate_policy(
     budget_mode = spec.weight_mode == "adapted_fixed_cumulative"
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     signs = (1.0, -1.0) if antithetic else (1.0,)
+    legs = len(signs)
     n_rows_total = (n_paths + 1) // 2 if antithetic else n_paths
 
     sum_w = sum_d = sum_d2 = 0.0
@@ -92,57 +115,75 @@ def evaluate_policy(
     warnings_count = 0
     disc = math.exp(-params.r * T)
 
-    # one chunk's normals, and the growth factors of one leg, step-major
-    chunk = min(CHUNK_ROWS, n_rows_total)
-    z_flat = np.empty(chunk * n_steps)
-    growth_flat = np.empty(chunk * n_steps)
-    n_blocks = (n_rows_total + PAIR_BLOCK - 1) // PAIR_BLOCK
-    for b in range(n_blocks):
-        rows = min(PAIR_BLOCK, n_rows_total - b * PAIR_BLOCK)
+    # every chunk in stream order: (its block's generator, first row, rows,
+    # the block's rows)
+    plan = []
+    for b in range((n_rows_total + PAIR_BLOCK - 1) // PAIR_BLOCK):
         stream = _block_stream(seed, b)
-        payoffs = [np.empty(rows) for _ in signs]
-        for lo in range(0, rows, CHUNK_ROWS):
-            n = min(CHUNK_ROWS, rows - lo)
-            z = stream.standard_normal(out=z_flat[: n * n_steps].reshape(n, n_steps))
-            growth = growth_flat[: n * n_steps].reshape(n_steps, n)
+        rows = min(PAIR_BLOCK, n_rows_total - b * PAIR_BLOCK)
+        plan += [(stream, lo, min(CHUNK_ROWS, rows - lo), rows)
+                 for lo in range(0, rows, CHUNK_ROWS)]
+    chunk = min(CHUNK_ROWS, n_rows_total)
+    staging = np.empty(min(DRAW_ROWS, chunk) * n_steps)
+    slots = [np.empty(n_steps * legs * chunk) for _ in range(2)]
+
+    def prepare(k):
+        """Growth factors of chunk k's two legs, step-major, into slot k % 2."""
+        stream, _, n, _ = plan[k]
+        growth = slots[k % 2][: n_steps * legs * n].reshape(n_steps, legs * n)
+        for r in range(0, n, DRAW_ROWS):
+            m = min(DRAW_ROWS, n - r)
+            z = stream.standard_normal(out=staging[: m * n_steps].reshape(m, n_steps))
             for leg, sign in enumerate(signs):
-                # exp(drift + vol * (sign * z)) for every step at once: sign = +-1
-                # scales exactly, so each factor is bit for bit the one-step formula
-                np.multiply(z.T, sign * vol, out=growth)
-                np.add(growth, drift, out=growth)
-                np.exp(growth, out=growth)
-                s = np.full(n, params.s0)
-                x = np.zeros(n)
-                y = np.zeros(n)
-                for i in range(n_steps):
-                    t = i * dt
-                    u = np.broadcast_to(
-                        np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape
-                    )
-                    if budget_mode:
-                        u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
-                        warnings_count += bad
-                    else:
-                        u = np.clip(u, d0, d1)
-                    f_now = eval_f(spec, params, s, t)
-                    x = x + u * f_now * dt
-                    y = y + u * dt
-                    s = s * growth[i]
+                # sign = +-1 scales exactly, so each factor is bit for bit
+                # the one-step exp(drift + vol * (sign * z))
+                np.multiply(z.T, sign * vol, out=growth[:, leg * n + r : leg * n + r + m])
+        np.add(growth, drift, out=growth)
+        return np.exp(growth, out=growth)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(prepare, 0)
+        for k, (_, lo, n, rows) in enumerate(plan):
+            growth = pending.result()
+            if k + 1 < len(plan):  # its slot held chunk k - 1, which is walked
+                pending = worker.submit(prepare, k + 1)
+            if lo == 0:
+                payoffs = np.empty((legs, rows))
+            s = np.full(legs * n, params.s0)
+            x = np.zeros(legs * n)
+            y = np.zeros(legs * n)
+            for i in range(n_steps):
+                t = i * dt
+                u = np.broadcast_to(
+                    np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape
+                )
                 if budget_mode:
-                    payoffs[leg][lo : lo + n] = eval_g(spec, x)
+                    u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
+                    warnings_count += bad
                 else:
-                    terminal = eval_f(spec, params, s, T)
-                    ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)
-                    payoffs[leg][lo : lo + n] = eval_g(spec, ratio)
-        w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
-        if b == 0:  # the moments are taken about the first block's mean, in its units
-            shift = float(np.mean(w))
-            scale = float(np.max(np.abs(w))) or 1.0
-        d = (w - shift) / scale
-        sum_w += float(np.sum(w))
-        sum_d += float(np.sum(d))
-        sum_d2 += float(np.sum(d * d))
-        n_obs += rows
+                    u = np.clip(u, d0, d1)
+                f_now = eval_f(spec, params, s, t)
+                x = x + u * f_now * dt
+                y = y + u * dt
+                s = s * growth[i]
+            if budget_mode:
+                ends = eval_g(spec, x)
+            else:
+                terminal = eval_f(spec, params, s, T)
+                ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)
+                ends = eval_g(spec, ratio)
+            payoffs[:, lo : lo + n] = ends.reshape(legs, n)
+            if lo + n < rows:
+                continue
+            w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
+            if n_obs == 0:  # the moments are taken about the first block's mean, in its units
+                shift = float(np.mean(w))
+                scale = float(np.max(np.abs(w))) or 1.0
+            d = (w - shift) / scale
+            sum_w += float(np.sum(w))
+            sum_d += float(np.sum(d))
+            sum_d2 += float(np.sum(d * d))
+            n_obs += rows
 
     mean = sum_w / n_obs
     if n_obs > 1:
@@ -158,7 +199,7 @@ def evaluate_policy(
         method="monte_carlo",
         meta={
             "policy": policy.name,
-            "n_paths": n_obs * len(signs),
+            "n_paths": n_obs * legs,
             "n_steps": n_steps,
             "seed": seed,
             "antithetic": antithetic,

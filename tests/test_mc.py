@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from controlled_options import (
     MarketParams,
     PayoffSpec,
     Policy,
+    StateGrid,
     builtin_policies,
     evaluate_policy,
     tail_strategy_price,
 )
-from controlled_options.market import _block_normals
+from controlled_options import mc
+from controlled_options.market import _block_normals, _block_stream
 from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _project_budget
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
@@ -211,6 +215,35 @@ def test_budget_projection_forces_exact_budget():
     assert np.allclose(y, 1.0, atol=1e-9)
 
 
+def test_tail_switch_between_steps_still_spends_the_budget():
+    # AC-2 on 7 steps: T - 1/d1 = 1/2 falls between 3/7 and 4/7; paying 0 at
+    # 3/7 and d1 from 4/7 on would end every path at y = 6/7 with a warning
+    spec = _spec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded")
+    tail = _policies_by_name(spec, PARAMS)["tail"]
+    est = evaluate_policy(tail, spec, PARAMS, n_paths=2_000, n_steps=7, seed=5)
+    assert est.meta["forced_ramp_warnings"] == 0
+    # the projection pays the shortfall 1 - d1 * 3/7 in the step before the switch
+    schedule = Policy(source="analytic", d0=0.0, d1=2.0, name="schedule", t_horizon=1.0,
+                      fn=lambda t, x, y, s: np.full(np.shape(s), [0, 0, 0, 1, 2, 2, 2][round(7 * t)]))
+    direct = evaluate_policy(schedule, spec, PARAMS, n_paths=2_000, n_steps=7, seed=5)
+    assert direct.meta["forced_ramp_warnings"] == 0
+    assert est.value == pytest.approx(direct.value, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.integers(2, 40), budget_reach=st.floats(1.0, 10.0, exclude_min=True),
+       t_horizon=st.floats(0.25, 4.0))
+def test_tail_spends_the_budget_on_any_step_grid(n_steps, budget_reach, t_horizon):
+    # on a spot that barely moves f = S = 1 throughout, so the price is the
+    # spent budget y(T); the tail's u depends on t alone, so every path has it
+    params = MarketParams(s0=1.0, r=0.0, sigma=1e-12, t_horizon=t_horizon)
+    spec = _spec(f_kind="identity", bounds=ControlBounds(0.0, budget_reach / t_horizon))
+    tail = _policies_by_name(spec, params)["tail"]
+    est = evaluate_policy(tail, spec, params, n_paths=4, n_steps=n_steps, seed=3)
+    assert est.meta["forced_ramp_warnings"] == 0
+    assert abs(est.value - 1.0) <= 1e-9
+
+
 def test_antithetic_reduces_stderr_for_monotone_payoff():
     spec = _spec(f_kind="call", f_strike=100.0)
     pol = _policies_by_name(spec, PARAMS)["uniform"]
@@ -282,7 +315,11 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
 
 
 C = CHUNK_ROWS
-CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C + 3, PAIR_BLOCK + C + 1]
+# the legs of a chunk share a slot and consecutive chunks alternate between
+# two: rows around C, 2 C and a block edge end a chunk early, fill both
+# slots, reuse the first, and cross into the next block's generator
+CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 2 * C + 3, 4 * C + 3,
+                   PAIR_BLOCK + C + 1, PAIR_BLOCK + 2 * C + 1]
 CHUNK_EDGE_CONTRACTS = {
     # d0 > 0: paths that spend their budget early are projected below d0
     "budget": _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(0.25, 2.0)),
@@ -291,21 +328,99 @@ CHUNK_EDGE_CONTRACTS = {
 }
 
 
-@pytest.mark.parametrize("contract", sorted(CHUNK_EDGE_CONTRACTS))
+def _random_table_policy(spec, params):
+    """A grid_table policy on a tiny (x, y, z) grid with a seeded random table:
+    each stacked row takes its own nearest node, whatever its leg."""
+    grid = StateGrid(x_nodes=np.linspace(0.0, 40.0, 6), y_nodes=np.array([0.0, 0.1, 0.3, 0.6, 1.0]),
+                     z_nodes=np.linspace(math.log(60.0), math.log(160.0), 9), n_steps=4)
+    table = np.random.default_rng(5).random((grid.n_steps,) + grid.shape) < 0.5
+    return Policy(source="grid_table", d0=spec.bounds.d0, d1=spec.bounds.d1, name="table",
+                  table=table, grid=grid, t_horizon=params.t_horizon)
+
+
+def _threshold_policy(spec, params):
+    return _policies_by_name(spec, params)["threshold[+0.0]"]
+
+
+CHUNK_EDGE_CASES = {name + suffix: (spec, make_policy)
+                    for name, spec in CHUNK_EDGE_CONTRACTS.items()
+                    for suffix, make_policy in (("", _threshold_policy), ("_table", _random_table_policy))}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_EDGE_CASES))
 @pytest.mark.parametrize("rows,antithetic", [
     (rows, antithetic) for rows in CHUNK_EDGE_ROWS for antithetic in (True, False)
     if rows > 1 or antithetic  # one plain row is one path, which is refused
 ])
-def test_row_chunks_match_full_block_loop(rows, antithetic, contract):
-    # walking a block in row chunks changes no bit of any result
+def test_row_chunks_match_full_block_loop(rows, antithetic, case):
+    # walking a block in row chunks, both legs at once, changes no bit of any result
     params = MarketParams(s0=100.0, r=0.03, sigma=0.25, t_horizon=1.0)
-    spec = CHUNK_EDGE_CONTRACTS[contract]
-    pol = _policies_by_name(spec, params)["threshold[+0.0]"]
+    spec, make_policy = CHUNK_EDGE_CASES[case]
+    pol = make_policy(spec, params)
     n_paths = 2 * rows if antithetic else rows
     est = evaluate_policy(pol, spec, params, n_paths, 6, seed=41, antithetic=antithetic)
     value, stderr, warnings_count = _full_block_loop(pol, spec, params, n_paths, 6, 41, antithetic)
     assert est.value == value
     assert est.stderr == stderr
     assert est.meta["forced_ramp_warnings"] == warnings_count
-    if contract == "budget" and rows >= C:
+    if case == "budget" and rows >= C:
         assert warnings_count > 0  # the projection is exercised
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_worker_thread_leaves_no_thread_and_passes_errors_through(monkeypatch):
+    spec = CHUNK_EDGE_CONTRACTS["budget"]
+    params = MarketParams(s0=100.0, r=0.03, sigma=0.25, t_horizon=1.0)
+    pol = _policies_by_name(spec, params)["threshold[+0.0]"]
+    n_paths = 2 * (3 * C + 5)  # four chunks: the worker is a chunk ahead at every step
+    before = threading.enumerate()
+
+    # a normal call, with the interpreter switching threads as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = evaluate_policy(pol, spec, params, n_paths, 16, seed=41)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (est.value, est.stderr, est.meta["forced_ramp_warnings"]) == _full_block_loop(
+        pol, spec, params, n_paths, 16, 41, True)
+    assert threading.enumerate() == before
+
+    # the policy raises on its 40th call, in the third chunk's walk
+    boom = _Boom("policy")
+    calls = []
+
+    def flaky(t, x, y, s):
+        calls.append(t)
+        if len(calls) == 40:
+            raise boom
+        return np.full(np.shape(s), 1.0)
+
+    flaky_pol = Policy(source="analytic", d0=0.25, d1=2.0, name="flaky", fn=flaky, t_horizon=1.0)
+    with pytest.raises(_Boom) as err:
+        evaluate_policy(flaky_pol, spec, params, n_paths, 16, seed=41)
+    assert err.value is boom
+    assert threading.enumerate() == before
+
+    # the worker's third draw raises
+    worker_boom = _Boom("draw")
+
+    class FaultyStream:
+        def __init__(self, seed, block):
+            self._gen = _block_stream(seed, block)
+            self._draws = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self._draws += 1
+            if self._draws == 3:
+                raise worker_boom
+            return self._gen.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_block_stream", FaultyStream)
+    with pytest.raises(_Boom) as err:
+        evaluate_policy(pol, spec, params, n_paths, 16, seed=41)
+    assert err.value is worker_boom
+    assert threading.enumerate() == before
