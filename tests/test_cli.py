@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,19 @@ def test_cli_end_to_end(tmp_path, recwarn):
 
     assert main(["price-mc", "--config", str(cfg_path), "--n-paths", "10000"]) == 0
     assert main(["price-hjb", "--config", str(cfg_path), "--epsilons", "0.1"]) == 0
+
+
+def test_module_entry_point_prices_ac2(tmp_path):
+    # python -m controlled_options, in a fresh interpreter, as a desk would run it
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "controlled_options", "price-closed-form",
+                          "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "6.868449" in run.stdout
 
 
 def test_cli_exit_codes(tmp_path):

@@ -392,24 +392,28 @@ def test_deterministic_spot_matches_window_search():
     assert abs(est.value - oracle) <= 0.01 * oracle
 
 
-def test_price_nondecreasing_in_d1():
-    vals = []
-    for d1 in (1.5, 2.0, 3.0):
-        spec = _spec(bounds=ControlBounds(0.0, d1))
-        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,),
-                               grid={"ny": 31, "nz": 41, "n_steps": 80})
-        vals.append(est.value)
-    assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
+def _bounded_price(d0, d1):
+    spec = _spec(bounds=ControlBounds(d0, d1))
+    est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,), grid={"ny": 31, "nz": 41, "n_steps": 80})
+    return est.value
 
 
-def test_price_nonincreasing_in_d0():
-    vals = []
-    for d0 in (0.0, 0.4, 0.8):
-        spec = _spec(bounds=ControlBounds(d0, 2.0))
-        est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,),
-                               grid={"ny": 31, "nz": 41, "n_steps": 80})
-        vals.append(est.value)
-    assert vals[0] >= vals[1] - 1e-9 and vals[1] >= vals[2] - 1e-9
+@settings(max_examples=15, deadline=None)
+@given(pair=st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2).map(sorted))
+@example(pair=[1.5, 2.0])
+@example(pair=[2.0, 3.0])
+def test_price_nondecreasing_in_d1(pair):
+    low, high = pair
+    assert _bounded_price(0.0, low) <= _bounded_price(0.0, high) + 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(pair=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2).map(sorted))
+@example(pair=[0.0, 0.4])
+@example(pair=[0.4, 0.8])
+def test_price_nonincreasing_in_d0(pair):
+    low, high = pair
+    assert _bounded_price(low, 2.0) >= _bounded_price(high, 2.0) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +636,14 @@ def test_epsilon_domination():
 # the order of the sweep's arithmetic, or to the table lookup, shows here.
 # ``adapted_d0`` puts a floor d0 = 0.5 under the capped contract, so both of
 # its controls move the state and both take the transport.  Its policy pays
-# d0 up to the forced ramp, so its Monte Carlo price also pins the budget
-# projection's look-ahead, which pays in the step before the ramp what d1
-# cannot spend after it.
+# d1 early on some paths and d0 up to the ramp on others, so its Monte Carlo
+# price also pins both ends of the budget interval each step is clipped to.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
     "linear_reduced": ({}, "0x1.958612693cc6dp+2", 1064, "0x1.b26e95f816c30p+2"),
     "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78ab1p+1", 14627, "0x1.f11d6ba8c5d96p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.803893f669af6p+1", 16000, "0x1.f58423ad6e07ep+1"),
+                   "0x1.803893f669af6p+1", 16000, "0x1.f42acaad09a02p+1"),
     "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a0fbp+4", 7321, "0x1.f4e551c827e0bp+2"),
 }
 

@@ -15,11 +15,13 @@ from controlled_options import (
     StateGrid,
     builtin_policies,
     evaluate_policy,
+    ladder_price,
+    refinement_delta,
     tail_strategy_price,
 )
 from controlled_options import mc
 from controlled_options.market import _block_normals, _block_stream
-from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _project_budget
+from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _budget_interval
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
@@ -189,30 +191,49 @@ def test_builtin_policy_structure():
     assert "tail" not in _policies_by_name(lifted, PARAMS)
 
 
-def test_budget_projection_forces_exact_budget():
-    # a policy that ignores the budget entirely still lands on int u = 1
-    spec = _spec()
-    wild = Policy(source="analytic", d0=0.0, d1=2.0, name="wild",
-                  fn=lambda t, x, y, s: np.where(np.asarray(s) > 100.0, 2.0, 0.0),
-                  t_horizon=1.0)
-    n_rows, n_steps = 512, 100
-    dt = 1.0 / n_steps
-    z = _block_normals(3, 0, (PAIR_BLOCK, n_steps))[:n_rows]
-    s = np.full(n_rows, 100.0)
-    x = np.zeros(n_rows)
-    y = np.zeros(n_rows)
-    from controlled_options.mc import _project_budget
+# a policy that ignores the budget entirely: seeded uniform controls in
+# [-1, d1 + 1], and the y each path has spent when it is asked
+@settings(max_examples=40, deadline=None)
+@given(t_horizon=st.floats(0.25, 4.0), floor_reach=st.floats(0.0, 1.0),
+       budget_reach=st.floats(1.0, 10.0), n_steps=st.integers(2, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(t_horizon=1.0, floor_reach=0.5, budget_reach=2.0, n_steps=60, seed=3)
+def test_budget_projection_forces_exact_budget(t_horizon, floor_reach, budget_reach, n_steps, seed):
+    # every projected payment lies in [d0, d1] and every path spends int u dt = 1
+    d0, d1 = floor_reach / t_horizon, budget_reach / t_horizon
+    rng = np.random.default_rng(seed)
+    seen = []
 
-    drift = -0.5 * PARAMS.sigma**2 * dt
-    vol = PARAMS.sigma * math.sqrt(dt)
-    for i in range(n_steps):
-        t = i * dt
-        u = np.asarray(wild.evaluate(t, x, y, s), dtype=float)
-        u, _ = _project_budget(u, y, t, dt, i, n_steps, 0.0, 2.0, 1.0)
-        assert np.all(u <= 2.0 + 1e-12) and np.all(u >= -1e-15)
-        y = y + u * dt
-        s = s * np.exp(drift + vol * z[:, i])
-    assert np.allclose(y, 1.0, atol=1e-9)
+    def wild(t, x, y, s):
+        seen.append(np.array(y))
+        return rng.uniform(-1.0, d1 + 1.0, np.shape(s))
+
+    # on a spot that barely moves f = S = 1, so each path's payoff is its y(T)
+    params = MarketParams(s0=1.0, r=0.0, sigma=1e-12, t_horizon=t_horizon)
+    spec = _spec(bounds=ControlBounds(d0, d1))
+    pol = Policy(source="analytic", d0=d0, d1=d1, name="wild", fn=wild, t_horizon=t_horizon)
+    est = evaluate_policy(pol, spec, params, n_paths=64, n_steps=n_steps, seed=7)
+    assert est.meta["forced_ramp_warnings"] == 0
+    dt = t_horizon / n_steps
+    spent = np.vstack(seen + [np.ones_like(seen[0])])  # y(T) = 1 is the claim
+    u = np.diff(spent, axis=0) / dt
+    assert np.all(u >= d0 - 1e-12) and np.all(u <= d1 + 1e-12)
+    # the mean payoff is 1 and no path strays from it
+    assert abs(est.value - 1.0) <= 1e-9 and est.stderr <= 1e-9
+
+
+def test_floor_contract_policies_price_below_the_grid_without_warnings():
+    # AC-2 with d0 = 0.5: a path that pays d1 early must still be able to pay
+    # d0 on every step after, so no path leaves [d0, d1], and a policy's price
+    # is a lower bound on the grid's
+    spec = _spec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded",
+                 bounds=ControlBounds(0.5, 2.0))
+    grid_price, rungs = ladder_price(PARAMS, spec)
+    delta_grid = refinement_delta(PARAMS, spec, rungs[-1])
+    for pol in builtin_policies(spec, PARAMS):
+        est = evaluate_policy(pol, spec, PARAMS, 40_000, 250, seed=7)
+        assert est.meta["forced_ramp_warnings"] == 0, pol.name
+        assert est.value <= grid_price.value + delta_grid + 3.0 * est.stderr, (pol.name, est.value)
 
 
 def test_tail_switch_between_steps_still_spends_the_budget():
@@ -287,10 +308,11 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
                 t = i * dt
                 u = np.broadcast_to(np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape)
                 if budget_mode:
-                    u, bad = _project_budget(u, y, t, dt, i, n_steps, d0, d1, T)
+                    lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
                     warnings_count += bad
                 else:
-                    u = np.clip(u, d0, d1)
+                    lo, hi = d0, d1
+                u = np.minimum(np.maximum(u, lo), hi)
                 x = x + u * eval_f(spec, params, s, t) * dt
                 y = y + u * dt
                 s = s * np.exp(drift + vol * (sign * z[:, i]))
@@ -321,8 +343,9 @@ C = CHUNK_ROWS
 CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 2 * C + 3, 4 * C + 3,
                    PAIR_BLOCK + C + 1, PAIR_BLOCK + 2 * C + 1]
 CHUNK_EDGE_CONTRACTS = {
-    # d0 > 0: paths that spend their budget early are projected below d0
-    "budget": _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(0.25, 2.0)),
+    # d1 T = 1 - 5e-10 passes validation inside BUDGET_TOL but cannot spend
+    # the budget, so every step's interval is empty and counts a warning
+    "budget": _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(0.25, 1.0 - 5e-10)),
     # d0 = 0: paths never above the cutoff keep y = 0 and take the terminal branch
     "normalized": _spec(weight_mode="normalized", f_kind="call", f_strike=100.0),
 }
