@@ -6,14 +6,7 @@ under the risk-neutral measure.
 """
 
 from .closed_form import hypothesis_report, switch_time, tail_strategy_price
-from .errors import (
-    AdmissibilityError,
-    ExtrapolationError,
-    GridError,
-    NumericalFailure,
-    ParameterError,
-    PricingError,
-)
+from .errors import NumericalFailure, ParameterError, PricingError
 from .hjb import (
     Policy,
     StateGrid,
@@ -44,10 +37,7 @@ from .smoothing import SmoothingFamily, build_family
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
     "ControlBounds",
-    "ExtrapolationError",
-    "GridError",
     "MarketParams",
     "NumericalFailure",
     "ParameterError",

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .closed_form import tail_strategy_price
-from .errors import NumericalFailure, ParameterError, PricingError
+from .errors import NumericalFailure, ParameterError
 from .hjb import DESK_EPSILONS, DESK_GRID, export_csv, extract_policy, ladder_price, refinement_delta, solve
 from .market import MarketParams
 from .mc import builtin_policies, evaluate_policy
@@ -56,14 +57,16 @@ def _count(value, path: str) -> int:
 
 
 def _numbers(value, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ParameterError("must be a list of numbers", field=path)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ParameterError(f"must be a non-empty list of numbers, not {value!r}", field=path)
     return tuple(_number(v, path) for v in value)
 
 
 def _methods(value, path: str) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or any(name not in METHODS for name in value):
-        raise ParameterError(f"must be a list drawn from {METHODS}, not {value!r}", field=path)
+    if (not isinstance(value, (list, tuple)) or any(name not in METHODS for name in value)
+            or len(set(value)) < len(value)):
+        raise ParameterError(f"must be a list drawn from {METHODS} without repeats, not {value!r}",
+                             field=path)
     return tuple(value)
 
 
@@ -273,12 +276,14 @@ def run_convergence(cfg: RunConfig) -> dict:
 
 def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path: str) -> None:
     """Write one slice of the value (``time_index`` in [0, n_steps]) or of
-    the extracted policy (in [0, n_steps)) as CSV."""
+    the extracted policy (in [0, n_steps)) as CSV to ``path`` (``--out``)."""
     n_steps = cfg.grid["n_steps"]
     last = n_steps if what == "value" else n_steps - 1
     if not 0 <= time_index <= last:
         raise ParameterError(f"{time_index} outside [0, {last}] for the {what} on {n_steps} steps",
                              field="time_index")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ParameterError(f"no directory to write {path!r} in", field="out")
     d0, d1 = cfg.spec.bounds.d0, cfg.spec.bounds.d1
     picked = {}
 
@@ -287,8 +292,9 @@ def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path:
             picked["slab"] = slice_n if what == "value" else np.where(d1_wins, d1, d0)
 
     vf = solve(cfg.params, cfg.spec, epsilon, cfg.grid, observe=pick)
-    export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path,
-               "value" if what == "value" else "u")
+    with _writing("out"):
+        export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path,
+                   "value" if what == "value" else "u")
 
 
 def _estimate_dict(est: PriceEstimate) -> dict:
@@ -371,10 +377,23 @@ def _float_list(text: str) -> list[float]:
     return [float(e) for e in text.split(",")]
 
 
-def _emit(report: dict, cfg: RunConfig, name: str) -> None:
+@contextlib.contextmanager
+def _writing(field: str):
+    """Turn a failed write into a ParameterError naming ``field``, the output path's option."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write: {exc}", field=field) from exc
+
+
+def _emit(report: dict, cfg: RunConfig, name: str, write_csv=None) -> None:
+    """Print ``report``; with an ``out_dir``, also write it as ``name`` there,
+    and as CSV through ``write_csv(report, path)`` when one is given."""
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        write_report(report, os.path.join(cfg.out_dir, name))
+        with _writing("out_dir"):
+            write_report(report, os.path.join(cfg.out_dir, name))
+            if write_csv is not None:
+                write_csv(report, os.path.join(cfg.out_dir, name.replace(".json", ".csv")))
     json.dump(_round_floats(report), sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
 
@@ -426,28 +445,26 @@ def main(argv=None) -> int:
     priced = {"price-hjb": "hjb", "price-mc": "monte_carlo", "price-closed-form": "closed_form"}
     try:
         cfg = _load_config(args.config, args)
+        if cfg.out_dir:  # before any pricing, so that a bad path costs no work
+            with _writing("out_dir"):
+                os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command in priced:
             cfg.methods = (priced[args.command],)
             _emit(run_price(cfg), cfg, "report.json")
         elif args.command == "compare":
             report, breach = run_compare(cfg)
-            _emit(report, cfg, "compare.json")
-            if cfg.out_dir:
-                write_compare_csv(report, os.path.join(cfg.out_dir, "compare.csv"))
+            _emit(report, cfg, "compare.json", write_compare_csv)
             if breach:
                 return 4
         elif args.command == "convergence":
-            report = run_convergence(cfg)
-            _emit(report, cfg, "convergence.json")
-            if cfg.out_dir:
-                write_convergence_csv(report, os.path.join(cfg.out_dir, "convergence.csv"))
+            _emit(run_convergence(cfg), cfg, "convergence.json", write_convergence_csv)
         elif args.command == "export-value":
             eps = args.epsilon if args.epsilon is not None else min(cfg.epsilons)
             run_export(cfg, args.what, eps, args.time_index, args.out)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except PricingError as exc:
+    except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

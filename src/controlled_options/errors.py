@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the pricing engine."""
+"""Exception hierarchy shared across the pricing engine: one class per exit code."""
 
 
 class PricingError(Exception):
@@ -6,28 +6,22 @@ class PricingError(Exception):
 
 
 class ParameterError(PricingError):
-    """A domain value violates its contract (e.g. sigma <= 0, K <= 0).
+    """An input violates its contract (e.g. sigma <= 0, K <= 0); exit 2.
 
-    ``field`` names the offending input when known, as its dotted path in
-    the run config (``payoff.d0``, ``market.sigma``, ``mc.n_paths``), so
-    batch callers can map the message back to the config.
+    ``field`` names the offending input: its dotted path in the run config
+    (``payoff.d0``, ``market.sigma``, ``mc.n_paths``), or its argument path
+    for inputs that only the Python API takes (``grid.z_nodes``,
+    ``u_values``), so batch callers can map the message back to the input.
     """
 
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field}: {message}")
+    def __init__(self, message: str, field: str):
+        super().__init__(f"{field}: {message}")
         self.field = field
 
 
-class AdmissibilityError(PricingError):
-    """A control path violates its admissibility constraints."""
-
-
-class GridError(PricingError):
-    """A solver grid fails a hard precondition (coverage, monotonicity)."""
-
-
 class NumericalFailure(PricingError):
-    """Non-finite values appeared during a sweep.
+    """The scheme failed on valid inputs (non-finite values, a diverging
+    ladder); exit 3.
 
     ``time_index`` is the backward-sweep slice where the failure was
     first detected.
@@ -36,7 +30,3 @@ class NumericalFailure(PricingError):
     def __init__(self, message: str, time_index: int | None = None):
         super().__init__(message)
         self.time_index = time_index
-
-
-class ExtrapolationError(PricingError):
-    """A value-function query fell outside the grid hull."""

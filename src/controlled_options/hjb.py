@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ExtrapolationError, GridError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .market import MarketParams
 from .payoffs import PayoffSpec
 from .results import PriceEstimate
@@ -84,10 +84,10 @@ class _Axis:
     def __init__(self, nodes: np.ndarray, name: str):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
-            raise GridError(f"{name} axis needs at least two nodes")
+            raise ParameterError(f"{name} axis needs at least two nodes", field=f"grid.{name}_nodes")
         d = np.diff(nodes)
         if np.any(d <= 0.0):
-            raise GridError(f"{name} axis must be strictly increasing")
+            raise ParameterError(f"{name} axis must be strictly increasing", field=f"grid.{name}_nodes")
         self.nodes = nodes
         self.step = d  # step[i] = nodes[i + 1] - nodes[i]
         # the tolerance follows the axis' own scale: relative to the step, plus
@@ -165,9 +165,10 @@ class StateGrid:
         _Axis(self.y_nodes, "y")
         z = _Axis(self.z_nodes, "z")
         if self.n_steps < 1:
-            raise GridError("need at least one time step")
+            raise ParameterError("need at least one time step", field="grid.n_steps")
         if not z.uniform:
-            raise GridError("z axis must be uniform (implicit diffusion stencil)")
+            raise ParameterError("z axis must be uniform (implicit diffusion stencil)",
+                                 field="grid.z_nodes")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -399,8 +400,10 @@ def _z_step_matrix(params: MarketParams, z_nodes: np.ndarray, dt: float) -> np.n
     ab[0, 1:] = -dt * upper
     ab[1, :] = 1.0 - dt * diag
     ab[2, :-1] = -dt * lower
+    # the upwind stencil gives off-diagonals -dt·(>= 0) and a diagonal
+    # 1 + dt·(>= 0) for any valid input, so a breach is a scheme fault
     if np.any(ab[0, 1:] > 0.0) or np.any(ab[2, :-1] > 0.0) or np.any(ab[1] <= 0.0):
-        raise GridError("z-step lost the M-matrix property; check sigma, dz, dt")
+        raise NumericalFailure("z-step lost the M-matrix property; check sigma, dz, dt")
     return ab
 
 
@@ -431,13 +434,16 @@ class ValueFunction:
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback control map (t, x, y, S) -> u in {d0, d1} or [d0, d1].
+    """Feedback control map (t, x, y, S) -> proposed u.
 
     ``grid_table`` policies hold one boolean slab per time step (True
     selects d1) and use nearest-node lookup in (x, y, z) with the
     enclosing time slice: ``_Axis.nearest`` counts the cell midpoints
     below each coordinate through a bucket table, not a search.
-    ``analytic`` policies wrap a callable.
+    ``analytic`` policies wrap a callable, whose value (an array or a
+    float) is returned as it is.  A policy only proposes a control;
+    ``mc.evaluate_policy`` enforces admissibility by clipping each step's
+    u to the payments that keep the contract feasible, within [d0, d1].
     """
 
     source: str
@@ -453,8 +459,7 @@ class Policy:
     def evaluate(self, t: float, x, y, s):
         """Vectorised over path arrays x, y, s at a common time t."""
         if self.source == "analytic":
-            u = np.asarray(self.fn(t, x, y, s), dtype=float)
-            return np.clip(u, self.d0, self.d1)
+            return self.fn(t, x, y, s)
         n_steps = self.table.shape[0]
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
@@ -483,21 +488,24 @@ def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
     if grid.x_nodes is None:
         if variant == "adapted" and spec.g_kind == "identity":
             return "linear_reduced"
-        raise GridError(f"the {variant} variant needs an x axis; this grid has only y and z")
+        raise ParameterError(f"the {variant} variant needs an x axis; this grid has only y and z",
+                             field="grid.x_nodes")
     return variant
 
 
 def _validate(params, spec, fam, grid, variant):
     z0 = np.log(params.s0)
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
-        raise GridError("z axis must contain log s0")
+        raise ParameterError("z axis must contain log s0", field="grid.z_nodes")
     eps = fam.epsilon
     if variant != "normalized" and grid.y_nodes[-1] < 1.0 + eps:
-        raise GridError("y_max must cover the budget cutoff region (>= 1 + eps)")
+        raise ParameterError("y_max must cover the budget cutoff region (>= 1 + eps)",
+                             field="grid.y_nodes")
     if variant != "linear_reduced":
         need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
-            raise GridError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}")
+            raise ParameterError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}",
+                                 field="grid.x_nodes")
     # resolution advisories (accuracy, not stability)
     dy = float(np.min(np.diff(grid.y_nodes)))
     dt = params.t_horizon / grid.n_steps
@@ -606,17 +614,14 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     z0 = np.log(params.s0)
     g = vf.grid
     if not g.z_nodes[0] <= z0 <= g.z_nodes[-1]:
-        raise ExtrapolationError("log s0 outside the z grid")
+        raise ParameterError("log s0 outside the z grid", field="grid.z_nodes")
     iz, wz = _Axis(g.z_nodes, "z").locate(np.array([z0]))
     # node 0 is read as the origin, so it must be exactly 0 on x and y
-    if g.x_nodes is not None:
-        if g.x_nodes[0] != 0.0 or g.y_nodes[0] != 0.0:
-            raise ExtrapolationError("grid does not start at the origin in (x, y)")
-        line = vf.values[0, 0, :]
-    else:
-        if g.y_nodes[0] != 0.0:
-            raise ExtrapolationError("grid does not start at y = 0")
-        line = vf.values[0, :]
+    if g.x_nodes is not None and g.x_nodes[0] != 0.0:
+        raise ParameterError("grid does not start at x = 0", field="grid.x_nodes")
+    if g.y_nodes[0] != 0.0:
+        raise ParameterError("grid does not start at y = 0", field="grid.y_nodes")
+    line = vf.values[0, :] if g.x_nodes is None else vf.values[0, 0, :]
     raw = float((1.0 - wz[0]) * line[iz[0]] + wz[0] * line[iz[0] + 1])
     value = float(np.exp(-params.r * params.t_horizon) * raw)
     return PriceEstimate(

@@ -146,17 +146,14 @@ def evaluate_policy(
             y = np.zeros(legs * n)
             for i in range(n_steps):
                 t = i * dt
-                u = np.broadcast_to(
-                    np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape
-                )
                 if budget_mode:
                     lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
                     warnings_count += bad
                 else:
                     lo, hi = d0, d1
-                # clip to [lo, hi], hi where the interval is empty; np.clip
-                # takes twice as long with array bounds
-                u = np.minimum(np.maximum(u, lo), hi)
+                # clip the proposal to [lo, hi], hi where the interval is
+                # empty; np.clip takes twice as long with array bounds
+                u = np.minimum(np.maximum(policy.evaluate(t, x, y, s), lo), hi)
                 f_now = eval_f(spec, params, s, t)
                 x = x + u * f_now * dt
                 y = y + u * dt
@@ -219,7 +216,7 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
     def _const(level, name):
         return Policy(
             source="analytic", d0=d0, d1=d1, name=name, t_horizon=T,
-            fn=lambda t, x, y, s, level=level: np.full(np.shape(np.asarray(s)), level),
+            fn=lambda t, x, y, s, level=level: level,
         )
 
     out.append(_const(1.0 / T, "uniform"))
@@ -227,7 +224,7 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
         switch = switch_time(spec, params)
         out.append(Policy(
             source="analytic", d0=0.0, d1=d1, name="tail", t_horizon=T,
-            fn=lambda t, x, y, s: np.full(np.shape(np.asarray(s)), d1 if t >= switch else 0.0),
+            fn=lambda t, x, y, s: d1 if t >= switch else 0.0,
             meta={"switch_time": switch, "degenerate": d1 * T <= 1.0},
         ))
     for q in (-0.5, 0.0, 0.5):

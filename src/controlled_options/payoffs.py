@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ParameterError
+from .errors import ParameterError
 from .market import MarketParams
 
 F_KINDS = ("identity", "call", "put")
@@ -127,7 +127,7 @@ def eval_g(spec: PayoffSpec, x):
 def _check_bounds(spec: PayoffSpec, u: np.ndarray) -> None:
     lo, hi = spec.bounds.d0, spec.bounds.d1
     if np.any(u < lo - BUDGET_TOL) or np.any(u > hi + BUDGET_TOL):
-        raise AdmissibilityError(f"control leaves [{lo}, {hi}]")
+        raise ParameterError(f"control leaves [{lo}, {hi}]", field="u_values")
 
 
 def payoff_adapted(spec: PayoffSpec, params: MarketParams, times, s_values, u_values) -> float:
@@ -142,7 +142,7 @@ def payoff_adapted(spec: PayoffSpec, params: MarketParams, times, s_values, u_va
     _check_bounds(spec, u)
     budget = np.trapezoid(u, times)
     if abs(budget - 1.0) > BUDGET_TOL:
-        raise AdmissibilityError(f"weight integral {budget!r} != 1 beyond tolerance")
+        raise ParameterError(f"weight integral {budget!r} != 1 beyond tolerance", field="u_values")
     f_vals = eval_f(spec, params, s_values, times)
     return float(eval_g(spec, np.trapezoid(u * f_vals, times)))
 

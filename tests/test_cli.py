@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from controlled_options import ParameterError
+from controlled_options import ParameterError, cli
 from controlled_options.cli import (
     SCHEMA,
     RunConfig,
@@ -191,6 +191,41 @@ def test_export_time_index_range(tmp_path, capsys, recwarn, what, index, code):
         assert float(out_csv.read_text().splitlines()[1].split(",")[0]) == pytest.approx(t)
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+def test_out_dir_that_is_a_file_exits_2_before_pricing(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "run_price", _refuse_work)
+    assert main(["price-closed-form", "--config", str(cfg_path), "--out-dir", str(taken)]) == 2
+    assert "configuration error: out_dir:" in capsys.readouterr().err
+
+
+def test_export_into_missing_directory_exits_2_before_the_solve(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(epsilons=[0.1])))
+    monkeypatch.setattr(cli, "solve", _refuse_work)
+    assert main(["export-value", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "missing" / "slice.csv")]) == 2
+    assert "configuration error: out:" in capsys.readouterr().err
+
+
+def test_failed_writes_exit_2_and_name_the_output(tmp_path, capsys, recwarn):
+    # the paths pass the early checks, and the write itself fails
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(epsilons=[0.1], grid={"n_steps": 10})))
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["price-closed-form", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "configuration error: out_dir: cannot write" in capsys.readouterr().err
+    assert main(["export-value", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "configuration error: out: cannot write" in capsys.readouterr().err
+
+
 def test_compare_csv_layout(tmp_path, recwarn):
     cfg = RunConfig.from_dict(_doc(methods=["closed_form", "monte_carlo"]))
     report, _ = run_compare(cfg)
@@ -218,6 +253,8 @@ MALFORMED = {
     "policy-number": (_doc(mc={"policy": 5}), "mc.policy"),
     "d1-below-budget": (_doc(payoff={"d1": 0.5}), "payoff.d1"),
     "f-kind-unknown": (_doc(payoff={"f_kind": "digital"}), "payoff.f_kind"),
+    "methods-repeated": (_doc(methods=["monte_carlo", "monte_carlo"]), "methods"),
+    "epsilons-empty": (_doc(epsilons=[]), "epsilons"),
 }
 
 
@@ -288,9 +325,15 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
     (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
     (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
     (["compare"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
+    # one method twice left compare no pair to gate, and it exited 0; the
+    # hjb policy and export-value took min() of the empty ladder
+    (["compare", "--methods", "monte_carlo,monte_carlo"], {}, "methods"),
+    (["price-mc", "--policy", "hjb"], {"epsilons": []}, "epsilons"),
+    (["export-value", "--out", "slice.csv"], {"epsilons": []}, "epsilons"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
         "epsilon-0.7", "epsilon-5e-05", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
-        "compare-normalized"])
+        "compare-normalized", "compare-methods-repeated", "mc-hjb-no-epsilons",
+        "export-no-epsilons"])
 def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
     # fields that only one route reads, so these cases cannot join MALFORMED;
     # the closed form has no formula for the normalized weight, and compare

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from controlled_options import (
     ControlBounds,
-    ExtrapolationError,
-    GridError,
     MarketParams,
     NumericalFailure,
+    ParameterError,
     PayoffSpec,
     StateGrid,
     ValueFunction,
@@ -74,13 +73,16 @@ def _quiet_ladder(*args, **kw):
 # ---------------------------------------------------------------------------
 
 def test_grid_validation():
-    with pytest.raises(GridError):
+    with pytest.raises(ParameterError) as err:
         StateGrid(y_nodes=np.array([0.0, 0.0, 1.0]), z_nodes=np.linspace(0, 1, 5), n_steps=4)
-    with pytest.raises(GridError):
+    assert err.value.field == "grid.y_nodes"
+    with pytest.raises(ParameterError) as err:
         StateGrid(y_nodes=np.linspace(0, 1, 5),
                   z_nodes=np.array([0.0, 0.1, 0.5, 1.0]), n_steps=4)  # nonuniform z
-    with pytest.raises(GridError):
+    assert err.value.field == "grid.z_nodes"
+    with pytest.raises(ParameterError) as err:
         StateGrid(y_nodes=np.linspace(0, 1, 5), z_nodes=np.linspace(0, 1, 5), n_steps=0)
+    assert err.value.field == "grid.n_steps"
 
 
 @st.composite
@@ -264,17 +266,20 @@ def test_solver_rejects_uncovering_grids():
     z0 = math.log(100.0)
     bad_y = StateGrid(y_nodes=np.linspace(0.0, 1.02, 21),
                       z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=20)
-    with pytest.raises(GridError):
+    with pytest.raises(ParameterError) as err:
         solve_linear_reduced(PARAMS, spec, fam, bad_y)
+    assert err.value.field == "grid.y_nodes"
     off_z = StateGrid(y_nodes=np.linspace(0.0, 1.3, 21),
                       z_nodes=np.linspace(z0 + 1, z0 + 2, 41), n_steps=20)
-    with pytest.raises(GridError):
+    with pytest.raises(ParameterError) as err:
         solve_linear_reduced(PARAMS, spec, fam, off_z)
+    assert err.value.field == "grid.z_nodes"
     small_x = StateGrid(x_nodes=np.linspace(0.0, 1.0, 9),
                         y_nodes=np.linspace(0.0, 1.3, 21),
                         z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=20)
-    with pytest.raises(GridError):
+    with pytest.raises(ParameterError) as err:
         solve_adapted(PARAMS, spec, fam, small_x)
+    assert err.value.field == "grid.x_nodes"
 
 
 @pytest.mark.parametrize("variant,overrides", [("adapted", {"g_kind": "cap", "g_cap": 8.0}),
@@ -284,8 +289,9 @@ def test_planar_grid_refused_by_3d_variants(variant, overrides):
     z0 = math.log(100.0)
     planar = StateGrid(y_nodes=np.linspace(0.0, 1.3, 21),
                        z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=4)
-    with pytest.raises(GridError, match=f"the {variant} variant needs an x axis"):
+    with pytest.raises(ParameterError, match=f"the {variant} variant needs an x axis") as err:
         solve(PARAMS, _spec(**overrides), 0.1, planar)
+    assert err.value.field == "grid.x_nodes"
 
 
 def test_coarse_grid_warns_about_cutoff_resolution():
@@ -576,8 +582,15 @@ def test_price_readout_outside_hull_is_an_error():
                      z_nodes=np.linspace(10.0, 11.0, 5), n_steps=4)
     vf = ValueFunction(grid=grid, variant="linear_reduced", epsilon=0.1,
                        values=np.zeros((5, 5)))
-    with pytest.raises(ExtrapolationError):
+    with pytest.raises(ParameterError) as err:
         price_from_value(vf, PARAMS)
+    assert err.value.field == "grid.z_nodes"
+    shifted_x = StateGrid(x_nodes=np.linspace(0.5, 2.0, 5), y_nodes=np.linspace(0, 1.3, 5),
+                          z_nodes=np.linspace(4.0, 5.2, 5), n_steps=4)
+    with pytest.raises(ParameterError, match="does not start at x = 0") as err:
+        price_from_value(ValueFunction(grid=shifted_x, variant="adapted", epsilon=0.1,
+                                       values=np.zeros((5, 5, 5))), PARAMS)
+    assert err.value.field == "grid.x_nodes"
     # node 0 is read as the origin: a y axis that starts at -0.25 priced
     # the value with 1.25 budget units, 7.5287 against 6.2903
     spec = _spec()
@@ -585,8 +598,9 @@ def test_price_readout_outside_hull_is_an_error():
     base = default_grid(PARAMS, spec, fam, ny=21, nz=31, n_steps=40)
     below = StateGrid(y_nodes=np.concatenate([[-0.25], base.y_nodes]), z_nodes=base.z_nodes,
                       n_steps=base.n_steps)
-    with pytest.raises(ExtrapolationError):
+    with pytest.raises(ParameterError) as err:
         price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, below), PARAMS)
+    assert err.value.field == "grid.y_nodes"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from controlled_options import (
-    AdmissibilityError,
     ControlBounds,
     MarketParams,
     ParameterError,
@@ -117,16 +116,18 @@ def test_adapted_budget_enforced():
     times = np.linspace(0.0, 1.0, 11)
     s = np.full_like(times, 100.0)
     u = np.full_like(times, 0.9)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ParameterError, match="weight integral") as err:
         payoff_adapted(_spec(), PARAMS, times, s, u)
+    assert err.value.field == "u_values"
 
 
 def test_adapted_bounds_enforced():
     times = np.linspace(0.0, 1.0, 11)
     s = np.full_like(times, 100.0)
     u = np.full_like(times, 3.0)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ParameterError, match="control leaves") as err:
         payoff_adapted(_spec(), PARAMS, times, s, u)
+    assert err.value.field == "u_values"
 
 
 def test_normalized_constant_weight_cancels():
