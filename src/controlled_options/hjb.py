@@ -33,11 +33,12 @@ The scheme is monotone without a transport CFL restriction:
   the transport is skipped.  That is bit-identical to the transport,
   because the locate places node i at (i, 0.0) on every axis.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
-  diffusion solved implicitly (unconditionally stable).  The banded
-  matrix is built once per sweep, and ``solve_banded`` (LAPACK gtsv)
-  factors it again at every step.  At z_min/z_max the second difference
-  is dropped (the value is asymptotically linear there) and the drift is
-  kept only when its upwind neighbour lies inside the grid.
+  diffusion solved implicitly (unconditionally stable).  (I - dt A) is
+  the same at every step, so each sweep inverts it once, clips the
+  inverse's rounding negatives to 0, and applies it at every step as one
+  matrix product over the (rows, nz) slice.  At z_min/z_max the second
+  difference is dropped (the value is asymptotically linear there) and
+  the drift is kept only when its upwind neighbour lies inside the grid.
 * The Hamiltonian is affine in u, so the max is taken over the two
   endpoint controls only; ties go to d1.
 * One class, ``_Axis``, validates each axis and places every query on
@@ -61,7 +62,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NumericalFailure, ParameterError
 from .market import MarketParams
@@ -375,11 +375,13 @@ class _Transport:
 # ---------------------------------------------------------------------------
 
 def _z_step_matrix(params: MarketParams, z_nodes: np.ndarray, dt: float) -> np.ndarray:
-    """Banded (I - dt A) for A = mu d_z (upwind) + sigma^2/2 d_zz.
+    """(I - dt A)^-1, transposed, for A = mu d_z (upwind) + sigma^2/2 d_zz.
 
     Boundary rows drop the second difference; the drift survives there
     only when its upwind neighbour is interior (outflow is dropped).
-    Returns the (3, nz) banded form for scipy.linalg.solve_banded.
+    (I - dt A) is an M-matrix, so its inverse is entrywise >= 0; the
+    dense inverse carries rounding negatives (about -1e-14 at nz = 641),
+    which are clipped to 0 so the step stays monotone in floating point.
     """
     nz = z_nodes.size
     dz = z_nodes[1] - z_nodes[0]
@@ -396,22 +398,18 @@ def _z_step_matrix(params: MarketParams, z_nodes: np.ndarray, dt: float) -> np.n
     lower[-1] = -mu_m / dz
     diag[-1] = mu_m / dz
 
-    ab = np.zeros((3, nz))
-    ab[0, 1:] = -dt * upper
-    ab[1, :] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * lower
+    off_up, main, off_low = -dt * upper, 1.0 - dt * diag, -dt * lower
     # the upwind stencil gives off-diagonals -dt·(>= 0) and a diagonal
     # 1 + dt·(>= 0) for any valid input, so a breach is a scheme fault
-    if np.any(ab[0, 1:] > 0.0) or np.any(ab[2, :-1] > 0.0) or np.any(ab[1] <= 0.0):
+    if np.any(off_up > 0.0) or np.any(off_low > 0.0) or np.any(main <= 0.0):
         raise NumericalFailure("z-step lost the M-matrix property; check sigma, dz, dt")
-    return ab
+    m = np.diag(main) + np.diag(off_up, 1) + np.diag(off_low, -1)
+    return np.maximum(np.linalg.inv(m).T, 0.0)
 
 
-def _solve_z(ab: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply (I - dt A)^-1 along the last (z) axis."""
-    flat = values.reshape(-1, values.shape[-1])
-    out = solve_banded((1, 1), ab, flat.T, overwrite_b=False, check_finite=False)
-    return np.ascontiguousarray(out.T).reshape(values.shape)
+def _solve_z(mt: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply (I - dt A)^-1 along the last (z) axis; ``mt`` is its transpose."""
+    return (values.reshape(-1, mt.shape[0]) @ mt).reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +544,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     s_of_z = np.exp(z)
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     controls = (d0,) if d1 == d0 else (d0, d1)
-    ab = _z_step_matrix(params, z, dt)
+    mt = _z_step_matrix(params, z, dt)
     transport = _Transport(grid)
     cands = [np.empty(grid.shape) for _ in controls]
 
@@ -588,7 +586,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
             d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]
         # the d0 buffer holds no d1 candidate, and cur is never written
         best = picks[0] if len(picks) == 1 else np.maximum(picks[0], picks[1], out=cands[0])
-        cur = _solve_z(ab, best)
+        cur = _solve_z(mt, best)
         if not np.all(np.isfinite(cur)):
             raise NumericalFailure(f"non-finite values in slice {n}", time_index=n)
         if observe is not None:

@@ -10,12 +10,11 @@ which keeps the simulated marginals free of time-discretisation bias.
 There is one path stream.  ``_block_stream`` is the Philox
 counter-based generator of one block of paths, keyed on (seed, block
 index).  ``mc`` draws each block of ``mc.PAIR_BLOCK`` rows from it in
-consecutive row chunks, one (rows, n_steps) draw after another, and
-``_block_normals`` draws a whole block in one call.  The generator fills
-its draws row by row, so chunks drawn in turn hold the same normals as
-one draw of all their rows, and a shorter draw is the leading rows of a
-longer one: enlarging ``n_paths`` appends paths without reshuffling the
-draws of earlier ones.
+consecutive row chunks, one (rows, n_steps) draw after another.  The
+generator fills its draws row by row, so chunks drawn in turn hold the
+same normals as one draw of all their rows, and a shorter draw is the
+leading rows of a longer one: enlarging ``n_paths`` appends paths
+without reshuffling the draws of earlier ones.
 """
 from __future__ import annotations
 
@@ -79,11 +78,6 @@ def _block_stream(seed: int, block: int) -> np.random.Generator:
     """The Philox generator of one substream block, deterministic in (seed, block)."""
     bitgen = np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, block)))
     return np.random.Generator(bitgen)
-
-
-def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals for one substream block, drawn in one call."""
-    return _block_stream(seed, block).standard_normal(shape)
 
 
 def bs_expected_payoff(params: MarketParams, h_kind: str, t: float, strike: float | None = None) -> float:

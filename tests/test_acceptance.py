@@ -26,7 +26,7 @@ from controlled_options import (
     tail_strategy_price,
 )
 from controlled_options.hjb import _solve_z, _z_step_matrix, solve_adapted, solve_linear_reduced
-from controlled_options.market import _block_normals
+from controlled_options.market import _block_stream
 from controlled_options.mc import PAIR_BLOCK
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
@@ -306,7 +306,7 @@ def test_ac8_normalized_degeneracy():
     total = 0.0
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
-        z = _block_normals(808, b, (rows, n_steps))
+        z = _block_stream(808, b).standard_normal((rows, n_steps))
         ends = []
         for sign in (1.0, -1.0):
             s = np.full(rows, 100.0)

@@ -138,6 +138,18 @@ def test_module_entry_point_prices_ac2(tmp_path):
     assert "6.868449" in run.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime, z-step included, is numpy alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, controlled_options.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_doc(payoff={"d0": 3.0})))

@@ -17,7 +17,7 @@ from controlled_options import (
     evaluate_policy,
     norm_cdf,
 )
-from controlled_options.market import _block_normals
+from controlled_options.market import _block_stream
 from controlled_options.mc import PAIR_BLOCK
 
 
@@ -114,8 +114,8 @@ def test_path_prefix_stable_under_more_paths():
 @given(seed=st.integers(0, 2**63 - 1), block=st.integers(0, 3),
        rows=st.integers(1, 400), extra=st.integers(0, 400), steps=st.integers(1, 40))
 def test_short_block_draw_is_prefix_of_long_draw(seed, block, rows, extra, steps):
-    short = _block_normals(seed, block, (rows, steps))
-    long = _block_normals(seed, block, (rows + extra, steps))
+    short = _block_stream(seed, block).standard_normal((rows, steps))
+    long = _block_stream(seed, block).standard_normal((rows + extra, steps))
     assert np.array_equal(short, long[:rows])
 
 

@@ -20,7 +20,7 @@ from controlled_options import (
     tail_strategy_price,
 )
 from controlled_options import mc
-from controlled_options.market import _block_normals, _block_stream
+from controlled_options.market import _block_stream
 from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _budget_interval
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
@@ -88,7 +88,7 @@ def test_singleton_control_matches_direct_evaluation():
     dt = t_horizon / n_steps
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
-    z = _block_normals(13, 0, (PAIR_BLOCK, n_steps))[:n_rows]
+    z = _block_stream(13, 0).standard_normal((PAIR_BLOCK, n_steps))[:n_rows]
     acc = []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
@@ -150,7 +150,7 @@ def test_normalized_zero_policy_hits_terminal_branch_exactly():
     dt = PARAMS.t_horizon / n_steps
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
-    z = _block_normals(21, 0, (n_rows, n_steps))
+    z = _block_stream(21, 0).standard_normal((n_rows, n_steps))
     ends = []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
@@ -298,7 +298,7 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
     warnings_count = 0
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
-        z = _block_normals(seed, b, (rows, n_steps))
+        z = _block_stream(seed, b).standard_normal((rows, n_steps))
         payoffs = []
         for sign in signs:
             s = np.full(rows, params.s0)
