@@ -231,8 +231,9 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
     delta_grid = 0.0
     if "hjb" in report["estimates"]:
         finest = PriceEstimate(**report["estimates"]["hjb"]["ladder"][-1])
-        delta_grid = refinement_delta(cfg.params, cfg.spec, finest, cfg.grid)
-        report["estimates"]["hjb"]["delta_grid"] = delta_grid
+        delta = refinement_delta(cfg.params, cfg.spec, finest, cfg.grid)
+        report["estimates"]["hjb"].update(delta)
+        delta_grid = delta["delta_grid"]
     rows = []
     breach = False
     names = sorted(report["estimates"])
@@ -257,12 +258,11 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_convergence(cfg: RunConfig) -> dict:
-    """Epsilon sweep plus one grid refinement at the finest epsilon."""
+    """Epsilon sweep plus one refinement per grid axis at the finest epsilon."""
     est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, grid=cfg.grid)
     values = [r.value for r in raw]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     ratios = [g0 / g1 if g1 > 0 else math.inf for g0, g1 in zip(gaps, gaps[1:])]
-    delta_grid = refinement_delta(cfg.params, cfg.spec, raw[-1], cfg.grid)
     return {
         "config": cfg.echo(),
         "epsilons": [r.meta["epsilon"] for r in raw],
@@ -270,7 +270,7 @@ def run_convergence(cfg: RunConfig) -> dict:
         "gaps": gaps,
         "gap_ratios": ratios,
         "extrapolated": est.value,
-        "delta_grid": delta_grid,
+        **refinement_delta(cfg.params, cfg.spec, raw[-1], cfg.grid),
     }
 
 

@@ -26,7 +26,10 @@ The scheme is monotone without a transport CFL restriction:
   writes each control's candidate into a buffer the sweep reuses from
   step to step.  It keeps each control's located feet and locates them
   again only when that control's y-feet, gain or phi change: at r = 0
-  in budget mode, never after the first step.
+  in budget mode, never after the first step.  Where phi is exactly 0
+  (a call or put rate out of the money) the x-foot is the node itself,
+  so the x step runs only on the z columns from the first nonzero phi
+  to the last.
 * A control whose y-shift is exactly 0 (u = 0 in budget mode, and u = 0
   before the eps ramp in normalized mode) has an x-shift of 0 too, so its
   characteristic does not move: its candidate is the slice as it is, and
@@ -57,7 +60,7 @@ candidate value is >= that of d0, so ties go to d1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -274,22 +277,17 @@ def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) 
     return float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
 
 
-def refine_grid(grid: StateGrid) -> StateGrid:
-    """Halve every spacing (node counts 2n-1) and double the step count."""
-
-    def _halve(nodes):
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        out = np.empty(nodes.size * 2 - 1)
-        out[0::2] = nodes
-        out[1::2] = mid
-        return out
-
-    return StateGrid(
-        y_nodes=_halve(grid.y_nodes),
-        z_nodes=_halve(grid.z_nodes),
-        n_steps=2 * grid.n_steps,
-        x_nodes=None if grid.x_nodes is None else _halve(grid.x_nodes),
-    )
+def refine_grid(grid: StateGrid, axis: str) -> StateGrid:
+    """Halve the spacing of the x, y or z axis (node count 2n - 1), or double the step count (t)."""
+    if axis == "t":
+        return replace(grid, n_steps=2 * grid.n_steps)
+    nodes = getattr(grid, f"{axis}_nodes")
+    if nodes is None:
+        raise ParameterError(f"this grid has no {axis} axis to refine", field=f"grid.{axis}_nodes")
+    out = np.empty(nodes.size * 2 - 1)
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return replace(grid, **{f"{axis}_nodes": out})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +303,10 @@ class _Transport:
     in x, where node i's foot is x_i + gain(y) phi(z).  That foot depends
     on y only through the gain, so the x-feet are located once for each
     distinct value of ``gain`` and spread over y with one take; the x
-    gather is one flat ``take`` of x-plane offsets.
+    gather is one flat ``take`` of x-plane offsets.  Where phi is exactly
+    0 the x-foot is the node itself, and the x step would return the
+    y-interpolated value unchanged, so the x-feet are located and gathered
+    only on the z columns from the first nonzero phi to the last.
 
     Each slot (the sweep gives each control its own) keeps the feet it
     located last, and a call whose ``foot_y``, ``gain`` and ``phi`` are
@@ -317,7 +318,7 @@ class _Transport:
     def __init__(self, grid: StateGrid):
         self.ax_y = _Axis(grid.y_nodes, "y")
         self.a, self.b = np.empty(grid.shape), np.empty(grid.shape)
-        self.kept = {}  # slot -> (inputs, 1 - wy, wy, iy, flat x offsets, wx)
+        self.kept = {}  # slot -> (inputs, 1 - wy, wy, iy, z columns, flat x offsets, 1 - wx, wx)
         if grid.x_nodes is None:
             self.ax_x = None
             return
@@ -334,17 +335,17 @@ class _Transport:
         if kept is not None and kept[0] == inputs:
             return kept
         iy, wy = self.ax_y.locate(foot_y)
-        ix = wx = None
+        cols = ix = vx = wx = None
         if self.ax_x is not None:
-            # the slot's full-size arrays are written over, or made on its first call
-            ix, wx = kept[4:] if kept is not None else (np.empty(self.a.shape, dtype=np.int64),
-                                                        np.empty(self.a.shape))
+            moving = np.flatnonzero(phi)
+            cols = slice(moving[0], moving[-1] + 1) if moving.size else slice(0, 0)
             g, row = np.unique(gain, return_inverse=True)
-            ic, wc = self.ax_x.locate(self.x_col + g[:, None] * phi[None, :])
-            wc.take(row, axis=1, out=wx, mode="clip")
-            ic.take(row, axis=1, out=ix, mode="clip")
-            np.add(np.multiply(ix, self.plane, out=ix), self.col, out=ix)
-        kept = self.kept[slot] = (inputs, 1.0 - wy[:, None], wy[:, None], iy, ix, wx)
+            ic, wc = self.ax_x.locate(self.x_col + g[:, None] * phi[None, cols])
+            wx = wc.take(row, axis=1)
+            vx = 1.0 - wx
+            ix = ic.take(row, axis=1)
+            np.add(np.multiply(ix, self.plane, out=ix), self.col[:, cols], out=ix)
+        kept = self.kept[slot] = (inputs, 1.0 - wy[:, None], wy[:, None], iy, cols, ix, vx, wx)
         return kept
 
     def __call__(self, cur: np.ndarray, foot_y: np.ndarray, gain: np.ndarray, phi: np.ndarray,
@@ -356,18 +357,22 @@ class _Transport:
         offset on an (x, y, z) grid.
         """
         a, b = self.a, self.b
-        _, vy, wy, iy, ix, wx = self._feet(slot, foot_y, gain, phi)
+        _, vy, wy, iy, cols, ix, vx, wx = self._feet(slot, foot_y, gain, phi)
         np.multiply(vy, np.take(cur, iy, axis=-2, out=a, mode="clip"), out=a)
         np.multiply(wy, np.take(cur, iy + 1, axis=-2, out=b, mode="clip"), out=b)
         if self.ax_x is None:
             return np.add(np.add(a, b, out=out), gain[:, None] * phi[None, :], out=out)
-        flat = np.add(a, b, out=a).reshape(-1)
-        flat.take(ix, out=b, mode="clip")
+        # out holds the y-interpolated slice, which is the result on the columns
+        # where phi is 0; the gathers read it before the moving columns are written
+        flat = np.add(a, b, out=out).reshape(-1)
+        lo, hi = a.reshape(-1)[:ix.size].reshape(ix.shape), b.reshape(-1)[:ix.size].reshape(ix.shape)
+        flat.take(ix, out=lo, mode="clip")
         # the cell's upper x node is one plane on; the highest cell is nx - 2, so
         # no offset leaves the view
-        flat[self.plane:].take(ix, out=out, mode="clip")
-        np.multiply(np.subtract(1.0, wx, out=a), b, out=b)  # flat is read no more
-        return np.add(b, np.multiply(wx, out, out=out), out=out)
+        flat[self.plane:].take(ix, out=hi, mode="clip")
+        np.multiply(vx, lo, out=lo)
+        np.add(lo, np.multiply(wx, hi, out=hi), out=out[..., cols])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +747,27 @@ def refinement_delta(
     spec: PayoffSpec,
     rung: PriceEstimate,
     grid: dict | None = None,
-) -> float:
-    """|price(grid) - price(refined grid)| at one epsilon: the empirical
-    discretisation allowance used in cross-method tolerances.
+) -> dict:
+    """The empirical discretisation allowance of one rung, refined one axis at a time.
 
     ``rung`` is a ``ladder_price`` rung priced on the default grid with
-    the node counts ``grid`` (missing counts take the desk values); only
-    the refined grid is solved here.
+    the node counts ``grid`` (missing counts take the desk values).  Each
+    axis the grid has is refined alone (``refine_grid``) and solved at the
+    rung's epsilon.  Returns ``delta_axes``, the signed change
+    price(refined) - price(rung) per axis, and ``delta_grid``, the sum of
+    their magnitudes: refining every axis at once lets errors of opposite
+    sign cancel, so its one change can understate each of them.
     """
     eps = rung.meta["epsilon"]
     base = default_grid(params, spec, build_family(eps, spec, params), **(grid or {}))
     if list(base.shape) != rung.meta["grid_shape"] or base.n_steps != rung.meta["n_steps"]:
         raise ParameterError("rung was not priced on these node counts", field="grid")
-    fine = solve(params, spec, eps, refine_grid(base))
-    return abs(rung.value - price_from_value(fine, params).value)
+    axes = ("y", "z", "t") if base.x_nodes is None else ("x", "y", "z", "t")
+    delta_axes = {}
+    for axis in axes:
+        fine = solve(params, spec, eps, refine_grid(base, axis))
+        delta_axes[axis] = price_from_value(fine, params).value - rung.value
+    return {"delta_grid": sum(abs(d) for d in delta_axes.values()), "delta_axes": delta_axes}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from controlled_options import (
     refinement_delta,
     tail_strategy_price,
 )
-from controlled_options.hjb import _solve_z, _z_step_matrix, solve_adapted, solve_linear_reduced
+from controlled_options.hjb import _solve_z, _z_step_matrix, refine_grid, solve_adapted, solve_linear_reduced
 from controlled_options.market import _block_stream
 from controlled_options.mc import PAIR_BLOCK
 
@@ -199,7 +199,7 @@ def test_ac5_upper_bound_property():
     # call / identity reward at the deferral-triangle parameters
     spec1 = _spec()
     hjb1, raw1 = _quiet(ladder_price, PARAMS, spec1, epsilons=(0.2, 0.1, 0.05))
-    delta1 = _quiet(refinement_delta, PARAMS, spec1, raw1[-1])
+    delta1 = _quiet(refinement_delta, PARAMS, spec1, raw1[-1])["delta_grid"]
     worst1 = math.inf
     for pol in builtin_policies(spec1, PARAMS):
         mc = evaluate_policy(pol, spec1, PARAMS, 100_000, 250, seed=505)
@@ -239,7 +239,7 @@ def test_ac6_epsilon_and_grid_convergence():
     spec = _spec()
     _, raw = _quiet(ladder_price, PARAMS, spec, epsilons=(0.2, 0.1, 0.05, 0.025))
     vals = [r.value for r in raw]
-    delta = _quiet(refinement_delta, PARAMS, spec, raw[-2])  # the eps = 0.05 rung
+    delta = _quiet(refinement_delta, PARAMS, spec, raw[-2])["delta_grid"]  # the eps = 0.05 rung
     monotone = all(b >= a - delta for a, b in zip(vals, vals[1:]))
     gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
     ratios = [g0 / g1 for g0, g1 in zip(gaps, gaps[1:])]
@@ -250,11 +250,7 @@ def test_ac6_epsilon_and_grid_convergence():
     from controlled_options import default_grid
 
     base = default_grid(PARAMS, spec, fam)
-    mid = 0.5 * (base.z_nodes[:-1] + base.z_nodes[1:])
-    fine_z = np.empty(base.z_nodes.size * 2 - 1)
-    fine_z[0::2] = base.z_nodes
-    fine_z[1::2] = mid
-    fine = StateGrid(y_nodes=base.y_nodes, z_nodes=fine_z, n_steps=2 * base.n_steps)
+    fine = refine_grid(refine_grid(base, "z"), "t")
     p0 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, base), PARAMS)
     p1 = price_from_value(_quiet(solve_linear_reduced, PARAMS, spec, fam, fine), PARAMS)
     zt_change = abs(p1.value - p0.value) / abs(p0.value)

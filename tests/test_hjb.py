@@ -86,6 +86,50 @@ def test_grid_validation():
     assert err.value.field == "grid.n_steps"
 
 
+def _refine_each_axis(grid):
+    """``refine_grid`` over every axis of the grid in turn: x (if any), y, z, then t."""
+    for axis in ("y", "z", "t") if grid.x_nodes is None else ("x", "y", "z", "t"):
+        grid = refine_grid(grid, axis)
+    return grid
+
+
+def _refine_all_at_once(grid):
+    """Every spacing halved (node counts 2n - 1) and the step count doubled in one go."""
+
+    def halve(nodes):
+        out = np.empty(nodes.size * 2 - 1)
+        out[0::2] = nodes
+        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        return out
+
+    return StateGrid(y_nodes=halve(grid.y_nodes), z_nodes=halve(grid.z_nodes), n_steps=2 * grid.n_steps,
+                     x_nodes=None if grid.x_nodes is None else halve(grid.x_nodes))
+
+
+@pytest.mark.parametrize("variant", ["linear_reduced", "adapted", "normalized"])
+def test_refining_each_axis_in_turn_is_the_all_axes_refinement(variant):
+    spec = _spec(**{"adapted": {"g_kind": "cap", "g_cap": 8.0},
+                    "normalized": {"weight_mode": "normalized"}}.get(variant, {}))
+    grid = default_grid(PARAMS, spec, build_family(0.1, spec, PARAMS), nx=9, ny=11, nz=15, n_steps=12)
+    assert (grid.x_nodes is None) == (variant == "linear_reduced")
+    got, want = _refine_each_axis(grid), _refine_all_at_once(grid)
+    assert got.n_steps == want.n_steps == 24
+    for axis in ("x", "y", "z"):
+        g, w = getattr(got, f"{axis}_nodes"), getattr(want, f"{axis}_nodes")
+        assert (g is None and w is None) or g.tobytes() == w.tobytes()
+    # one axis alone leaves the others as they were
+    for axis in ("y", "z") if grid.x_nodes is None else ("x", "y", "z"):
+        one = refine_grid(grid, axis)
+        assert one.n_steps == grid.n_steps
+        for other in ("x", "y", "z"):
+            g, base = getattr(one, f"{other}_nodes"), getattr(grid, f"{other}_nodes")
+            assert g is base if other != axis else g.size == 2 * base.size - 1
+    if grid.x_nodes is None:
+        with pytest.raises(ParameterError) as err:
+            refine_grid(grid, "x")
+        assert err.value.field == "grid.x_nodes"
+
+
 @st.composite
 def _axes_and_queries(draw):
     # nodes on a binary lattice are exact floats, so the check below measures
@@ -209,7 +253,7 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
     grid = StateGrid(x_nodes=x, y_nodes=y0 + y, z_nodes=np.linspace(0.0, 1.0, feet_x.size),
                      n_steps=1)
     if halve:
-        grid = refine_grid(grid)
+        grid = _refine_each_axis(grid)
         feet_x = _feet(grid.x_nodes)
         grid = replace(grid, z_nodes=np.linspace(0.0, 1.0, feet_x.size))
     feet_y = _feet(grid.y_nodes)
@@ -220,6 +264,12 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
     # of feet_x
     gain = np.resize(np.concatenate([[0.0, 1.0, 1.0], rng.uniform(0.0, 2.0, ny)]), ny)
     rng.shuffle(gain)
+    # phi exactly 0 at the low end, at the high end, in the middle and
+    # everywhere: the kernel leaves those z columns out of the x step
+    k = np.arange(feet_x.size)
+    third = feet_x.size // 3
+    zeroed = [np.where(mask, 0.0, feet_x) for mask in
+              (k < third, k >= feet_x.size - third, (k >= third) & (k < feet_x.size - third), k >= 0)]
     for g in (grid, replace(grid, x_nodes=None)):
         kernel = _Transport(g)
         out = np.empty(g.shape)
@@ -227,7 +277,7 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
         # second call reads the kept feet), then a changed phi
         for start in range(0, feet_y.size, ny):
             foot_y = np.resize(feet_y[start:], ny)
-            for phi in (feet_x, feet_x.copy(), feet_x[::-1].copy()):
+            for phi in (feet_x, feet_x.copy(), feet_x[::-1].copy(), *zeroed):
                 values = rng.standard_normal(g.shape)
                 want = _oracle_transport(values, g, foot_y, gain[:, None] * phi[None, :])
                 assert kernel(values, foot_y, gain, phi, out=out) is out
@@ -252,7 +302,7 @@ def _desk_y_axes(draw):
 def test_transport_without_shift_returns_the_slice(x, y, halve, seed):
     grid = StateGrid(x_nodes=x, y_nodes=y, z_nodes=np.linspace(0.0, 1.0, 7), n_steps=1)
     if halve:
-        grid = refine_grid(grid)
+        grid = _refine_each_axis(grid)
     rng = np.random.default_rng(seed)
     gain, phi = np.zeros(grid.y_nodes.size), rng.standard_normal(grid.z_nodes.size)
     for g in (grid, replace(grid, x_nodes=None)):
@@ -639,10 +689,25 @@ def test_epsilon_domination():
     est, raw = _quiet_ladder(PARAMS, spec, epsilons=(0.2, 0.1, 0.05))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        delta = refinement_delta(PARAMS, spec, raw[-1])
+        delta = refinement_delta(PARAMS, spec, raw[-1])["delta_grid"]
     finest = raw[-1].value
     for r in raw:
         assert r.value <= finest + delta + 1e-9
+
+
+def test_grid_allowance_covers_each_axis_refined_alone():
+    # AC-2 on the desk 2-D grid at eps = 0.05.  Refining every axis at once
+    # moves the price by +0.0121, while halving y alone moves it by +0.0719:
+    # the axes' errors cancel, so the allowance is taken one axis at a time
+    spec = _spec()
+    rung = price_from_value(_quiet_solve(solve, PARAMS, spec, 0.05, None), PARAMS)
+    base = default_grid(PARAMS, spec, build_family(0.05, spec, PARAMS))
+    changes = {axis: price_from_value(_quiet_solve(solve, PARAMS, spec, 0.05, refine_grid(base, axis)),
+                                      PARAMS).value - rung.value
+               for axis in ("y", "z", "t")}
+    delta = _quiet_solve(refinement_delta, PARAMS, spec, rung)
+    assert delta["delta_axes"] == changes
+    assert delta["delta_grid"] >= max(abs(c) for c in changes.values())
 
 
 # AC-2 at eps = 0.1 on a 9 x 11 x 15 grid with 12 steps: the exact t = 0

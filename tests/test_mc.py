@@ -229,7 +229,7 @@ def test_floor_contract_policies_price_below_the_grid_without_warnings():
     spec = _spec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded",
                  bounds=ControlBounds(0.5, 2.0))
     grid_price, rungs = ladder_price(PARAMS, spec)
-    delta_grid = refinement_delta(PARAMS, spec, rungs[-1])
+    delta_grid = refinement_delta(PARAMS, spec, rungs[-1])["delta_grid"]
     for pol in builtin_policies(spec, PARAMS):
         est = evaluate_policy(pol, spec, PARAMS, 40_000, 250, seed=7)
         assert est.meta["forced_ramp_warnings"] == 0, pol.name
