@@ -6,6 +6,8 @@ refused.  Every report echoes the full config, defaults included, so a
 report fully describes its own run.
 Reports are byte-reproducible for a given config: floats are rounded to
 12 significant digits, keys are sorted, and no timestamps are recorded.
+A non-finite float (a gap ratio over a zero gap) is written as null, so
+every report is strict JSON.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 tolerance breach in ``compare``.
@@ -198,7 +200,7 @@ def run_price(cfg: RunConfig) -> dict:
     """Run the selected methods and assemble the pricing report."""
     estimates: dict[str, dict] = {}
     if "closed_form" in cfg.methods:
-        estimates["closed_form"] = _estimate_dict(tail_strategy_price(cfg.spec, cfg.params))
+        estimates["closed_form"] = asdict(tail_strategy_price(cfg.spec, cfg.params))
     if "monte_carlo" in cfg.methods:
         policy = _mc_policy(cfg, cfg.mc["policy"])
         est = evaluate_policy(
@@ -206,11 +208,11 @@ def run_price(cfg: RunConfig) -> dict:
             n_paths=cfg.mc["n_paths"], n_steps=cfg.mc["n_steps"],
             seed=cfg.mc["seed"], antithetic=cfg.mc["antithetic"],
         )
-        estimates["monte_carlo"] = _estimate_dict(est)
+        estimates["monte_carlo"] = asdict(est)
     if "hjb" in cfg.methods:
         est, raw = ladder_price(cfg.params, cfg.spec, epsilons=cfg.epsilons, grid=cfg.grid)
-        block = _estimate_dict(est)
-        block["ladder"] = [_estimate_dict(r) for r in raw]
+        block = asdict(est)
+        block["ladder"] = [asdict(r) for r in raw]
         estimates["hjb"] = block
     return {"config": cfg.echo(), "estimates": estimates}
 
@@ -242,7 +244,8 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
             ea, eb = report["estimates"][a], report["estimates"][b_name]
             gap = abs(ea["value"] - eb["value"])
             tol = 3.0 * math.hypot(ea["stderr"], eb["stderr"])
-            tol += delta_grid * (("hjb" in (a, b_name)) and 1.0 or 0.0)
+            if "hjb" in (a, b_name):
+                tol += delta_grid
             tol += cfg.rel_floor * max(abs(ea["value"]), abs(eb["value"]))
             ratio = gap / tol if tol > 0 else math.inf
             rows.append({"method_a": a, "method_b": b_name, "gap": gap,
@@ -297,17 +300,13 @@ def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path:
                    "value" if what == "value" else "u")
 
 
-def _estimate_dict(est: PriceEstimate) -> dict:
-    return {"value": est.value, "stderr": est.stderr, "method": est.method, "meta": est.meta}
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialisation
 # ---------------------------------------------------------------------------
 
 def _round_floats(obj):
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        return float(f"{float(obj):.12g}") if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -321,10 +320,15 @@ def _round_floats(obj):
     return obj
 
 
+def _dump(report: dict, fh) -> None:
+    """``report`` as deterministic JSON, one document and a newline, to ``fh``."""
+    json.dump(_round_floats(report), fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def write_report(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_floats(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        _dump(report, fh)
 
 
 def write_compare_csv(report: dict, path: str) -> None:
@@ -394,8 +398,7 @@ def _emit(report: dict, cfg: RunConfig, name: str, write_csv=None) -> None:
             write_report(report, os.path.join(cfg.out_dir, name))
             if write_csv is not None:
                 write_csv(report, os.path.join(cfg.out_dir, name.replace(".json", ".csv")))
-    json.dump(_round_floats(report), sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    _dump(report, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,17 +45,19 @@ The scheme is monotone without a transport CFL restriction:
 * The Hamiltonian is affine in u, so the max is taken over the two
   endpoint controls only; ties go to d1.
 * One class, ``_Axis``, validates each axis and places every query on
-  it.  ``locate`` places the characteristic feet and the readout at
-  log s0 by a search on every axis, uniform or not; ``nearest``, the
-  policy table's lookup, counts the cell midpoints below each query
-  through a bucket table the axis builds on its first call.
+  it; a ``StateGrid`` builds its axes once and keeps them in ``axes``.
+  ``locate`` places the characteristic feet and the readout at log s0
+  by a search on every axis, uniform or not; ``nearest``, the policy
+  table's lookup, counts the cell midpoints below each query through a
+  bucket table the axis builds on its first call.
 
 The payoff weight u enters both transport rates linearly, which is what
 makes the optimal control bang-bang.  The sweep keeps one slice at a
 time; the slices and choices it hands an observer are fresh arrays,
 never reused by the sweep.  ``extract_policy`` records the scheme's own
-choice at every node and step (the ``hjb`` policy): d1 where its
-candidate value is >= that of d0, so ties go to d1.
+choice at every node and step (the ``hjb`` policy, whose rule is a
+``TableRule``): d1 where its candidate value is >= that of d0, so ties
+go to d1.
 """
 from __future__ import annotations
 
@@ -155,21 +157,22 @@ class _Axis:
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Tensor grid; ``x_nodes`` is None for the reduced (y, z) problem."""
+    """Tensor grid; ``x_nodes`` is None for the reduced (y, z) problem.
+    ``axes`` keeps the validated ``_Axis`` of each dimension, in ``shape`` order."""
 
     y_nodes: np.ndarray
     z_nodes: np.ndarray
     n_steps: int
     x_nodes: np.ndarray | None = None
+    axes: tuple[_Axis, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.x_nodes is not None:
-            _Axis(self.x_nodes, "x")
-        _Axis(self.y_nodes, "y")
-        z = _Axis(self.z_nodes, "z")
+        x = () if self.x_nodes is None else (_Axis(self.x_nodes, "x"),)
+        axes = x + (_Axis(self.y_nodes, "y"), _Axis(self.z_nodes, "z"))
+        object.__setattr__(self, "axes", axes)
         if self.n_steps < 1:
-            raise ParameterError("need at least one time step", field="grid.n_steps")
-        if not z.uniform:
+            raise ParameterError(f"need at least one time step, not {self.n_steps}", field="grid.n_steps")
+        if not axes[-1].uniform:
             raise ParameterError("z axis must be uniform (implicit diffusion stencil)",
                                  field="grid.z_nodes")
 
@@ -196,7 +199,7 @@ def default_grid(
     exists, so coarse far-field nodes do not starve the curved region.
     """
     normalized = spec.weight_mode == "normalized"
-    planar = not normalized and spec.g_kind == "identity"
+    planar = _linear_in_x(spec)
     # x is the origin, the kink region or eps^2 run, and the far field
     if not planar and nx < 3:
         raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
@@ -206,8 +209,6 @@ def default_grid(
         raise ParameterError(f"the y axis needs at least {min_ny} nodes, not {ny}", field="grid.ny")
     if nz < 2:
         raise ParameterError(f"the z axis needs at least two nodes, not {nz}", field="grid.nz")
-    if n_steps < 1:
-        raise ParameterError(f"need at least one time step, not {n_steps}", field="grid.n_steps")
     T = params.t_horizon
     eps = fam.epsilon
     half = max(5.0 * params.sigma * np.sqrt(T), 1e-6)
@@ -234,7 +235,7 @@ def default_grid(
     x_nodes = None
     if not planar:
         phi_max = _peak_rate(params, fam, z_nodes)
-        x_max = spec.bounds.d1 * T * max(phi_max, 1e-12) * (1.0 + 1e-9)
+        x_max = _x_reach(params, spec, max(phi_max, 1e-12)) * (1.0 + 1e-9)
         if normalized:
             # log spacing from the eps^2 scale up: the reward depends on x/y,
             # so cells near the origin must shrink in x as they do in y or
@@ -271,10 +272,20 @@ def _y_axis(y_max: float, run: Callable, n_run: int, ny: int, tol: float) -> np.
     raise ParameterError(f"the y axis cannot lay {ny} distinct nodes", field="grid.ny")
 
 
+def _linear_in_x(spec: PayoffSpec) -> bool:
+    """A budget contract with identity g: its reward is linear in x, so it needs no x axis."""
+    return spec.weight_mode != "normalized" and spec.g_kind == "identity"
+
+
 def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
-    """Largest payment rate on the z axis over a 9-point time probe; x must reach d1 T times it."""
+    """Largest payment rate on the z axis over a 9-point time probe."""
     t_probe = np.linspace(0.0, params.t_horizon, 9)[:, None]
     return float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
+
+
+def _x_reach(params: MarketParams, spec: PayoffSpec, phi_max: float) -> float:
+    """The most x can gain by T at the payment rate ``phi_max``: d1 T phi_max."""
+    return spec.bounds.d1 * params.t_horizon * phi_max
 
 
 def refine_grid(grid: StateGrid, axis: str) -> StateGrid:
@@ -316,13 +327,13 @@ class _Transport:
     """
 
     def __init__(self, grid: StateGrid):
-        self.ax_y = _Axis(grid.y_nodes, "y")
+        self.ax_y = grid.axes[-2]
         self.a, self.b = np.empty(grid.shape), np.empty(grid.shape)
         self.kept = {}  # slot -> (inputs, 1 - wy, wy, iy, z columns, flat x offsets, 1 - wx, wx)
         if grid.x_nodes is None:
             self.ax_x = None
             return
-        self.ax_x = _Axis(grid.x_nodes, "x")
+        self.ax_x = grid.axes[0]
         self.x_col = grid.x_nodes[:, None, None]
         _, ny, nz = grid.shape
         self.plane = ny * nz
@@ -437,48 +448,45 @@ class ValueFunction:
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback control map (t, x, y, S) -> proposed u.
+    """Feedback control map (t, x, y, S) -> proposed u: a name and a rule.
 
-    ``grid_table`` policies hold one boolean slab per time step (True
-    selects d1) and use nearest-node lookup in (x, y, z) with the
-    enclosing time slice: ``_Axis.nearest`` counts the cell midpoints
-    below each coordinate through a bucket table, not a search.
-    ``analytic`` policies wrap a callable, whose value (an array or a
-    float) is returned as it is.  A policy only proposes a control;
-    ``mc.evaluate_policy`` enforces admissibility by clipping each step's
-    u to the payments that keep the contract feasible, within [d0, d1].
+    A policy only proposes a control; ``mc.evaluate_policy`` enforces
+    admissibility by clipping each step's u to the payments that keep the
+    contract feasible, within [d0, d1].
     """
 
-    source: str
-    d0: float
-    d1: float
-    name: str = "policy"
-    fn: Callable | None = None
-    table: np.ndarray | None = None
-    grid: StateGrid | None = None
-    t_horizon: float | None = None
-    meta: dict = field(default_factory=dict)
+    name: str
+    rule: Callable
 
     def evaluate(self, t: float, x, y, s):
-        """Vectorised over path arrays x, y, s at a common time t."""
-        if self.source == "analytic":
-            return self.fn(t, x, y, s)
+        """``rule(t, x, y, s)`` as it is, an array or a float; vectorised over
+        path arrays x, y, s at a common time t."""
+        return self.rule(t, x, y, s)
+
+
+@dataclass(frozen=True)
+class TableRule:
+    """The rule of the ``hjb`` policy: one boolean slab per time step of
+    ``grid`` (True selects d1), read at the nearest node in (x,) y, z of
+    the enclosing time slice.  ``_Axis.nearest`` counts the cell midpoints
+    below each coordinate through a bucket table, not a search."""
+
+    table: np.ndarray
+    grid: StateGrid
+    t_horizon: float
+    d0: float
+    d1: float
+
+    def __call__(self, t: float, x, y, s):
         n_steps = self.table.shape[0]
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
         query = (y, np.log(s)) if self.grid.x_nodes is None else (x, y, np.log(s))
         flat = 0  # the node's offset in slice n, ((ix) ny + iy) nz + iz
-        for axis, q in zip(self._axes, query):
+        for axis, q in zip(self.grid.axes, query):
             flat = flat * axis.nodes.size + axis.nearest(q)
         picks = self.table[n].reshape(-1).take(flat)
         return np.where(picks, self.d1, self.d0)
-
-    @cached_property
-    def _axes(self) -> tuple[_Axis, ...]:
-        """The table's axes, (x,) y and z, built on the first lookup."""
-        g = self.grid
-        axes = (_Axis(g.y_nodes, "y"), _Axis(g.z_nodes, "z"))
-        return axes if g.x_nodes is None else (_Axis(g.x_nodes, "x"),) + axes
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +497,7 @@ def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
     """The problem that the contract and the grid pose; (y, z) grids need identity g."""
     variant = "normalized" if spec.weight_mode == "normalized" else "adapted"
     if grid.x_nodes is None:
-        if variant == "adapted" and spec.g_kind == "identity":
+        if _linear_in_x(spec):
             return "linear_reduced"
         raise ParameterError(f"the {variant} variant needs an x axis; this grid has only y and z",
                              field="grid.x_nodes")
@@ -501,11 +509,14 @@ def _validate(params, spec, fam, grid, variant):
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
         raise ParameterError("z axis must contain log s0", field="grid.z_nodes")
     eps = fam.epsilon
-    if variant != "normalized" and grid.y_nodes[-1] < 1.0 + eps:
-        raise ParameterError("y_max must cover the budget cutoff region (>= 1 + eps)",
+    # y must hold the budget cutoff region, 1 + eps, or the normalized weight's
+    # reach, int h <= d1 T; a shorter axis would clamp the feet
+    need_y = spec.bounds.d1 * params.t_horizon if variant == "normalized" else 1.0 + eps
+    if grid.y_nodes[-1] < need_y:
+        raise ParameterError(f"y_max {grid.y_nodes[-1]:g} below reachable bound {need_y:g}",
                              field="grid.y_nodes")
     if variant != "linear_reduced":
-        need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
+        need = _x_reach(params, spec, _peak_rate(params, fam, grid.z_nodes))
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise ParameterError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}",
                                  field="grid.x_nodes")
@@ -618,7 +629,7 @@ def price_from_value(vf: ValueFunction, params: MarketParams) -> PriceEstimate:
     g = vf.grid
     if not g.z_nodes[0] <= z0 <= g.z_nodes[-1]:
         raise ParameterError("log s0 outside the z grid", field="grid.z_nodes")
-    iz, wz = _Axis(g.z_nodes, "z").locate(np.array([z0]))
+    iz, wz = g.axes[-1].locate(np.array([z0]))
     # node 0 is read as the origin, so it must be exactly 0 on x and y
     if g.x_nodes is not None and g.x_nodes[0] != 0.0:
         raise ParameterError("grid does not start at x = 0", field="grid.x_nodes")
@@ -659,16 +670,8 @@ def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float,
             table[n] = d1_wins
 
     vf = solve(params, spec, epsilon, grid, observe=record)
-    return Policy(
-        source="grid_table",
-        d0=spec.bounds.d0,
-        d1=spec.bounds.d1,
-        name=f"hjb[{vf.variant}]",
-        table=table,
-        grid=vf.grid,
-        t_horizon=params.t_horizon,
-        meta={"epsilon": vf.epsilon},
-    )
+    rule = TableRule(table, vf.grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1)
+    return Policy(f"hjb[{vf.variant}]", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +689,13 @@ def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, grid: StateGri
     """
     params.check_log_band()
     fam = build_family(epsilon, spec, params)
-    if not isinstance(grid, StateGrid):
-        grid = default_grid(params, spec, fam, **(grid or {}))
+    grid = _state_grid(params, spec, fam, grid)
     return _SOLVERS[_variant(spec, grid)](params, spec, fam, grid, observe=observe)
+
+
+def _state_grid(params, spec, fam, grid: StateGrid | dict | None) -> StateGrid:
+    """``grid`` itself, or the default grid with its node counts (see ``solve``)."""
+    return grid if isinstance(grid, StateGrid) else default_grid(params, spec, fam, **(grid or {}))
 
 
 def ladder_price(
@@ -746,12 +753,12 @@ def refinement_delta(
     params: MarketParams,
     spec: PayoffSpec,
     rung: PriceEstimate,
-    grid: dict | None = None,
+    grid: StateGrid | dict | None = None,
 ) -> dict:
     """The empirical discretisation allowance of one rung, refined one axis at a time.
 
-    ``rung`` is a ``ladder_price`` rung priced on the default grid with
-    the node counts ``grid`` (missing counts take the desk values).  Each
+    ``rung`` is a ``ladder_price`` rung priced on ``grid``, taken as by
+    ``solve``.  Each
     axis the grid has is refined alone (``refine_grid``) and solved at the
     rung's epsilon.  Returns ``delta_axes``, the signed change
     price(refined) - price(rung) per axis, and ``delta_grid``, the sum of
@@ -759,9 +766,9 @@ def refinement_delta(
     sign cancel, so its one change can understate each of them.
     """
     eps = rung.meta["epsilon"]
-    base = default_grid(params, spec, build_family(eps, spec, params), **(grid or {}))
+    base = _state_grid(params, spec, build_family(eps, spec, params), grid)
     if list(base.shape) != rung.meta["grid_shape"] or base.n_steps != rung.meta["n_steps"]:
-        raise ParameterError("rung was not priced on these node counts", field="grid")
+        raise ParameterError("rung was not priced on this grid", field="grid")
     axes = ("y", "z", "t") if base.x_nodes is None else ("x", "y", "z", "t")
     delta_axes = {}
     for axis in axes:

@@ -36,12 +36,11 @@ The worker prepares the chunks in stream order, every value is the same
 elementwise arithmetic on the same normals, and the block's sums run
 over the same arrays in the same order, so neither the chunking nor the
 thread changes a result.  Memory stays flat in the number of paths: two
-slots of 2 * ``CHUNK_ROWS`` rows and the staging buffer, about what one
-chunk of normals and one of growth factors took when the legs were
-walked in turn, rather than a block of normals.  The
-second moment is summed about the first block's mean and divided by its
-largest payoff, so the standard error scales with the price instead of
-overflowing or underflowing at extreme spot levels.
+slots of 2 * ``CHUNK_ROWS`` rows and the staging buffer, rather than a
+block of normals.  The second moment is summed about the first block's
+mean and divided by its largest payoff, so the standard error scales
+with the price instead of overflowing or underflowing at extreme spot
+levels.
 
 The built-in ``tail`` policy is the deferral strategy that
 ``closed_form`` prices; both take its window from ``closed_form.switch_time``.
@@ -206,27 +205,15 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
 
     ``tail`` (offered when d0 = 0 < d1) pays d1 from ``closed_form.switch_time``
     on: over [T - 1/d1, T] it spends the unit budget exactly, and when
-    d1 T <= 1 it pays d1 throughout (``meta["degenerate"]``).
+    d1 T <= 1 it pays d1 throughout.
     """
     params.check_log_band()  # the threshold levels lie inside the band
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     T = params.t_horizon
-    out = []
-
-    def _const(level, name):
-        return Policy(
-            source="analytic", d0=d0, d1=d1, name=name, t_horizon=T,
-            fn=lambda t, x, y, s, level=level: level,
-        )
-
-    out.append(_const(1.0 / T, "uniform"))
+    out = [Policy("uniform", lambda t, x, y, s, level=1.0 / T: level)]
     if d0 == 0.0 < d1:
         switch = switch_time(spec, params)
-        out.append(Policy(
-            source="analytic", d0=0.0, d1=d1, name="tail", t_horizon=T,
-            fn=lambda t, x, y, s: d1 if t >= switch else 0.0,
-            meta={"switch_time": switch, "degenerate": d1 * T <= 1.0},
-        ))
+        out.append(Policy("tail", lambda t, x, y, s: d1 if t >= switch else 0.0))
     for q in (-0.5, 0.0, 0.5):
         level = params.s0 * math.exp(params.sigma * math.sqrt(T) * q)
         c = float(eval_f(spec, params, level, 0.5 * T))
@@ -235,7 +222,6 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
             f_now = eval_f(spec, params, np.asarray(s, dtype=float), t)
             return np.where(f_now > c, d1, d0)
 
-        out.append(Policy(source="analytic", d0=d0, d1=d1, name=f"threshold[{q:+.1f}]",
-                          fn=threshold_rule, t_horizon=T, meta={"cutoff": c}))
-    out.append(_const(d0, "floor"))
+        out.append(Policy(f"threshold[{q:+.1f}]", threshold_rule))
+    out.append(Policy("floor", lambda t, x, y, s: d0))
     return out

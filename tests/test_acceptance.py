@@ -112,14 +112,14 @@ def test_ac3_bang_bang_and_strategy_recovery():
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(Z0 - 1.0, Z0 + 1.0, 81), n_steps=200)
     pol = _quiet(extract_policy, PARAMS, spec, eps, grid)
-    values = np.where(pol.table, pol.d1, pol.d0)
+    values = np.where(pol.rule.table, pol.rule.d1, pol.rule.d0)
     bang_ok = set(np.unique(values)) <= {0.0, 2.0}
 
     times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
-    interior = pol.table[:, 1:-1, 1:-1]
+    interior = pol.rule.table[:, 1:-1, 1:-1]
     feedback = np.broadcast_to(tt >= 1.0 - (1.0 - yy) / 2.0, interior.shape)
     open_loop = np.broadcast_to((tt >= 0.5) * np.ones_like(yy), interior.shape)
     band = np.broadcast_to((yy < 1.0 - eps) & (np.abs(zz - Z0) <= 0.6), interior.shape)
@@ -290,8 +290,7 @@ def test_ac7_scheme_validation():
 
 def test_ac8_normalized_degeneracy():
     spec = _spec(weight_mode="normalized")
-    zero = Policy(source="analytic", d0=0.0, d1=2.0, name="zero",
-                  fn=lambda t, x, y, s: np.zeros(np.shape(s)), t_horizon=1.0)
+    zero = Policy("zero", lambda t, x, y, s: np.zeros(np.shape(s)))
     a = evaluate_policy(zero, spec, PARAMS, 200_000, 250, seed=808)
 
     # direct terminal MC: a straight loop over the engine's blocks of normals

@@ -113,6 +113,33 @@ def test_convergence_report_structure(recwarn):
     assert report["delta_grid"] >= 0.0
 
 
+def _strict(text):
+    """``text`` parsed as JSON that holds no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_gap_ratio_is_written_as_null(tmp_path, capsys, monkeypatch, recwarn):
+    # the last two rungs priced alike make a zero gap, whose ratio is inf;
+    # json.dump wrote it as the token Infinity, which is not JSON
+    ladder = cli.ladder_price
+
+    def flat_ladder(*args, **kw):
+        est, raw = ladder(*args, **kw)
+        return est, raw + [raw[-1]]
+
+    monkeypatch.setattr(cli, "ladder_price", flat_ladder)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(epsilons=[0.2, 0.1], grid={"ny": 9, "nz": 11, "n_steps": 10})))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    for text in (capsys.readouterr().out, (out / "convergence.json").read_text()):
+        report = _strict(text)
+        assert report["gaps"][-1] == 0.0
+        assert report["gap_ratios"] == [None]
+
+
 def test_cli_end_to_end(tmp_path, recwarn):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(_doc()))

@@ -55,14 +55,14 @@ def _oracle_price(s0, K, r, sigma, T, L):
 
 def test_switch_time():
     pol = _tail(_spec(2.0))
-    assert pol.meta["switch_time"] == switch_time(_spec(2.0), PARAMS) == 0.5
+    assert switch_time(_spec(2.0), PARAMS) == 0.5
     assert float(pol.evaluate(0.49, 0.0, 0.0, 100.0)) == 0.0
     assert float(pol.evaluate(0.5, 0.0, 0.0, 100.0)) == 2.0
 
 
 def test_boundary_cap_means_always_on():
     pol = _tail(_spec(1.0))
-    assert pol.meta["degenerate"]  # L*T = 1 sits on the boundary
+    # L*T = 1 sits on the boundary: the window is the whole horizon, so u = L from t = 0
     assert float(pol.evaluate(0.0, 0.0, 0.0, 100.0)) == 1.0
 
 

@@ -333,6 +333,21 @@ def test_solver_rejects_uncovering_grids():
     assert err.value.field == "grid.x_nodes"
 
 
+def test_normalized_grid_short_of_the_y_reach_is_refused():
+    # AC-2 normalized with d0 = 0.5 at eps = 0.1: the default 21 x 21 x 31 grid
+    # prices 8.612, and the same grid cut to y <= 0.857 clamped its y-feet and
+    # priced 16.810 without a complaint.  The weight state reaches d1 T = 2.
+    spec = _spec(weight_mode="normalized", bounds=ControlBounds(0.5, 2.0))
+    grid = default_grid(PARAMS, spec, build_family(0.1, spec, PARAMS), nx=21, ny=21, nz=31, n_steps=60)
+    y = grid.y_nodes
+    for cut in (y[y <= 0.857], np.append(y[y < 2.0], np.nextafter(2.0, 0.0))):
+        with pytest.raises(ParameterError, match="below reachable bound") as err:
+            solve(PARAMS, spec, 0.1, replace(grid, y_nodes=cut))
+        assert err.value.field == "grid.y_nodes"
+    at_reach = replace(grid, y_nodes=np.append(y[y < 2.0], 2.0))
+    assert np.isfinite(price_from_value(_quiet_solve(solve, PARAMS, spec, 0.1, at_reach), PARAMS).value)
+
+
 @pytest.mark.parametrize("variant,overrides", [("adapted", {"g_kind": "cap", "g_cap": 8.0}),
                                                ("normalized", {"weight_mode": "normalized"})])
 def test_planar_grid_refused_by_3d_variants(variant, overrides):
@@ -549,9 +564,9 @@ def test_extracted_policy_is_bang_bang_and_ties_go_high():
     singleton = _spec(bounds=ControlBounds(1.0, 1.0))
     for spec, d1 in ((zero_rate, 2.0), (singleton, 1.0)):
         pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, dims)
-        assert pol.table.dtype == bool
-        assert pol.table.shape == (40,) + pol.grid.shape
-        assert np.all(pol.table)
+        assert pol.rule.table.dtype == bool
+        assert pol.rule.table.shape == (40,) + pol.rule.grid.shape
+        assert np.all(pol.rule.table)
         u = pol.evaluate(0.2, 0.0, np.array([0.1, 0.5]), np.array([60.0, 140.0]))
         assert set(np.unique(u)) == {d1}
 
@@ -569,12 +584,12 @@ def test_extracted_policy_recovers_deferral_feedback():
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(z0 - 1.0, z0 + 1.0, 81), n_steps=200)
     pol = _quiet_solve(extract_policy, PARAMS, spec, eps, grid)
-    assert pol.table.dtype == bool  # bang-bang by construction
+    assert pol.rule.table.dtype == bool  # bang-bang by construction
     times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
-    interior = pol.table[:, 1:-1, 1:-1]
+    interior = pol.rule.table[:, 1:-1, 1:-1]
     feedback = np.broadcast_to(tt >= 1.0 - (1.0 - yy) / 2.0, interior.shape)
     open_loop = np.broadcast_to((tt >= 0.5) * np.ones_like(yy), interior.shape)
     mask = np.broadcast_to((yy < 1.0 - eps) & (np.abs(zz - z0) <= 0.6), interior.shape)
@@ -710,6 +725,20 @@ def test_grid_allowance_covers_each_axis_refined_alone():
     assert delta["delta_grid"] >= max(abs(c) for c in changes.values())
 
 
+def test_grid_allowance_takes_a_state_grid():
+    # solve, ladder_price and extract_policy take a StateGrid or node counts,
+    # and so does refinement_delta; a rung from another grid is refused
+    spec = _spec()
+    counts = {"ny": 21, "nz": 31, "n_steps": 40}
+    grid = default_grid(PARAMS, spec, build_family(0.1, spec, PARAMS), **counts)
+    _, rungs = _quiet_ladder(PARAMS, spec, epsilons=(0.1,), grid=grid)
+    by_grid = _quiet_solve(refinement_delta, PARAMS, spec, rungs[-1], grid)
+    assert by_grid == _quiet_solve(refinement_delta, PARAMS, spec, rungs[-1], counts)
+    with pytest.raises(ParameterError) as err:
+        refinement_delta(PARAMS, spec, rungs[-1], refine_grid(grid, "t"))
+    assert err.value.field == "grid"
+
+
 # AC-2 at eps = 0.1 on a 9 x 11 x 15 grid with 12 steps: the exact t = 0
 # price, the number of d1 cells in the policy table, and the exact Monte
 # Carlo price of that table (20k paths, 40 steps, seed 11).  Any change to
@@ -740,7 +769,7 @@ def test_sweep_is_pinned_bit_for_bit(variant):
     assert _pin_price(variant, PARAMS).hex() == price
     spec = _spec(**overrides)
     pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, PIN_DIMS)
-    assert int(pol.table.sum()) == d1_cells
+    assert int(pol.rule.table.sum()) == d1_cells
     assert evaluate_policy(pol, spec, PARAMS, 20_000, 40, seed=11).value.hex() == mc_price
 
 

@@ -36,8 +36,7 @@ def _stream(params, n_paths, n_steps, seed, f_kind="identity", strike=None):
 
     spec = PayoffSpec(f_kind=f_kind, f_strike=strike, g_kind="identity",
                       weight_mode="normalized", bounds=ControlBounds(0.0, 1.0))
-    policy = Policy(source="analytic", d0=0.0, d1=1.0, name="record", fn=record,
-                    t_horizon=params.t_horizon)
+    policy = Policy("record", record)
     est = evaluate_policy(policy, spec, params, n_paths, n_steps, seed, antithetic=False)
     blocks = [np.stack(seen[i:i + n_steps], axis=1) for i in range(0, len(seen), n_steps)]
     return np.vstack(blocks), est

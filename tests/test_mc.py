@@ -20,6 +20,7 @@ from controlled_options import (
     tail_strategy_price,
 )
 from controlled_options import mc
+from controlled_options.hjb import TableRule
 from controlled_options.market import _block_stream
 from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _budget_interval
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
@@ -79,8 +80,7 @@ def test_singleton_control_matches_direct_evaluation():
     n_steps = 128
     n_rows = 4096
     spec = _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(1.0, 1.0))
-    pol = Policy(source="analytic", d0=1.0, d1=1.0, name="const",
-                 fn=lambda t, x, y, s: np.full(np.shape(s), 1.0), t_horizon=t_horizon)
+    pol = Policy("const", lambda t, x, y, s: np.full(np.shape(s), 1.0))
     est = evaluate_policy(pol, spec, PARAMS, n_paths=2 * n_rows, n_steps=n_steps,
                           seed=13, antithetic=True)
 
@@ -141,8 +141,7 @@ def test_step_refinement_stability():
 
 def test_normalized_zero_policy_hits_terminal_branch_exactly():
     spec = _spec(weight_mode="normalized", f_kind="call", f_strike=100.0)
-    zero = Policy(source="analytic", d0=0.0, d1=2.0, name="zero",
-                  fn=lambda t, x, y, s: np.zeros(np.shape(s)), t_horizon=1.0)
+    zero = Policy("zero", lambda t, x, y, s: np.zeros(np.shape(s)))
     a = evaluate_policy(zero, spec, PARAMS, 40_000, 64, seed=21)
 
     # independent straight-loop terminal payoff on the same substream
@@ -211,7 +210,7 @@ def test_budget_projection_forces_exact_budget(t_horizon, floor_reach, budget_re
     # on a spot that barely moves f = S = 1, so each path's payoff is its y(T)
     params = MarketParams(s0=1.0, r=0.0, sigma=1e-12, t_horizon=t_horizon)
     spec = _spec(bounds=ControlBounds(d0, d1))
-    pol = Policy(source="analytic", d0=d0, d1=d1, name="wild", fn=wild, t_horizon=t_horizon)
+    pol = Policy("wild", wild)
     est = evaluate_policy(pol, spec, params, n_paths=64, n_steps=n_steps, seed=7)
     assert est.meta["forced_ramp_warnings"] == 0
     dt = t_horizon / n_steps
@@ -244,8 +243,7 @@ def test_tail_switch_between_steps_still_spends_the_budget():
     est = evaluate_policy(tail, spec, PARAMS, n_paths=2_000, n_steps=7, seed=5)
     assert est.meta["forced_ramp_warnings"] == 0
     # the projection pays the shortfall 1 - d1 * 3/7 in the step before the switch
-    schedule = Policy(source="analytic", d0=0.0, d1=2.0, name="schedule", t_horizon=1.0,
-                      fn=lambda t, x, y, s: np.full(np.shape(s), [0, 0, 0, 1, 2, 2, 2][round(7 * t)]))
+    schedule = Policy("schedule", lambda t, x, y, s: np.full(np.shape(s), [0, 0, 0, 1, 2, 2, 2][round(7 * t)]))
     direct = evaluate_policy(schedule, spec, PARAMS, n_paths=2_000, n_steps=7, seed=5)
     assert direct.meta["forced_ramp_warnings"] == 0
     assert est.value == pytest.approx(direct.value, rel=1e-12)
@@ -352,13 +350,12 @@ CHUNK_EDGE_CONTRACTS = {
 
 
 def _random_table_policy(spec, params):
-    """A grid_table policy on a tiny (x, y, z) grid with a seeded random table:
+    """A table policy on a tiny (x, y, z) grid with a seeded random table:
     each stacked row takes its own nearest node, whatever its leg."""
     grid = StateGrid(x_nodes=np.linspace(0.0, 40.0, 6), y_nodes=np.array([0.0, 0.1, 0.3, 0.6, 1.0]),
                      z_nodes=np.linspace(math.log(60.0), math.log(160.0), 9), n_steps=4)
     table = np.random.default_rng(5).random((grid.n_steps,) + grid.shape) < 0.5
-    return Policy(source="grid_table", d0=spec.bounds.d0, d1=spec.bounds.d1, name="table",
-                  table=table, grid=grid, t_horizon=params.t_horizon)
+    return Policy("table", TableRule(table, grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1))
 
 
 def _threshold_policy(spec, params):
@@ -422,7 +419,7 @@ def test_worker_thread_leaves_no_thread_and_passes_errors_through(monkeypatch):
             raise boom
         return np.full(np.shape(s), 1.0)
 
-    flaky_pol = Policy(source="analytic", d0=0.25, d1=2.0, name="flaky", fn=flaky, t_horizon=1.0)
+    flaky_pol = Policy("flaky", flaky)
     with pytest.raises(_Boom) as err:
         evaluate_policy(flaky_pol, spec, params, n_paths, 16, seed=41)
     assert err.value is boom

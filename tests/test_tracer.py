@@ -1,10 +1,11 @@
 """The benchmark's span tracer wraps engine functions by name; each name must resolve."""
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import controlled_options.cli  # noqa: F401  (the tracer finds the modules in sys.modules)
-from controlled_options import hjb
+from controlled_options import ControlBounds, MarketParams, PayoffSpec, hjb
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 _SPEC = importlib.util.spec_from_file_location("bench_tracer", _PATH)
@@ -44,3 +45,25 @@ def test_tracer_wraps_every_named_function_and_puts_it_back():
         assert getattr(_module(short), attr) is original, (short, attr)
     assert hjb._SOLVERS == saved_solvers
     assert hjb.Policy.evaluate is evaluate
+
+
+def test_tracer_times_every_table_lookup():
+    # the hjb policy's lookup runs in its rule, inside the wrapped
+    # Policy.evaluate, so mc.policy_s counts it at every step walked
+    params = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
+    spec = PayoffSpec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded",
+                      g_kind="cap", g_cap=8.0, weight_mode="adapted_fixed_cumulative",
+                      bounds=ControlBounds(0.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pol = hjb.extract_policy(params, spec, 0.1, {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12})
+    n_steps = 20
+    t = tracer.Tracer()
+    try:
+        t.install()
+        _module("mc").evaluate_policy(pol, spec, params, n_paths=200, n_steps=n_steps, seed=1)
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(t.spans, 0)
+    assert metrics["mc.policy_calls"] == n_steps  # 100 antithetic rows walk in one chunk
+    assert metrics["mc.policy_s"] > 0.0
