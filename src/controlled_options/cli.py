@@ -331,28 +331,31 @@ def write_report(report: dict, path: str) -> None:
         _dump(report, fh)
 
 
+def _cell(value) -> str:
+    """A CSV number; a non-finite one is an empty field, as JSON writes it null."""
+    return f"{value:.12g}" if math.isfinite(value) else ""
+
+
 def write_compare_csv(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("method,price,stderr\n")
         for name in sorted(report["estimates"]):
             e = report["estimates"][name]
-            fh.write(f"{name},{e['value']:.12g},{e['stderr']:.12g}\n")
+            fh.write(f"{name},{_cell(e['value'])},{_cell(e['stderr'])}\n")
         fh.write("method_a,method_b,gap,tolerance,gap_over_tolerance\n")
         for row in report["comparison"]:
-            fh.write(
-                f"{row['method_a']},{row['method_b']},{row['gap']:.12g},"
-                f"{row['tolerance']:.12g},{row['gap_over_tolerance']:.12g}\n"
-            )
+            cells = (_cell(row[k]) for k in ("gap", "tolerance", "gap_over_tolerance"))
+            fh.write(f"{row['method_a']},{row['method_b']},{','.join(cells)}\n")
 
 
 def write_convergence_csv(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epsilon,price,gap,gap_ratio\n")
         eps, prices = report["epsilons"], report["prices"]
-        gaps = [""] + [f"{g:.12g}" for g in report["gaps"]]
-        ratios = ["", ""] + [f"{r:.12g}" for r in report["gap_ratios"]]
+        gaps = [""] + [_cell(g) for g in report["gaps"]]
+        ratios = ["", ""] + [_cell(r) for r in report["gap_ratios"]]
         for i in range(len(eps)):
-            fh.write(f"{eps[i]:.12g},{prices[i]:.12g},{gaps[i]},{ratios[i]}\n")
+            fh.write(f"{_cell(eps[i])},{_cell(prices[i])},{gaps[i]},{ratios[i]}\n")
 
 
 # ---------------------------------------------------------------------------

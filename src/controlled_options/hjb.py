@@ -57,10 +57,12 @@ time; the slices and choices it hands an observer are fresh arrays,
 never reused by the sweep.  ``extract_policy`` records the scheme's own
 choice at every node and step (the ``hjb`` policy, whose rule is a
 ``TableRule``): d1 where its candidate value is >= that of d0, so ties
-go to d1.
+go to d1.  The choice is bang-bang, so it keeps one bit per node, packed
+slice by slice as the sweep hands it over.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -466,26 +468,33 @@ class Policy:
 
 @dataclass(frozen=True)
 class TableRule:
-    """The rule of the ``hjb`` policy: one boolean slab per time step of
-    ``grid`` (True selects d1), read at the nearest node in (x,) y, z of
-    the enclosing time slice.  ``_Axis.nearest`` counts the cell midpoints
+    """The rule of the ``hjb`` policy: one bit per node and time step of
+    ``grid`` (1 selects d1), each slice's flat (x,) y, z order packed
+    little-endian into a row of ``bits``, read at the nearest node of the
+    enclosing time slice.  ``_Axis.nearest`` counts the cell midpoints
     below each coordinate through a bucket table, not a search."""
 
-    table: np.ndarray
+    bits: np.ndarray
     grid: StateGrid
     t_horizon: float
     d0: float
     d1: float
 
+    def __post_init__(self):
+        want = (self.grid.n_steps, (math.prod(self.grid.shape) + 7) // 8)
+        if self.bits.dtype != np.uint8 or self.bits.shape != want:
+            raise ParameterError(f"policy bits {self.bits.dtype}{list(self.bits.shape)} do not fit "
+                                 f"the grid, which needs uint8{list(want)}", field="grid")
+
     def __call__(self, t: float, x, y, s):
-        n_steps = self.table.shape[0]
+        n_steps = self.grid.n_steps
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
         query = (y, np.log(s)) if self.grid.x_nodes is None else (x, y, np.log(s))
         flat = 0  # the node's offset in slice n, ((ix) ny + iy) nz + iz
         for axis, q in zip(self.grid.axes, query):
             flat = flat * axis.nodes.size + axis.nearest(q)
-        picks = self.table[n].reshape(-1).take(flat)
+        picks = (self.bits[n].take(flat >> 3) >> (flat & 7)) & 1
         return np.where(picks, self.d1, self.d0)
 
 
@@ -660,17 +669,17 @@ def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float,
     ``cand(d1) >= cand(d0)`` with ties to d1, at every node and step.
     Arguments are those of ``solve``.
     """
-    table = None
+    bits = None
 
     def record(n, slice_n, d1_wins):
-        nonlocal table
+        nonlocal bits
         if d1_wins is None:
-            table = np.empty((n,) + slice_n.shape, dtype=bool)
+            bits = np.empty((n, (slice_n.size + 7) // 8), dtype=np.uint8)
         else:
-            table[n] = d1_wins
+            bits[n] = np.packbits(d1_wins.reshape(-1), bitorder="little")
 
     vf = solve(params, spec, epsilon, grid, observe=record)
-    rule = TableRule(table, vf.grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1)
+    rule = TableRule(bits, vf.grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1)
     return Policy(f"hjb[{vf.variant}]", rule)
 
 

@@ -99,7 +99,7 @@ def test_ac2_deferral_triangle():
     assert a_ok and b_ok and c_ok and runtime_ok
 
 
-def test_ac3_bang_bang_and_strategy_recovery():
+def test_ac3_bang_bang_and_strategy_recovery(policy_table):
     # the extracted control must be exactly two-valued, and it must
     # reproduce the deferral rule where the rule is identifiable: the
     # comparison uses its feedback form (spend once the remaining budget
@@ -112,14 +112,15 @@ def test_ac3_bang_bang_and_strategy_recovery():
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(Z0 - 1.0, Z0 + 1.0, 81), n_steps=200)
     pol = _quiet(extract_policy, PARAMS, spec, eps, grid)
-    values = np.where(pol.rule.table, pol.rule.d1, pol.rule.d0)
+    table = policy_table(pol.rule)
+    values = np.where(table, pol.rule.d1, pol.rule.d0)
     bang_ok = set(np.unique(values)) <= {0.0, 2.0}
 
     times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
-    interior = pol.rule.table[:, 1:-1, 1:-1]
+    interior = table[:, 1:-1, 1:-1]
     feedback = np.broadcast_to(tt >= 1.0 - (1.0 - yy) / 2.0, interior.shape)
     open_loop = np.broadcast_to((tt >= 0.5) * np.ones_like(yy), interior.shape)
     band = np.broadcast_to((yy < 1.0 - eps) & (np.abs(zz - Z0) <= 0.6), interior.shape)

@@ -138,6 +138,26 @@ def test_infinite_gap_ratio_is_written_as_null(tmp_path, capsys, monkeypatch, re
         report = _strict(text)
         assert report["gaps"][-1] == 0.0
         assert report["gap_ratios"] == [None]
+    # the CSV of the same run writes the ratio as the JSON does: no number
+    last = (out / "convergence.csv").read_text().splitlines()[-1].split(",")
+    assert last[-2:] == ["0", ""]
+
+
+def test_infinite_gap_over_tolerance_is_an_empty_csv_field(tmp_path, capsys, monkeypatch, recwarn):
+    # two exact prices that agree, with no relative floor, have a zero
+    # tolerance, and gap / tolerance is inf: JSON writes null, CSV nothing
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(rel_floor=0.0)))
+    cfg = RunConfig.from_dict(_doc())
+    monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **kw: cli.tail_strategy_price(cfg.spec, cfg.params))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path), "--methods", "closed_form,monte_carlo",
+                 "--out-dir", str(out)]) == 0
+    row, = _strict((out / "compare.json").read_text())["comparison"]
+    assert row["tolerance"] == 0.0 and row["gap_over_tolerance"] is None
+    last = (out / "compare.csv").read_text().splitlines()[-1].split(",")
+    assert last == ["closed_form", "monte_carlo", "0", "0", ""]
+    capsys.readouterr()
 
 
 def test_cli_end_to_end(tmp_path, recwarn):

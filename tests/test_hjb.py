@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from controlled_options import (
     solve,
 )
 from controlled_options.hjb import (
+    TableRule,
     _Axis,
     _peak_rate,
     _solve_z,
@@ -556,7 +558,7 @@ def test_normalized_value_invariant_under_taller_y_axis():
 # policy extraction
 # ---------------------------------------------------------------------------
 
-def test_extracted_policy_is_bang_bang_and_ties_go_high():
+def test_extracted_policy_is_bang_bang_and_ties_go_high(policy_table):
     # the sweep records cand(d1) >= cand(d0); where the two candidates are
     # equal everywhere, the whole table is a tie and so selects d1
     dims = {"ny": 21, "nz": 31, "n_steps": 40}
@@ -564,14 +566,14 @@ def test_extracted_policy_is_bang_bang_and_ties_go_high():
     singleton = _spec(bounds=ControlBounds(1.0, 1.0))
     for spec, d1 in ((zero_rate, 2.0), (singleton, 1.0)):
         pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, dims)
-        assert pol.rule.table.dtype == bool
-        assert pol.rule.table.shape == (40,) + pol.rule.grid.shape
-        assert np.all(pol.rule.table)
+        assert pol.rule.bits.dtype == np.uint8
+        assert pol.rule.bits.shape == (40, (math.prod(pol.rule.grid.shape) + 7) // 8)
+        assert np.all(policy_table(pol.rule))
         u = pol.evaluate(0.2, 0.0, np.array([0.1, 0.5]), np.array([60.0, 140.0]))
         assert set(np.unique(u)) == {d1}
 
 
-def test_extracted_policy_recovers_deferral_feedback():
+def test_extracted_policy_recovers_deferral_feedback(policy_table):
     # the deferral rule in feedback form: spend exactly when the remaining
     # budget barely fits into the remaining horizon at full rate.  The
     # comparison region is restricted to log-spots within 3 sigma sqrt(T):
@@ -584,12 +586,12 @@ def test_extracted_policy_recovers_deferral_feedback():
     grid = StateGrid(y_nodes=np.arange(0.0, 1.3 + 1e-12, 0.005),
                      z_nodes=np.linspace(z0 - 1.0, z0 + 1.0, 81), n_steps=200)
     pol = _quiet_solve(extract_policy, PARAMS, spec, eps, grid)
-    assert pol.rule.table.dtype == bool  # bang-bang by construction
+    assert pol.rule.bits.dtype == np.uint8  # one bit per node: bang-bang by construction
     times = np.linspace(0.0, 1.0, grid.n_steps + 1)[:-1]
     tt = times[:, None, None]
     yy = grid.y_nodes[None, 1:-1, None]
     zz = grid.z_nodes[None, None, 1:-1]
-    interior = pol.rule.table[:, 1:-1, 1:-1]
+    interior = policy_table(pol.rule)[:, 1:-1, 1:-1]
     feedback = np.broadcast_to(tt >= 1.0 - (1.0 - yy) / 2.0, interior.shape)
     open_loop = np.broadcast_to((tt >= 0.5) * np.ones_like(yy), interior.shape)
     mask = np.broadcast_to((yy < 1.0 - eps) & (np.abs(zz - z0) <= 0.6), interior.shape)
@@ -597,6 +599,89 @@ def test_extracted_policy_recovers_deferral_feedback():
     frac_open = ((interior == open_loop) & mask).sum() / mask.sum()
     print(f"feedback-rule agreement {frac:.3f}, open-loop agreement {frac_open:.3f}")
     assert frac >= 0.95
+
+
+def _packed(table):
+    """A (n_steps,) + grid.shape boolean table packed as ``extract_policy`` packs it."""
+    return np.packbits(table.reshape(table.shape[0], -1), axis=1, bitorder="little")
+
+
+@st.composite
+def _table_rules(draw):
+    """A small grid, 2-9 nodes per axis and non-uniform in x and y (so the
+    cell count is rarely a multiple of 8), and a random table on it."""
+    def nodes():
+        gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8))
+        return draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+    x = nodes() if draw(st.booleans()) else None
+    y = nodes()
+    z0 = draw(st.floats(3.0, 5.0))
+    z = np.linspace(z0, z0 + draw(st.floats(0.1, 2.0)), draw(st.integers(2, 9)))
+    grid = StateGrid(y_nodes=y, z_nodes=z, n_steps=draw(st.integers(1, 4)), x_nodes=x)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random((grid.n_steps,) + grid.shape) < 0.5
+    return TableRule(_packed(table), grid, 2.0, 0.5, 1.5), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_rules(), st.data())
+def test_packed_table_read_is_the_nearest_node_rule(case, data):
+    # a query on a node, exactly on a cell midpoint (the tie takes the lower
+    # node) or off either end reads the dense table at the oracle's node
+    rule, table = case
+    grid = rule.grid
+    n = data.draw(st.integers(0, grid.n_steps - 1))
+    n_query = data.draw(st.integers(1, 12))
+    query, flat_index = [], []
+    for axis in grid.axes:
+        nodes = axis.nodes
+        mids = nodes[:-1] + 0.5 * np.diff(nodes)
+        candidates = np.concatenate((nodes, mids, [nodes[0] - 1.0, nodes[-1] + 1.0]))
+        picks = data.draw(st.lists(st.integers(0, candidates.size - 1),
+                                   min_size=n_query, max_size=n_query))
+        q = candidates[picks]
+        if axis is grid.axes[-1]:  # the rule reads z as log s
+            query.append(np.exp(q))
+            q = np.log(query[-1])
+        else:
+            query.append(q)
+        flat_index.append(np.searchsorted(mids, q, side="left"))
+    if grid.x_nodes is None:
+        query.insert(0, 0.0)
+    want = np.where(table[(n,) + tuple(flat_index)], rule.d1, rule.d0)
+    t = (n + 0.5) * rule.t_horizon / grid.n_steps
+    assert np.array_equal(rule(t, *query), want)
+
+
+def test_table_rule_refuses_bits_that_do_not_fit_the_grid():
+    grid = StateGrid(y_nodes=np.linspace(0.0, 1.0, 5), z_nodes=np.linspace(4.0, 5.0, 7), n_steps=3)
+    table = np.random.default_rng(1).random((3,) + grid.shape) < 0.5  # 35 cells: 5 bytes a slice
+    TableRule(_packed(table), grid, 1.0, 0.0, 2.0)
+    for bits in (_packed(np.concatenate((table, table[:1]))),  # one slice too many
+                 _packed(table)[:, :-1],                      # a byte missing from each slice
+                 table.astype(np.uint8).reshape(3, -1),       # one byte per node
+                 table):                                      # the dense boolean table
+        with pytest.raises(ParameterError) as err:
+            TableRule(bits, grid, 1.0, 0.0, 2.0)
+        assert err.value.field == "grid"
+
+
+def test_extract_policy_never_holds_a_dense_table():
+    # a dense boolean table of this grid takes 100 x 18,081 bytes (1.72 MiB);
+    # the sweep itself peaks well below that, and the packed table takes 1/8
+    spec, dims = _spec(g_kind="cap", g_cap=8.0), {"nx": 21, "ny": 21, "nz": 41, "n_steps": 100}
+    _quiet_solve(extract_policy, PARAMS, spec, 0.1, {"nx": 5, "ny": 5, "nz": 5, "n_steps": 2})  # lazy imports
+    tracemalloc.start()
+    try:
+        pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 21 * 21 * 41
+    assert peak < 100 * cells
+    assert pol.rule.grid.shape == (21, 21, 41)
+    assert pol.rule.bits.nbytes == 100 * ((cells + 7) // 8)
 
 
 def test_extracted_policy_beats_builtins_by_mc():
@@ -764,12 +849,12 @@ def _pin_price(variant, params, **scaled):
 
 
 @pytest.mark.parametrize("variant", sorted(PINS))
-def test_sweep_is_pinned_bit_for_bit(variant):
+def test_sweep_is_pinned_bit_for_bit(variant, policy_table):
     overrides, price, d1_cells, mc_price = PINS[variant]
     assert _pin_price(variant, PARAMS).hex() == price
     spec = _spec(**overrides)
     pol = _quiet_solve(extract_policy, PARAMS, spec, 0.1, PIN_DIMS)
-    assert int(pol.rule.table.sum()) == d1_cells
+    assert int(policy_table(pol.rule).sum()) == d1_cells
     assert evaluate_policy(pol, spec, PARAMS, 20_000, 40, seed=11).value.hex() == mc_price
 
 

@@ -355,7 +355,8 @@ def _random_table_policy(spec, params):
     grid = StateGrid(x_nodes=np.linspace(0.0, 40.0, 6), y_nodes=np.array([0.0, 0.1, 0.3, 0.6, 1.0]),
                      z_nodes=np.linspace(math.log(60.0), math.log(160.0), 9), n_steps=4)
     table = np.random.default_rng(5).random((grid.n_steps,) + grid.shape) < 0.5
-    return Policy("table", TableRule(table, grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1))
+    bits = np.packbits(table.reshape(grid.n_steps, -1), axis=1, bitorder="little")
+    return Policy("table", TableRule(bits, grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1))
 
 
 def _threshold_policy(spec, params):
