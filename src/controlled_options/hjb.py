@@ -126,8 +126,11 @@ class _Axis:
         bucket that lie below the query.
         """
         lo, inv_width, top, first, mids, n_cmp = self._midpoint_buckets
-        pos = np.multiply(np.subtract(q, lo), inv_width)
-        k = first.take(np.clip(pos, 0.0, top, out=pos).astype(np.int64), mode="clip")
+        pos = np.subtract(q, lo)
+        np.multiply(pos, inv_width, out=pos)
+        # a far-off or infinite query clamps to an end bucket before the cast
+        np.minimum(np.maximum(pos, 0.0, out=pos), top, out=pos)
+        k = first.take(pos.astype(np.int64), mode="clip")
         for _ in range(n_cmp):
             k += mids.take(k, mode="clip") < q
         return k
@@ -462,7 +465,10 @@ class Policy:
 
     def evaluate(self, t: float, x, y, s):
         """``rule(t, x, y, s)`` as it is, an array or a float; vectorised over
-        path arrays x, y, s at a common time t."""
+        path arrays x, y, s at a common time t.  The Monte Carlo walk never
+        writes into what a rule returns, so a rule may return one of its
+        inputs or an array it keeps and refills; x, y and s are the walk's
+        own rows, which it advances in place after the call."""
         return self.rule(t, x, y, s)
 
 
@@ -491,11 +497,15 @@ class TableRule:
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
         query = (y, np.log(s)) if self.grid.x_nodes is None else (x, y, np.log(s))
-        flat = 0  # the node's offset in slice n, ((ix) ny + iy) nz + iz
-        for axis, q in zip(self.grid.axes, query):
-            flat = flat * axis.nodes.size + axis.nearest(q)
-        picks = (self.bits[n].take(flat >> 3) >> (flat & 7)) & 1
-        return np.where(picks, self.d1, self.d0)
+        axes = self.grid.axes
+        flat = axes[0].nearest(query[0])  # the node's offset in slice n, ((ix) ny + iy) nz + iz
+        for axis, q in zip(axes[1:], query[1:]):
+            flat *= axis.nodes.size
+            flat += axis.nearest(q)
+        byte = self.bits[n].take(flat >> 3)
+        np.bitwise_and(flat, 7, out=flat)  # the node's bit in its byte
+        picks = np.bitwise_and(np.right_shift(byte, flat, out=flat), 1, out=flat)
+        return np.array([self.d0, self.d1]).take(picks)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,17 @@ each chunk runs in two parts.  *Prepare* draws the chunk's normals in
 turn from the block's generator, ``DRAW_ROWS`` rows at a time into a
 small staging buffer, and writes the growth factors
 exp(drift + vol * (sign * z)) of all its steps and of both antithetic
-legs into a step-major slot: leg + in columns [0, n), leg - in [n, 2n).
-*Walk* is the step loop; it advances both legs at once on 2n rows, so
-step i multiplies the spots by one contiguous row of the slot and the
-policy sees one call per step, and it writes the terminal payoffs,
-split back by leg, into the block's arrays.  One worker thread prepares
+legs into a step-major slot: leg + in columns [0, n), leg - in [n, 2n),
+whose vol * (-z) is the negated vol * z of leg +, exactly.  *Walk* is
+the step loop; it advances both legs at once on 2n rows, so step i
+multiplies the spots by one contiguous row of the slot and the policy
+sees one call per step.  It clips u and advances x, y and s in place,
+in rows it allocates once per call; it never writes into an array that
+the policy or ``eval_f`` returns (``eval_f`` returns s itself for an
+identity rate paid at spot).  It writes the terminal payoffs, split
+back by leg, into the block's arrays.  A NaN proposal survives the clip
+into the spent weight y, so y is checked once per chunk and such a
+policy is refused by name.  One worker thread prepares
 chunk k + 1 into the other slot while the main thread walks chunk k:
 the draws and the exp are numpy calls that release the interpreter lock,
 and the policy, ``eval_f`` and ``eval_g`` run on the main thread only.
@@ -36,11 +42,11 @@ The worker prepares the chunks in stream order, every value is the same
 elementwise arithmetic on the same normals, and the block's sums run
 over the same arrays in the same order, so neither the chunking nor the
 thread changes a result.  Memory stays flat in the number of paths: two
-slots of 2 * ``CHUNK_ROWS`` rows and the staging buffer, rather than a
-block of normals.  The second moment is summed about the first block's
-mean and divided by its largest payoff, so the standard error scales
-with the price instead of overflowing or underflowing at extreme spot
-levels.
+slots of 2 * ``CHUNK_ROWS`` rows (8 MB each at 250 steps), the staging
+buffer and the block's payoffs, rather than a block of normals.  The
+second moment is summed about the first block's mean and divided by its
+largest payoff, so the standard error scales with the price instead of
+overflowing or underflowing at extreme spot levels.
 
 The built-in ``tail`` policy is the deferral strategy that
 ``closed_form`` prices; both take its window from ``closed_form.switch_time``.
@@ -60,19 +66,22 @@ from .payoffs import DEGENERATE_WEIGHT, PayoffSpec, eval_f, eval_g, validate_spe
 from .results import PriceEstimate
 
 PAIR_BLOCK = 1 << 16
-CHUNK_ROWS = 1 << 12  # rows of a block walked at once: 16 MB of growth factors per slot at 250 steps
+CHUNK_ROWS = 1 << 11  # rows of a block walked at once: 8 MB of growth factors per slot at 250 steps
 DRAW_ROWS = 1 << 9  # rows of normals drawn at once: 1 MB of staging at 250 steps
 _FORCE_TOL = 1e-12
 
 
-def _budget_interval(y, dt, left, d0, d1):
+def _budget_interval(y, dt, left, d0, d1, out=(None, None, None, None)):
     """The payments [lo, hi] of a budget-mode step that keep int u dt = 1
     reachable with ``left`` time after it, and the number of rows whose
-    interval is empty by more than ``_FORCE_TOL`` of budget."""
-    need = 1.0 - y
-    lo = np.maximum((need - d1 * left) / dt, d0)
-    hi = np.minimum((need - d0 * left) / dt, d1)
-    return lo, hi, int(np.count_nonzero(lo > hi + _FORCE_TOL / dt))
+    interval is empty by more than ``_FORCE_TOL`` of budget.  ``out`` may
+    hold arrays shaped like ``y`` for lo, hi, a scratch row and the flags."""
+    lo, hi, tmp, flags = out
+    need = np.subtract(1.0, y, out=tmp)
+    lo = np.maximum(np.divide(np.subtract(need, d1 * left, out=lo), dt, out=lo), d0, out=lo)
+    hi = np.minimum(np.divide(np.subtract(need, d0 * left, out=hi), dt, out=hi), d1, out=hi)
+    bad = np.greater(lo, np.add(hi, _FORCE_TOL / dt, out=tmp), out=flags)
+    return lo, hi, int(np.count_nonzero(bad))
 
 
 def evaluate_policy(
@@ -97,8 +106,7 @@ def evaluate_policy(
     vol = params.sigma * math.sqrt(dt)
     budget_mode = spec.weight_mode == "adapted_fixed_cumulative"
     d0, d1 = spec.bounds.d0, spec.bounds.d1
-    signs = (1.0, -1.0) if antithetic else (1.0,)
-    legs = len(signs)
+    legs = 2 if antithetic else 1
     n_rows_total = (n_paths + 1) // 2 if antithetic else n_paths
 
     sum_w = sum_d = sum_d2 = 0.0
@@ -117,18 +125,22 @@ def evaluate_policy(
     chunk = min(CHUNK_ROWS, n_rows_total)
     staging = np.empty(min(DRAW_ROWS, chunk) * n_steps)
     slots = [np.empty(n_steps * legs * chunk) for _ in range(2)]
+    # the walk's rows: the state s, x, y, the clipped u, and the budget
+    # interval's lo, hi, scratch and flags
+    walk_rows = [np.empty(legs * chunk) for _ in range(7)] + [np.empty(legs * chunk, dtype=bool)]
 
     def prepare(k):
-        """Growth factors of chunk k's two legs, step-major, into slot k % 2."""
+        """Growth factors of chunk k's legs, step-major, into slot k % 2."""
         stream, _, n, _ = plan[k]
         growth = slots[k % 2][: n_steps * legs * n].reshape(n_steps, legs * n)
         for r in range(0, n, DRAW_ROWS):
             m = min(DRAW_ROWS, n - r)
             z = stream.standard_normal(out=staging[: m * n_steps].reshape(m, n_steps))
-            for leg, sign in enumerate(signs):
-                # sign = +-1 scales exactly, so each factor is bit for bit
-                # the one-step exp(drift + vol * (sign * z))
-                np.multiply(z.T, sign * vol, out=growth[:, leg * n + r : leg * n + r + m])
+            plus = np.multiply(z.T, vol, out=growth[:, r : r + m])
+            if antithetic:
+                # vol * (-z) is -(vol * z) exactly, so each factor is bit for
+                # bit the one-step exp(drift + vol * (sign * z))
+                np.negative(plus, out=growth[:, n + r : n + r + m])
         np.add(growth, drift, out=growth)
         return np.exp(growth, out=growth)
 
@@ -140,23 +152,29 @@ def evaluate_policy(
                 pending = worker.submit(prepare, k + 1)
             if first == 0:
                 payoffs = np.empty((legs, rows))
-            s = np.full(legs * n, params.s0)
-            x = np.zeros(legs * n)
-            y = np.zeros(legs * n)
+            s, x, y, u, lo_row, hi_row, tmp, flags = (row[: legs * n] for row in walk_rows)
+            s.fill(params.s0)
+            x.fill(0.0)
+            y.fill(0.0)
             for i in range(n_steps):
                 t = i * dt
                 if budget_mode:
-                    lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
+                    lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1,
+                                                  (lo_row, hi_row, tmp, flags))
                     warnings_count += bad
                 else:
                     lo, hi = d0, d1
                 # clip the proposal to [lo, hi], hi where the interval is
-                # empty; np.clip takes twice as long with array bounds
-                u = np.minimum(np.maximum(policy.evaluate(t, x, y, s), lo), hi)
+                # empty; np.clip takes twice as long with array bounds.  The
+                # rule's answer and f_now may be x, y, s or a kept array, so
+                # only the walk's own rows are written
+                np.minimum(np.maximum(policy.evaluate(t, x, y, s), lo, out=u), hi, out=u)
                 f_now = eval_f(spec, params, s, t)
-                x = x + u * f_now * dt
-                y = y + u * dt
-                s = s * growth[i]
+                np.add(y, np.multiply(u, dt, out=tmp), out=y)
+                np.add(x, np.multiply(np.multiply(u, f_now, out=u), dt, out=u), out=x)
+                np.multiply(s, growth[i], out=s)
+            if np.isnan(y).any():  # a NaN proposal survives the clip into the spent weight
+                raise ParameterError(f"policy {policy.name!r} proposed NaN", field="policy")
             if budget_mode:
                 ends = eval_g(spec, x)
             else:

@@ -153,9 +153,10 @@ def _axes_and_queries(draw):
     mids = nodes[:-1] + 0.5 * np.diff(nodes)
     marks = np.concatenate([nodes, mids])
     queries = draw(st.lists(st.floats(nodes[0] - span, nodes[-1] + span), min_size=1, max_size=50))
-    # every node and midpoint, their float neighbours, and points off both ends
+    # every node and midpoint, their float neighbours, and points off both
+    # ends, as far off as a float goes
     queries += [*marks, *np.nextafter(marks, -np.inf), *np.nextafter(marks, np.inf),
-                nodes[0] - span, nodes[-1] + span]
+                nodes[0] - span, nodes[-1] + span, -1e300, 1e300, -np.inf, np.inf]
     return nodes, np.array(queries)
 
 
@@ -164,13 +165,17 @@ def _axes_and_queries(draw):
 def test_axis_nearest_picks_a_closest_node(case):
     nodes, q = case
     got = _Axis(nodes, "q").nearest(q)
+    # the lookup counts the midpoints strictly below each query, exactly
+    mids = nodes[:-1] + 0.5 * np.diff(nodes)
+    assert np.array_equal(got, np.searchsorted(mids, q, side="left"))
+    # the bucket clamp sends the farthest queries to the end nodes
+    far = np.abs(q) >= 1e300
+    assert np.array_equal(got[far], np.where(q[far] < 0.0, 0, nodes.size - 1))
+    q, got = q[~far], got[~far]
     dist = np.abs(nodes[None, :] - q[:, None])
     cell = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
     width = nodes[cell + 1] - nodes[cell]
     assert np.all(dist[np.arange(q.size), got] - dist.min(axis=1) <= 1e-12 * width)
-    # the lookup counts the midpoints strictly below each query, exactly
-    mids = nodes[:-1] + 0.5 * np.diff(nodes)
-    assert np.array_equal(got, np.searchsorted(mids, q, side="left"))
 
 
 def test_axis_nearest_breaks_ties_low():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from controlled_options import (
     ControlBounds,
     MarketParams,
+    ParameterError,
     PayoffSpec,
     Policy,
     StateGrid,
@@ -22,7 +24,7 @@ from controlled_options import (
 from controlled_options import mc
 from controlled_options.hjb import TableRule
 from controlled_options.market import _block_stream
-from controlled_options.mc import CHUNK_ROWS, PAIR_BLOCK, _budget_interval
+from controlled_options.mc import CHUNK_ROWS, DRAW_ROWS, PAIR_BLOCK, _budget_interval
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
@@ -337,9 +339,12 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
 C = CHUNK_ROWS
 # the legs of a chunk share a slot and consecutive chunks alternate between
 # two: rows around C, 2 C and a block edge end a chunk early, fill both
-# slots, reuse the first, and cross into the next block's generator
-CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 2 * C + 3, 4 * C + 3,
-                   PAIR_BLOCK + C + 1, PAIR_BLOCK + 2 * C + 1]
+# slots, reuse the first, and cross into the next block's generator; rows
+# around 4 C and 8 C reuse each slot again (they were the 2 C and 4 C rows
+# of the former 4,096-pair chunks)
+CHUNK_EDGE_ROWS = [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 2 * C + 3,
+                   4 * C - 1, 4 * C, 4 * C + 1, 4 * C + 3, 8 * C + 3,
+                   PAIR_BLOCK + C + 1, PAIR_BLOCK + 2 * C + 1, PAIR_BLOCK + 4 * C + 1]
 CHUNK_EDGE_CONTRACTS = {
     # d1 T = 1 - 5e-10 passes validation inside BUDGET_TOL but cannot spend
     # the budget, so every step's interval is empty and counts a warning
@@ -445,3 +450,111 @@ def test_worker_thread_leaves_no_thread_and_passes_errors_through(monkeypatch):
         evaluate_policy(pol, spec, params, n_paths, 16, seed=41)
     assert err.value is worker_boom
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("mode", ["adapted_fixed_cumulative", "normalized"])
+@pytest.mark.parametrize("proposal", ["array", "scalar"])
+def test_nan_proposal_is_refused_as_the_policy(mode, proposal):
+    # one NaN, on one row of the last chunk's last step or on every row from
+    # mid-horizon; in the normalized mode a NaN weight would otherwise take the
+    # terminal branch and price as if nothing had been spent
+    spec = _spec(weight_mode=mode, f_kind="call", f_strike=100.0)
+    n_paths, n_steps = 2 * (C + 5), 8
+
+    def rule(t, x, y, s):
+        if proposal == "scalar":
+            return math.nan if t >= 0.5 else 1.0
+        u = np.ones(np.shape(s))
+        if t == (n_steps - 1) / n_steps and u.size < 2 * C:
+            u[-1] = math.nan
+        return u
+
+    with pytest.raises(ParameterError) as err:
+        evaluate_policy(Policy("nan", rule), spec, PARAMS, n_paths, n_steps, seed=3)
+    assert err.value.field == "policy"
+    assert "'nan'" in str(err.value)
+
+
+# The walk clips, advances x, y and s in its own buffers.  A rule may return
+# one of its inputs or an array it keeps, and eval_f returns s itself for an
+# identity rate paid at spot; a write into any of them would move a price.
+def _returns_y(spec, params):
+    return Policy("returns y", lambda t, x, y, s: y)
+
+
+def _reuses_one_array(spec, params):
+    kept = []
+
+    def rule(t, x, y, s):
+        if kept:  # nothing wrote into the array since it was returned
+            assert np.array_equal(kept[0], kept[1])
+        if not kept or kept[0].shape != np.shape(s):
+            kept[:] = [np.empty(np.shape(s)), None]
+        np.multiply(s, 0.012, out=kept[0])  # 1.2 at the spot of 100
+        kept[1] = kept[0].copy()
+        return kept[0]
+
+    return Policy("reuses one array", rule)
+
+
+def _spot_threshold(spec, params):
+    return Policy("spot threshold", lambda t, x, y, s: np.where(s > 100.0, 2.0, 0.0))
+
+
+ALIASING_CASES = {
+    "returns_y": (_spec(f_kind="call", f_strike=100.0), _returns_y),
+    "reuses_one_array": (_spec(f_kind="call", f_strike=100.0), _reuses_one_array),
+    "identity_f_at_spot": (_spec(), _spot_threshold),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIASING_CASES))
+def test_walk_never_writes_into_what_it_is_handed(case, monkeypatch):
+    params = MarketParams(s0=100.0, r=0.03, sigma=0.25, t_horizon=1.0)
+    spec, make_policy = ALIASING_CASES[case]
+    pol = make_policy(spec, params)
+    if case == "identity_f_at_spot":
+        s = np.ones(3)
+        assert eval_f(spec, params, s, 0.0) is s
+    n_paths, n_steps = 2 * (C + 3), 6  # two chunks, the second a short one
+    want = _full_block_loop(pol, spec, params, n_paths, n_steps, 41, True)
+
+    # eval_f runs right after the clip: the policy's answer must be intact there
+    answers = []
+    rule = pol.rule
+
+    def watched_rule(t, x, y, s):
+        u = rule(t, x, y, s)
+        answers[:] = [u, np.array(u, copy=True)]
+        return u
+
+    def watched_eval_f(*args):
+        assert np.array_equal(answers[0], answers[1])
+        return eval_f(*args)
+
+    monkeypatch.setattr(mc, "eval_f", watched_eval_f)
+    est = evaluate_policy(Policy(pol.name, watched_rule), spec, params, n_paths, n_steps, seed=41)
+    assert (est.value, est.stderr, est.meta["forced_ramp_warnings"]) == want
+
+
+def test_evaluate_policy_holds_two_half_size_slots():
+    # the worker's two slots, its staging buffer and the block's payoffs; the
+    # walk's own rows and a NumPy temporary or two fit in the margin.  A slot
+    # of the former 4,096-pair chunks, or any buffer of the block's draws,
+    # does not
+    n_steps, rows = 250, 3 * C + 1  # four chunks: both slots are reused
+    assert 8 * n_steps * 2 * C <= 8 << 20  # each slot holds at most 8 MiB at 250 steps
+    spec = _spec(f_kind="call", f_strike=100.0)
+    pol = _policies_by_name(spec, PARAMS)["tail"]
+    evaluate_policy(pol, spec, PARAMS, 2 * 8, n_steps, seed=5)  # lazy imports, the thread pool
+    tracemalloc.start()
+    try:
+        evaluate_policy(pol, spec, PARAMS, 2 * rows, n_steps, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = 2 * (8 * n_steps * 2 * C)
+    staging = 8 * n_steps * DRAW_ROWS
+    payoffs = 8 * 2 * min(rows, PAIR_BLOCK)
+    margin = 1 << 20
+    assert peak < slots + staging + payoffs + margin
