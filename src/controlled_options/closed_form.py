@@ -106,6 +106,14 @@ def _gl_panel(f, a: float, b: float) -> float:
     return half * sum(w * f(mid + half * xi) for xi, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
+def expected_payment_rate(spec: PayoffSpec, params: MarketParams, t: float) -> float:
+    """E*[f(S(t), t)]: f(x, t) = h(x), times e^{r(T-t)} when payments compound to T."""
+    rate = bs_expected_payoff(params, spec.f_kind, t, strike=spec.f_strike)
+    if spec.payment_timing == "terminal_compounded":
+        rate *= math.exp(params.r * (params.t_horizon - t))
+    return rate
+
+
 def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate:
     """Quadrature price of the deferred strategy; refuses a contract it does not price."""
     report = hypothesis_report(spec, params)
@@ -125,12 +133,8 @@ def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate
                              "r > 0 (neither the scaling nor the zero-rate hypothesis holds)",
                              field="payoff.f_kind")
     L, T, lo = spec.bounds.d1, params.t_horizon, switch_time(spec, params)
-
-    def expected_payment_rate(t):  # E*[f(S(t), t)] with f(x, t) = e^{r(T-t)} h(x)
-        comp = math.exp(params.r * (T - t))
-        return comp * bs_expected_payoff(params, spec.f_kind, t, strike=spec.f_strike)
-
-    integral = _adaptive_gl(expected_payment_rate, lo, T)
+    # at spot timing r = 0 here, so the rate is h without the compounding
+    integral = _adaptive_gl(lambda t: expected_payment_rate(spec, params, t), lo, T)
     value = math.exp(-params.r * T) * L * integral
     return PriceEstimate(
         value=value,

@@ -16,6 +16,7 @@ from controlled_options import (
     PayoffSpec,
     Policy,
     StateGrid,
+    bs_expected_payoff,
     build_family,
     builtin_policies,
     evaluate_policy,
@@ -294,23 +295,35 @@ def test_ac8_normalized_degeneracy():
     zero = Policy("zero", lambda t, x, y, s: np.zeros(np.shape(s)))
     a = evaluate_policy(zero, spec, PARAMS, 200_000, 250, seed=808)
 
-    # direct terminal MC: a straight loop over the engine's blocks of normals
+    # direct terminal MC: a straight loop over the engine's blocks of normals,
+    # with the trapezoid of the rate along each path as the control variate
     n_rows, n_steps = 100_000, 250
     dt = PARAMS.t_horizon / n_steps
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
-    total = 0.0
+    terminal, paid = [], []
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
         z = _block_stream(808, b).standard_normal((rows, n_steps))
-        ends = []
+        ends, sums = [], []
         for sign in (1.0, -1.0):
             s = np.full(rows, 100.0)
+            c = np.zeros(rows)
             for i in range(n_steps):
+                f_now = np.maximum(s - 100.0, 0.0)
                 s = s * np.exp(drift + vol * (sign * z[:, i]))
+                c = c + 0.5 * (f_now + np.maximum(s - 100.0, 0.0)) * dt
             ends.append(np.maximum(s - 100.0, 0.0))
-        total += float(np.sum(0.5 * (ends[0] + ends[1])))
-    direct = total / n_rows
+            sums.append(c)
+        terminal.append(0.5 * (ends[0] + ends[1]))
+        paid.append(0.5 * (sums[0] + sums[1]))
+    p, c = np.concatenate(terminal), np.concatenate(paid)
+    times = [i * dt for i in range(n_steps)] + [PARAMS.t_horizon]
+    mu_c = math.fsum(0.5 * (bs_expected_payoff(PARAMS, "call", t0, 100.0)
+                            + bs_expected_payoff(PARAMS, "call", t1, 100.0)) * dt
+                     for t0, t1 in zip(times, times[1:]))
+    beta = np.cov(p, c)[0, 1] / np.var(c, ddof=1)
+    direct = float(np.mean(p) - beta * (np.mean(c) - mu_c))
     gap = abs(a.value - direct)
     ok = gap <= 1e-12
     _report("AC-8", ok, f"zero-weight policy {a.value:.10f} vs direct terminal MC "

@@ -69,6 +69,7 @@ def test_price_report_all_methods_agree_on_martingale_config(recwarn):
     hjb = report["estimates"]["hjb"]
     assert cf["value"] == pytest.approx(100.0, rel=1e-9)
     assert abs(mc["value"] - 100.0) <= 3.0 * mc["stderr"]
+    assert set(mc["meta"]["control_variate"]) == {"beta", "variance_ratio"}
     assert abs(hjb["value"] - 100.0) <= 2.0
     assert report["config"]["grid"]["nx"] == 15  # defaults echoed back
 

@@ -839,11 +839,11 @@ def test_grid_allowance_takes_a_state_grid():
 # price also pins both ends of the budget interval each step is clipped to.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
-    "linear_reduced": ({}, "0x1.958612693cc6ep+2", 1060, "0x1.b26e95f816c30p+2"),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78abap+1", 14757, "0x1.f11d6ba8c5d96p+1"),
+    "linear_reduced": ({}, "0x1.958612693cc6ep+2", 1060, "0x1.b6999b8b3ea84p+2"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78abap+1", 14757, "0x1.ee73b576fc88ep+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.803893f669afap+1", 16397, "0x1.f42acaad09a02p+1"),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a101p+4", 7321, "0x1.f4e551c827e0bp+2"),
+                   "0x1.803893f669afap+1", 16397, "0x1.f2284970482d5p+1"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a101p+4", 7321, "0x1.f5b07c44f914cp+2"),
 }
 
 

@@ -15,6 +15,7 @@ from controlled_options import (
     PayoffSpec,
     Policy,
     StateGrid,
+    bs_expected_payoff,
     builtin_policies,
     evaluate_policy,
     ladder_price,
@@ -24,7 +25,8 @@ from controlled_options import (
 from controlled_options import mc
 from controlled_options.hjb import TableRule
 from controlled_options.market import _block_stream
-from controlled_options.mc import CHUNK_ROWS, DRAW_ROWS, PAIR_BLOCK, _budget_interval
+from controlled_options.mc import (CHUNK_ROWS, DRAW_ROWS, PAIR_BLOCK, _RESIDUAL_FLOOR, _budget_interval,
+                                   _chunk_interval, _control_mean)
 from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
@@ -78,29 +80,52 @@ def test_seed_determinism():
 
 
 def test_singleton_control_matches_direct_evaluation():
+    # r > 0 with compounded payments, so the rate depends on the step's time
+    params = MarketParams(s0=100.0, r=0.03, sigma=0.2, t_horizon=1.0)
     t_horizon = 1.0
     n_steps = 128
     n_rows = 4096
-    spec = _spec(f_kind="call", f_strike=100.0, bounds=ControlBounds(1.0, 1.0))
+    # a call on the payments, struck inside their range, so that the payoff
+    # P = (C - 5)^+ is not the control C itself
+    spec = _spec(f_kind="call", f_strike=100.0, g_kind="call", g_strike=5.0,
+                 payment_timing="terminal_compounded", bounds=ControlBounds(1.0, 1.0))
     pol = Policy("const", lambda t, x, y, s: np.full(np.shape(s), 1.0))
-    est = evaluate_policy(pol, spec, PARAMS, n_paths=2 * n_rows, n_steps=n_steps,
+    est = evaluate_policy(pol, spec, params, n_paths=2 * n_rows, n_steps=n_steps,
                           seed=13, antithetic=True)
 
     # independent straight-loop evaluation on the same substream
     dt = t_horizon / n_steps
-    drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
-    vol = PARAMS.sigma * math.sqrt(dt)
+    times = [i * dt for i in range(n_steps)] + [t_horizon]
+    drift = (params.r - 0.5 * params.sigma**2) * dt
+    vol = params.sigma * math.sqrt(dt)
+    rate = lambda s, t: np.maximum(s - 100.0, 0.0) * math.exp(params.r * (t_horizon - t))
     z = _block_stream(13, 0).standard_normal((PAIR_BLOCK, n_steps))[:n_rows]
     acc = []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
         x = np.zeros(n_rows)
         for i in range(n_steps):
-            x = x + 1.0 * np.maximum(s - 100.0, 0.0) * dt
-            s = s * np.exp(drift + vol * sign * z[:, i])
+            f_now = rate(s, times[i])
+            s = s * np.exp(drift + vol * (sign * z[:, i]))
+            x = x + 1.0 * 0.5 * (f_now + rate(s, times[i + 1])) * dt
         acc.append(x)
-    expected = float(np.mean(0.5 * (acc[0] + acc[1])))
-    assert est.value == pytest.approx(expected, abs=1e-10)
+    paid = 0.5 * (acc[0] + acc[1])
+    p = math.exp(-params.r * t_horizon) * 0.5 * (np.maximum(acc[0] - 5.0, 0.0)
+                                                 + np.maximum(acc[1] - 5.0, 0.0))
+    # with u = 1 the payments are the control, whose exact mean is built
+    # here from the Black-Scholes expectations; their plain mean lies near it
+    mean_rate = [bs_expected_payoff(params, "call", t, 100.0) * math.exp(params.r * (t_horizon - t))
+                 for t in times]
+    expected = math.fsum(0.5 * dt * (a + b) for a, b in zip(mean_rate, mean_rate[1:]))
+    assert abs(float(np.mean(paid)) - expected) <= 3.0 * float(np.std(paid, ddof=1)) / math.sqrt(n_rows)
+    # the control-variate estimate, and the residual's stderr on n - 2
+    # degrees of freedom, since beta is fitted on the same pairs
+    beta = np.cov(p, paid)[0, 1] / np.var(paid, ddof=1)
+    resid = p - beta * paid
+    stderr = math.sqrt(float(np.sum((resid - np.mean(resid)) ** 2)) / (n_rows - 2) / n_rows)
+    assert est.value == pytest.approx(float(np.mean(p) - beta * (np.mean(paid) - expected)), abs=1e-10)
+    assert est.meta["control_variate"]["beta"] == pytest.approx(beta, rel=1e-9)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
 
 
 def test_tail_policy_reproduces_quadrature_price():
@@ -109,6 +134,34 @@ def test_tail_policy_reproduces_quadrature_price():
     tail = _policies_by_name(spec, PARAMS)["tail"]
     est = evaluate_policy(tail, spec, PARAMS, 200_000, 400, seed=5)
     assert abs(est.value - target) <= 3.0 * est.stderr
+
+
+def test_control_variate_estimates_average_to_the_tail_price():
+    # twenty seeds: beta is fitted on the same paths, and its bias, if any,
+    # would show in their mean against the mean's own standard error
+    spec = _spec(f_kind="call", f_strike=100.0, payment_timing="terminal_compounded")
+    target = tail_strategy_price(spec, PARAMS).value
+    tail = _policies_by_name(spec, PARAMS)["tail"]
+    ests = [evaluate_policy(tail, spec, PARAMS, 20_000, 100, seed=seed) for seed in range(20)]
+    mean = math.fsum(e.value for e in ests) / len(ests)
+    stderr = math.sqrt(math.fsum(e.stderr**2 for e in ests)) / len(ests)
+    assert abs(mean - target) <= 3.0 * stderr
+    assert all(e.meta["control_variate"]["variance_ratio"] < 0.2 for e in ests)
+
+
+# the spot barely moves, so each path pays d1 s0 e^{rt} over the tail
+# window [T - 1/d1, T] and the trapezoid's error is plain quadrature error
+@settings(max_examples=15, deadline=None)
+@given(r=st.floats(0.1, 1.0), d1=st.sampled_from([2.0, 4.0]), n_steps=st.sampled_from([8, 16, 32]))
+def test_tail_step_bias_shrinks_fourfold_per_halving(r, d1, n_steps):
+    params = MarketParams(s0=1.0, r=r, sigma=1e-12, t_horizon=1.0)
+    spec = _spec(f_kind="identity", bounds=ControlBounds(0.0, d1))
+    tail = _policies_by_name(spec, params)["tail"]
+    exact = math.exp(-r) * d1 * (math.exp(r) - math.exp(r * (1.0 - 1.0 / d1))) / r
+    errs = [evaluate_policy(tail, spec, params, 4, n, seed=3).value - exact
+            for n in (n_steps, 2 * n_steps, 4 * n_steps)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.8 <= coarse / fine <= 4.2, errs  # a left-endpoint sum gives 2
 
 
 def _uniform_price(lam):
@@ -146,20 +199,32 @@ def test_normalized_zero_policy_hits_terminal_branch_exactly():
     zero = Policy("zero", lambda t, x, y, s: np.zeros(np.shape(s)))
     a = evaluate_policy(zero, spec, PARAMS, 40_000, 64, seed=21)
 
-    # independent straight-loop terminal payoff on the same substream
+    # independent straight-loop terminal payoff on the same substream, with
+    # the trapezoid of the rate along each path as the control
     n_rows, n_steps = 20_000, 64
     dt = PARAMS.t_horizon / n_steps
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
     z = _block_stream(21, 0).standard_normal((n_rows, n_steps))
-    ends = []
+    ends, paid = [], []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
+        c = np.zeros(n_rows)
         for i in range(n_steps):
+            f_now = np.maximum(s - 100.0, 0.0)
             s = s * np.exp(drift + vol * (sign * z[:, i]))
+            c = c + 0.5 * (f_now + np.maximum(s - 100.0, 0.0)) * dt
         ends.append(np.maximum(s - 100.0, 0.0))
-    direct = float(np.sum(0.5 * (ends[0] + ends[1]))) / n_rows
+        paid.append(c)
+    p, c = 0.5 * (ends[0] + ends[1]), 0.5 * (paid[0] + paid[1])
+    times = [i * dt for i in range(n_steps)] + [PARAMS.t_horizon]
+    mu_c = math.fsum(0.5 * (bs_expected_payoff(PARAMS, "call", t0, 100.0)
+                            + bs_expected_payoff(PARAMS, "call", t1, 100.0)) * dt
+                     for t0, t1 in zip(times, times[1:]))
+    beta = np.cov(p, c)[0, 1] / np.var(c, ddof=1)
+    direct = float(np.mean(p) - beta * (np.mean(c) - mu_c))
     assert abs(a.value - direct) <= 1e-12
+    assert a.meta["control_variate"]["beta"] == pytest.approx(beta, rel=1e-9)
 
 
 def test_pinned_values_across_two_blocks():
@@ -169,11 +234,11 @@ def test_pinned_values_across_two_blocks():
     pol = _policies_by_name(spec, PARAMS)["threshold[+0.0]"]
     assert 140_000 > 2 * PAIR_BLOCK
     anti = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77)
-    assert anti.value == pytest.approx(5.460135926750737, rel=1e-12)
-    assert anti.stderr == pytest.approx(0.010219209476080205, rel=1e-9)
+    assert anti.value == pytest.approx(5.655891914833519, rel=1e-12)
+    assert anti.stderr == pytest.approx(0.006730396129033116, rel=1e-9)
     plain = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77, antithetic=False)
-    assert plain.value == pytest.approx(5.448006935808405, rel=1e-12)
-    assert plain.stderr == pytest.approx(0.015818388954237293, rel=1e-9)
+    assert plain.value == pytest.approx(5.650697873790692, rel=1e-12)
+    assert plain.stderr == pytest.approx(0.006796866230904577, rel=1e-9)
 
 
 def test_builtin_policy_structure():
@@ -281,10 +346,74 @@ def test_estimates_carry_positive_stderr_and_meta():
     assert est.method == "monte_carlo"
     assert est.meta["n_paths"] == 10_000
     assert est.meta["seed"] == 1
+    assert set(est.meta["control_variate"]) == {"beta", "variance_ratio"}
+
+
+def test_uniform_weight_on_the_spot_prices_as_the_control_mean():
+    # AC-1's uniform case: with u = 1 and identity f the payoff P is the
+    # control C path by path (up to the rounding of the last steps' clip),
+    # so the estimate is E[C] and the residual is held at its floor
+    spec = _spec()
+    est = evaluate_policy(_policies_by_name(spec, PARAMS)["uniform"], spec, PARAMS, 20_000, 250, seed=101)
+    mu_c = _control_mean(spec, PARAMS, [i * (1.0 / 250) for i in range(250)] + [1.0])
+    assert est.meta["control_variate"]["variance_ratio"] == _RESIDUAL_FLOOR
+    assert abs(est.value - mu_c) <= est.stderr <= 1e-9 * abs(mu_c)
+
+
+FALLBACK_CASES = {
+    # a spot that barely moves: C varies by its rounding only, while the
+    # threshold policy's payoff jumps with it
+    "still_spot": (MarketParams(s0=100.0, r=0.0, sigma=1e-12, t_horizon=1.0), _spec(), 2_000),
+    # a rate that never pays: C = 0 on every path
+    "zero_rate": (PARAMS, _spec(weight_mode="normalized", f_kind="call", f_strike=1000.0), 2_000),
+    # one antithetic pair: one observation has no variance
+    "one_pair": (PARAMS, _spec(f_kind="call", f_strike=100.0), 2),
+    # two pairs: a line through two points fits them exactly and would
+    # leave the residual no degree of freedom
+    "two_pairs": (PARAMS, _spec(f_kind="call", f_strike=100.0), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_control_that_cannot_be_resolved_keeps_the_plain_mean(case):
+    params, spec, n_paths = FALLBACK_CASES[case]
+    pol = _policies_by_name(spec, params)["threshold[+0.0]"]
+    est = evaluate_policy(pol, spec, params, n_paths, 16, seed=5)
+    value, stderr, _, control = _full_block_loop(pol, spec, params, n_paths, 16, 5, True)
+    assert control == {"beta": 0.0, "variance_ratio": 1.0}
+    assert est.meta["control_variate"] == control
+    assert (est.value, est.stderr) == (value, stderr)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 2.0), (0.5, 2.0), (0.25, 1.0 - 5e-10)])
+@pytest.mark.parametrize("rows", ["equal", "random", "spent", "full", "nan", "close"])
+def test_chunk_interval_is_the_row_interval(rows, bounds):
+    # the two scalars, where the chunk pins them, are the row interval's
+    # values on every row, and so is the flag count
+    d0, d1 = bounds
+    rng = np.random.default_rng(12)
+    y = {"equal": np.full(64, 0.37), "random": rng.uniform(0.0, 1.0, 64),
+         "spent": np.zeros(64), "full": np.ones(64),
+         "nan": np.where(np.arange(64) == 5, np.nan, 0.25),
+         "close": 0.5 + np.arange(64) * 2.0**-53}[rows]
+    n_steps = 10
+    dt = 1.0 / n_steps
+    out = tuple(np.empty(64) for _ in range(3)) + (np.empty(64, dtype=bool),)
+    for i in range(n_steps):
+        left = (n_steps - i - 1) * dt
+        want_lo, want_hi, want_bad = _budget_interval(y, dt, left, d0, d1)
+        lo, hi, bad = _chunk_interval(y, dt, left, d0, d1, out)
+        assert np.array_equal(np.broadcast_to(lo, y.shape), want_lo, equal_nan=True)
+        assert np.array_equal(np.broadcast_to(hi, y.shape), want_hi, equal_nan=True)
+        assert bad == want_bad
+        if rows in ("equal", "spent", "full"):
+            assert isinstance(lo, float) and isinstance(hi, float)
 
 
 def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
-    """(value, stderr, forced_ramp_warnings) from one draw per block and z[:, i] per step."""
+    """(value, stderr, forced_ramp_warnings, control_variate) from one draw
+    per block and z[:, i] per step, with trapezoid payments and the payment
+    integral at u = 1 as the control."""
     T = params.t_horizon
     dt = T / n_steps
     drift = (params.r - 0.5 * params.sigma**2) * dt
@@ -294,46 +423,72 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
     signs = (1.0, -1.0) if antithetic else (1.0,)
     n_rows = (n_paths + 1) // 2 if antithetic else n_paths
     disc = math.exp(-params.r * T)
-    sum_w = sum_d = sum_d2 = 0.0
+    times = [i * dt for i in range(n_steps)] + [T]
+    sum_w = sum_c = sum_d = sum_e = sum_d2 = sum_e2 = sum_de = 0.0
     warnings_count = 0
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
         z = _block_stream(seed, b).standard_normal((rows, n_steps))
-        payoffs = []
+        payoffs, controls = [], []
         for sign in signs:
             s = np.full(rows, params.s0)
             x = np.zeros(rows)
             y = np.zeros(rows)
+            c = np.zeros(rows)
+            f_now = eval_f(spec, params, s, 0.0)
             for i in range(n_steps):
-                t = i * dt
-                u = np.broadcast_to(np.asarray(policy.evaluate(t, x, y, s), dtype=float), s.shape)
+                u = np.broadcast_to(np.asarray(policy.evaluate(times[i], x, y, s), dtype=float), s.shape)
                 if budget_mode:
                     lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
                     warnings_count += bad
                 else:
                     lo, hi = d0, d1
                 u = np.minimum(np.maximum(u, lo), hi)
-                x = x + u * eval_f(spec, params, s, t) * dt
-                y = y + u * dt
                 s = s * np.exp(drift + vol * (sign * z[:, i]))
+                f_next = eval_f(spec, params, s, times[i + 1])
+                y = y + u * dt
+                pay = (f_now + f_next) * (0.5 * dt)
+                c = c + pay
+                x = x + u * pay
+                f_now = f_next
             if budget_mode:
                 payoffs.append(eval_g(spec, x))
             else:
-                terminal = eval_f(spec, params, s, T)
                 payoffs.append(eval_g(spec, np.where(
-                    y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), terminal)))
+                    y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), f_now)))
+            controls.append(c)
         w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
+        cv = 0.5 * (controls[0] + controls[1]) if antithetic else controls[0]
         if b == 0:
-            shift = float(np.mean(w))
-            scale = float(np.max(np.abs(w))) or 1.0
+            shift, scale = float(np.mean(w)), float(np.max(np.abs(w))) or 1.0
+            shift_c, scale_c = float(cv[0]), float(np.max(np.abs(cv))) or 1.0
         d = (w - shift) / scale
+        e = (cv - shift_c) / scale_c
         sum_w += float(np.sum(w))
+        sum_c += float(np.sum(cv))
         sum_d += float(np.sum(d))
+        sum_e += float(np.sum(e))
         sum_d2 += float(np.sum(d * d))
+        sum_e2 += float(np.sum(e * e))
+        sum_de += float(np.sum(d * e))
+    mu_c = _control_mean(spec, params, times)
     mean = sum_w / n_rows
-    var = max(sum_d2 - sum_d * sum_d / n_rows, 0.0) / (n_rows - 1) if n_rows > 1 else 0.0
+    ss = max(sum_d2 - sum_d * sum_d / n_rows, 0.0)
+    ss_c = sum_e2 - sum_e * sum_e / n_rows
+    control = {"beta": 0.0, "variance_ratio": 1.0}
+    dof = n_rows - 1
+    if n_rows >= 3 and ss_c > 0.0 and ss > 0.0:
+        sp = sum_de - sum_d * sum_e / n_rows
+        resid = max(ss - sp * sp / ss_c, _RESIDUAL_FLOOR * ss)
+        beta = sp / ss_c * scale / scale_c
+        rounding = (n_steps + 2) * 2.0 * sys.float_info.epsilon * abs(mu_c)
+        if abs(beta) * rounding <= 0.1 * scale * math.sqrt(resid / (n_rows - 2) / n_rows):
+            mean -= beta * (sum_c / n_rows - mu_c)
+            control = {"beta": beta, "variance_ratio": resid / ss}
+            ss, dof = resid, n_rows - 2
+    var = ss / dof if n_rows > 1 else 0.0
     stderr = max(scale * math.sqrt(var / n_rows), 1e-16 * abs(mean), math.ulp(0.0))
-    return mean, stderr, warnings_count
+    return mean, stderr, warnings_count, control
 
 
 C = CHUNK_ROWS
@@ -385,10 +540,11 @@ def test_row_chunks_match_full_block_loop(rows, antithetic, case):
     pol = make_policy(spec, params)
     n_paths = 2 * rows if antithetic else rows
     est = evaluate_policy(pol, spec, params, n_paths, 6, seed=41, antithetic=antithetic)
-    value, stderr, warnings_count = _full_block_loop(pol, spec, params, n_paths, 6, 41, antithetic)
+    value, stderr, warnings_count, control = _full_block_loop(pol, spec, params, n_paths, 6, 41, antithetic)
     assert est.value == value
     assert est.stderr == stderr
     assert est.meta["forced_ramp_warnings"] == warnings_count
+    assert est.meta["control_variate"] == control
     if case == "budget" and rows >= C:
         assert warnings_count > 0  # the projection is exercised
 
@@ -412,7 +568,7 @@ def test_worker_thread_leaves_no_thread_and_passes_errors_through(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (est.value, est.stderr, est.meta["forced_ramp_warnings"]) == _full_block_loop(
-        pol, spec, params, n_paths, 16, 41, True)
+        pol, spec, params, n_paths, 16, 41, True)[:3]
     assert threading.enumerate() == before
 
     # the policy raises on its 40th call, in the third chunk's walk
@@ -517,9 +673,10 @@ def test_walk_never_writes_into_what_it_is_handed(case, monkeypatch):
         s = np.ones(3)
         assert eval_f(spec, params, s, 0.0) is s
     n_paths, n_steps = 2 * (C + 3), 6  # two chunks, the second a short one
-    want = _full_block_loop(pol, spec, params, n_paths, n_steps, 41, True)
+    want = _full_block_loop(pol, spec, params, n_paths, n_steps, 41, True)[:3]
 
-    # eval_f runs right after the clip: the policy's answer must be intact there
+    # eval_f runs after the clip and the spot's step: the step's answer must
+    # be intact there (a chunk's first eval_f, at t = 0, follows no answer)
     answers = []
     rule = pol.rule
 
@@ -529,7 +686,9 @@ def test_walk_never_writes_into_what_it_is_handed(case, monkeypatch):
         return u
 
     def watched_eval_f(*args):
-        assert np.array_equal(answers[0], answers[1])
+        if answers:
+            assert np.array_equal(answers[0], answers[1])
+            answers.clear()
         return eval_f(*args)
 
     monkeypatch.setattr(mc, "eval_f", watched_eval_f)
