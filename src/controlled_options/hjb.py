@@ -2,12 +2,18 @@
 
 Three regularised problems share one sweep:
 
-* ``adapted``        -- state (x, y, z); dx = u xi(y) phi(S, t) dt,
-  dy = u dt, terminal reward g_hat(x).
-* ``linear_reduced`` -- state (y, z); running reward u xi(y) phi(S, t),
+* ``adapted``        -- state (x, y, z); dx = v phi(S, t) dt, dy = v dt,
+  terminal reward g_hat(x).
+* ``linear_reduced`` -- state (y, z); running reward v phi(S, t),
   terminal value 0.  Valid for identity g only.
 * ``normalized``     -- state (x, y, z); dx = h(u, t) phi(S, t) dt,
   dy = h(u, t) dt, terminal reward g2(x, y).
+
+In budget mode a step from t_n pays v dt = dt min(u, max(0, (1 - y -
+d0 (T - t_{n+1})) / dt)), the upper end of the interval the Monte Carlo
+clips u to: no step pays past the budget int u dt = 1, so no foot passes
+y = 1.  Budget may be left unspent, so the grid prices "at most the
+budget", the contract's price for nondecreasing g; other g are refused.
 
 A normalized weight is solved as ``normalized``, a budget contract as
 ``adapted`` on a grid with an x axis and as ``linear_reduced`` on one
@@ -26,15 +32,15 @@ The scheme is monotone without a transport CFL restriction:
   writes each control's candidate into a buffer the sweep reuses from
   step to step.  It keeps each control's located feet and locates them
   again only when that control's y-feet, gain or phi change: at r = 0
-  in budget mode, never after the first step.  Where phi is exactly 0
-  (a call or put rate out of the money) the x-foot is the node itself,
-  so the x step runs only on the z columns from the first nonzero phi
-  to the last.
-* A control whose y-shift is exactly 0 (u = 0 in budget mode, and u = 0
-  before the eps ramp in normalized mode) has an x-shift of 0 too, so its
-  characteristic does not move: its candidate is the slice as it is, and
-  the transport is skipped.  That is bit-identical to the transport,
-  because the locate places node i at (i, 0.0) on every axis.
+  and d0 = 0 in budget mode, never after the first step.  Where phi is
+  exactly 0 (a call or put rate out of the money) the x-foot is the node
+  itself, so the x step runs only on the z columns from the first
+  nonzero phi to the last.
+* A control whose y-shift is exactly 0 at every node (u = 0 in budget
+  mode, and u = 0 before the ramp in normalized mode) has an x-shift of
+  0 too, so its characteristic does not move: its candidate is the slice
+  as it is, and the transport is skipped.  That is bit-identical to the
+  transport, because the locate places node i at (i, 0.0) on every axis.
 * z carries the only diffusion; drift r - sigma^2/2 is upwinded and the
   diffusion solved implicitly (unconditionally stable).  (I - dt A) is
   the same at every step, so each sweep inverts it once, clips the
@@ -208,10 +214,9 @@ def default_grid(
     # x is the origin, the kink region or eps^2 run, and the far field
     if not planar and nx < 3:
         raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
-    # y is the origin, y_max and the eps^2 run, or the 3-node cutoff band in budget mode
-    min_ny = 3 if normalized else 5
-    if ny < min_ny:
-        raise ParameterError(f"the y axis needs at least {min_ny} nodes, not {ny}", field="grid.ny")
+    # y is the origin, y_max, and the normalized eps^2 run or a budget node between
+    if ny < 3:
+        raise ParameterError(f"the y axis needs at least three nodes, not {ny}", field="grid.ny")
     if nz < 2:
         raise ParameterError(f"the z axis needs at least two nodes, not {nz}", field="grid.nz")
     T = params.t_horizon
@@ -225,17 +230,22 @@ def default_grid(
 
     if normalized:
         # the ratio reward bends on the y ~ eps^2 scale near the origin;
-        # geometric packing there keeps the interpolation honest
+        # geometric packing there keeps the interpolation honest.  While an
+        # even node falls on a fine one, the fine run takes one more node
+        # from the even base, so the axis keeps its ny nodes
         y_max = spec.bounds.d1 * T + 1.0
         fine_top = min(4.0 * eps, 0.5 * y_max)
-        y_nodes = _y_axis(y_max, lambda k: np.geomspace(0.25 * eps * eps, fine_top, k),
-                          min(max(3, ny // 4), ny - 2), ny, 1e-12 * y_max)
+        for k in range(min(max(3, ny // 4), ny - 2), ny - 1):
+            y_nodes = np.unique(np.concatenate([np.linspace(0.0, y_max, ny - k),
+                                                np.geomspace(0.25 * eps * eps, fine_top, k)]))
+            y_nodes = y_nodes[np.concatenate([[True], np.diff(y_nodes) > 1e-12 * y_max])]
+            if y_nodes.size == ny:
+                break
+        else:
+            raise ParameterError(f"the y axis cannot lay {ny} distinct nodes", field="grid.ny")
     else:
-        # keep the node budget but resolve the eps^2 cutoff band, where the
-        # value has a kink in y that coarse linear interpolation biases
-        y_max = max(1.25, 1.0 + eps + 0.05)
-        y_nodes = _y_axis(y_max, lambda k: np.linspace(1.0 - eps, 1.0 - eps + eps * eps, k),
-                          min(9, max(3, ny // 5)), ny, 1e-9 * y_max)
+        # no foot passes the budget, so the axis ends there
+        y_nodes = np.linspace(0.0, 1.0, ny)
 
     x_nodes = None
     if not planar:
@@ -260,21 +270,6 @@ def default_grid(
             else:
                 x_nodes = np.linspace(0.0, x_max, nx)
     return StateGrid(y_nodes=y_nodes, z_nodes=z_nodes, n_steps=n_steps, x_nodes=x_nodes)
-
-
-def _y_axis(y_max: float, run: Callable, n_run: int, ny: int, tol: float) -> np.ndarray:
-    """``ny`` distinct y nodes: ``run(k)`` merged with ny - k even nodes over [0, y_max].
-
-    k starts at ``n_run``.  While a base node coincides with a run node
-    (within ``tol``), the run takes one more node from the base, so the
-    axis keeps the count it was asked for.
-    """
-    for k in range(n_run, ny - 1):
-        y_nodes = np.unique(np.concatenate([np.linspace(0.0, y_max, ny - k), run(k)]))
-        y_nodes = y_nodes[np.concatenate([[True], np.diff(y_nodes) > tol])]
-        if y_nodes.size == ny:
-            return y_nodes
-    raise ParameterError(f"the y axis cannot lay {ny} distinct nodes", field="grid.ny")
 
 
 def _linear_in_x(spec: PayoffSpec) -> bool:
@@ -513,7 +508,11 @@ class TableRule:
 # ---------------------------------------------------------------------------
 
 def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
-    """The problem that the contract and the grid pose; (y, z) grids need identity g."""
+    """The problem that the contract and the grid pose; (y, z) grids need identity g,
+    and a budget contract nondecreasing g (see the module notes)."""
+    if spec.weight_mode != "normalized" and not spec.g_is_nondecreasing:
+        raise ParameterError(f"a budget grid prices at most the budget, the price only for "
+                             f"nondecreasing g, not {spec.g_kind} g", field="payoff.g_kind")
     variant = "normalized" if spec.weight_mode == "normalized" else "adapted"
     if grid.x_nodes is None:
         if _linear_in_x(spec):
@@ -527,10 +526,9 @@ def _validate(params, spec, fam, grid, variant):
     z0 = np.log(params.s0)
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
         raise ParameterError("z axis must contain log s0", field="grid.z_nodes")
-    eps = fam.epsilon
-    # y must hold the budget cutoff region, 1 + eps, or the normalized weight's
-    # reach, int h <= d1 T; a shorter axis would clamp the feet
-    need_y = spec.bounds.d1 * params.t_horizon if variant == "normalized" else 1.0 + eps
+    # y must hold the budget, 1, or the normalized weight's reach, int h <= d1 T;
+    # a shorter axis would clamp the feet
+    need_y = spec.bounds.d1 * params.t_horizon if variant == "normalized" else 1.0
     if grid.y_nodes[-1] < need_y:
         raise ParameterError(f"y_max {grid.y_nodes[-1]:g} below reachable bound {need_y:g}",
                              field="grid.y_nodes")
@@ -539,18 +537,10 @@ def _validate(params, spec, fam, grid, variant):
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise ParameterError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}",
                                  field="grid.x_nodes")
-    # resolution advisories (accuracy, not stability)
-    dy = float(np.min(np.diff(grid.y_nodes)))
+    # a resolution advisory (accuracy, not stability): only the normalized
+    # weight ramps up near T; a budget contract has no ramp
     dt = params.t_horizon / grid.n_steps
-    if variant != "normalized" and dy > 0.5 * eps * eps:
-        warnings.warn(
-            f"y spacing {dy:.4g} does not resolve the eps^2 cutoff band "
-            f"({eps * eps:.4g}); expect extra smearing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    # only the normalized weight ramps up near T; a budget contract has no ramp
-    if variant == "normalized" and dt > 0.5 * eps * eps:
+    if variant == "normalized" and dt > 0.5 * fam.ramp_width:
         warnings.warn(
             f"time step {dt:.4g} does not resolve the eps^2 ramp near T",
             RuntimeWarning,
@@ -597,25 +587,24 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     for n in range(nt - 1, -1, -1):
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
+        if variant != "normalized":
+            # the largest rate a step may pay and still leave d0 payable to T
+            room = np.maximum(0.0, (1.0 - y - d0 * (T - times[n + 1])) / dt)
         picks = []
         for slot, (u, cand) in enumerate(zip(controls, cands)):
-            # the cutoff and ramp factors integrate in closed form along the
-            # (deterministic) y/t characteristic, so the sub-cell eps^2 bands
-            # are credited exactly rather than sampled at nodes
             if variant == "normalized":
+                # the ramp integrates in closed form along the (deterministic)
+                # t characteristic, so the sub-cell eps^2 T band is credited exactly
                 shift = float(fam.effective_control_integral(u, t_n, times[n + 1]))
+                gain = None if shift == 0.0 else np.full(y.size, shift)
             else:
-                shift = dt * u
-            if shift == 0.0:
+                gain = dt * np.minimum(u, room)
+                gain = gain if gain.any() else None
+            if gain is None:
                 # the characteristic does not move: the candidate is the slice as it is
                 picks.append(cur)
                 continue
-            foot_y = y + shift
-            if variant == "normalized":
-                gain = np.full(y.size, shift)
-            else:
-                gain = fam.budget_cutoff_integral(foot_y) - fam.budget_cutoff_integral(y)
-            picks.append(transport(cur, foot_y, gain, phi, out=cand, slot=slot))
+            picks.append(transport(cur, y + gain, gain, phi, out=cand, slot=slot))
         d1_wins = None
         if observe is not None:
             d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]
@@ -723,15 +712,18 @@ def ladder_price(
     epsilons=DESK_EPSILONS,
     grid: StateGrid | dict | None = None,
 ) -> tuple[PriceEstimate, list[PriceEstimate]]:
-    """Solve along a decreasing epsilon ladder and Richardson-extrapolate.
+    """Solve along a decreasing epsilon ladder and extrapolate to epsilon = 0.
 
-    The regularisation error is first order in epsilon, so the reported
-    price combines the last two rungs as
-    p* = p(e2) + (p(e2) - p(e1)) e2 / (e1 - e2).
-    That only holds once the rungs converge: with three or more rungs, a
-    last gap |p(e2) - p(e1)| that is nonzero and not smaller than the one
-    before raises NumericalFailure.  Raw per-epsilon estimates come back
-    alongside.  ``grid`` is taken as by ``solve``.
+    The reported price is the last rung plus a step.  Two rungs take the
+    first-order step, Richardson for an error linear in epsilon:
+    (p(e2) - p(e1)) e2 / (e1 - e2).  Three or more measure the order from
+    the last two gaps, whose ratio is q = (p(e2) - p(e1)) / (p(e1) - p(e0)),
+    and take Aitken's delta-squared step, (p(e2) - p(e1)) q / (1 - q), which
+    is Richardson at that order; it never steps further than the first-order
+    step.  That only holds once the rungs converge: a last gap that is
+    nonzero and not smaller than the one before raises NumericalFailure.
+    Raw per-epsilon estimates come back alongside.  ``grid`` is taken as by
+    ``solve``.
     """
     epsilons = sorted(set(float(e) for e in epsilons), reverse=True)
     if not epsilons:
@@ -740,18 +732,20 @@ def ladder_price(
     for eps in epsilons:
         vf = solve(params, spec, eps, grid)
         raw.append(price_from_value(vf, params))
-    if len(raw) >= 3:
-        p = [r.value for r in raw[-3:]]
-        before, last = abs(p[1] - p[0]), abs(p[2] - p[1])
-        if last >= before and last > 0.0:
-            raise NumericalFailure(f"epsilon ladder diverges: rung gaps {before:.6g} then {last:.6g}; "
-                                   "refine the grid")
+    p = [r.value for r in raw[-3:]]
+    value = p[-1]
     if len(raw) >= 2:
         e1, e2 = epsilons[-2], epsilons[-1]
-        p1, p2 = raw[-2].value, raw[-1].value
-        value = p2 + (p2 - p1) * e2 / (e1 - e2)
-    else:
-        value = raw[0].value
+        step = (p[-1] - p[-2]) * e2 / (e1 - e2)  # the first-order step
+        if len(raw) >= 3:
+            before, last = p[1] - p[0], p[2] - p[1]
+            if abs(last) >= abs(before) and last != 0.0:
+                raise NumericalFailure(f"epsilon ladder diverges: rung gaps {abs(before):.6g} then "
+                                       f"{abs(last):.6g}; refine the grid")
+            if last != 0.0:
+                q = last / before  # Aitken's step at this gap ratio, no longer than the first-order one
+                step = min(max(last * q / (1.0 - q), -abs(step)), abs(step))
+        value += step
     est = PriceEstimate(
         value=value,
         stderr=0.0,

@@ -1,16 +1,17 @@
 """Regularisation families for the degenerate control problems.
 
-The raw pricing problems have a discontinuous reward switch at the
-budget boundary y = 1, kinked payoffs, and (in the normalized mode) a
-0/0 terminal ratio.  The grid solvers work on an epsilon-indexed family
-of smooth surrogates that approach the raw data from below as
-epsilon -> 0:
+The raw pricing problems have kinked payoffs and (in the normalized
+mode) a 0/0 terminal ratio.  The grid solvers work on an epsilon-indexed
+family of smooth surrogates that approach the raw data from below as
+epsilon -> 0.  The budget needs no surrogate: the grid stops paying at
+it, as the Monte Carlo does (see ``hjb``).  Epsilon has no dimension;
+each role carries the scale it smooths:
 
-* ``budget_cutoff``   xi(y):  1 for y <= 1 - eps, 0 for y >= 1 - eps + eps^2,
-  quintic-smoothstep ramp in between (C2 joins).
-* ``terminal_ramp``   psi(t): 0 for t <= T - eps, 1 for t >= T - eps + eps^2.
+* ``terminal_ramp``   psi(t): 0 for t <= T (1 - eps), 1 for
+  t >= T (1 - eps + eps^2), quintic-smoothstep ramp in between (C2
+  joins); both the start and the width are in units of the horizon T.
 * ``effective_control`` h(u, t) = u (1 - psi) + d1 psi, which forces the
-  weight toward d1 on the last eps of the horizon.
+  weight toward d1 on the last eps T of the horizon.
 * ``payoff_rate``     phi(s, t): the payment rate f with its strike kink
   replaced by a C1 blend of half-width eps * K, then capped smoothly at
   s0 / eps (softmin with temperature eps^2 * s0).  Always <= f.
@@ -23,8 +24,11 @@ epsilon -> 0:
 All kink blends sit *below* the function they replace so that the
 regularised value never exceeds the true price; convex kinks need a
 quartic bump correction on top of the quadratic blend to achieve that
-(see ``_pos_below``).  Caps and clamp levels carry the spot scale so the
-family is invariant under quoting the spot in different units.
+(see ``_pos_below``).  Blend widths, caps and clamp levels carry the
+strike, cap or spot scale, and the ramp carries T, so the family is
+invariant under quoting the spot in other units and under rescaling
+time: (T, sigma, r, d0, d1) -> (T / lam, sigma sqrt(lam), lam r, lam d0,
+lam d1) is the same contract.
 """
 from __future__ import annotations
 
@@ -90,8 +94,8 @@ class SmoothingFamily:
     spec: PayoffSpec
     params: MarketParams
     # derived constants
-    cutoff_start: float = field(init=False)
     ramp_start: float = field(init=False)
+    ramp_width: float = field(init=False)
     phi_cap: float = field(init=False)
     phi_temperature: float = field(init=False)
     reward_scale: float = field(init=False)
@@ -99,8 +103,8 @@ class SmoothingFamily:
 
     def __post_init__(self):
         eps = self.epsilon
-        object.__setattr__(self, "cutoff_start", 1.0 - eps)
-        object.__setattr__(self, "ramp_start", self.params.t_horizon - eps)
+        object.__setattr__(self, "ramp_start", self.params.t_horizon * (1.0 - eps))
+        object.__setattr__(self, "ramp_width", eps * eps * self.params.t_horizon)
         s0 = self.params.s0
         object.__setattr__(self, "phi_cap", s0 / eps)
         object.__setattr__(self, "phi_temperature", eps * eps * s0)
@@ -108,27 +112,14 @@ class SmoothingFamily:
         object.__setattr__(self, "reward_scale", scale)
         object.__setattr__(self, "reward_cap", scale / eps)
 
-    # -- budget cutoff xi ------------------------------------------------
-    def budget_cutoff(self, y):
-        eps = self.epsilon
-        return 1.0 - smoothstep((np.asarray(y, dtype=float) - self.cutoff_start) / (eps * eps))
-
-    def budget_cutoff_integral(self, y):
-        """int_0^y xi(s) ds, exact; saturates at 1 - eps + eps^2/2."""
-        eps2 = self.epsilon * self.epsilon
-        y = np.asarray(y, dtype=float)
-        return y - eps2 * smoothstep_integral((y - self.cutoff_start) / eps2)
-
     # -- terminal ramp psi and effective control h ------------------------
     def terminal_ramp(self, t):
-        eps = self.epsilon
-        return smoothstep((np.asarray(t, dtype=float) - self.ramp_start) / (eps * eps))
+        return smoothstep((np.asarray(t, dtype=float) - self.ramp_start) / self.ramp_width)
 
     def terminal_ramp_integral(self, t):
         """int_0^t psi(s) ds, exact."""
-        eps2 = self.epsilon * self.epsilon
-        t = np.asarray(t, dtype=float)
-        return eps2 * smoothstep_integral((t - self.ramp_start) / eps2)
+        width = self.ramp_width
+        return width * smoothstep_integral((np.asarray(t, dtype=float) - self.ramp_start) / width)
 
     def effective_control(self, u, t):
         psi = self.terminal_ramp(t)
@@ -193,10 +184,6 @@ class SmoothingFamily:
         t = np.linspace(0.0, p.t_horizon, n)[:, None]
         if np.any(self.payoff_rate(s[None, :], t) > eval_f(spec, p, s[None, :], t) + 1e-12 * p.s0):
             raise ParameterError("payoff_rate exceeds the raw payment rate", field="epsilons")
-        y = np.linspace(1e-3, max(1.5, spec.bounds.d1 * p.t_horizon + 1.0), n)
-        xi = self.budget_cutoff(y)
-        if np.any(xi < -1e-15) or np.any(xi > 1.0 + 1e-15) or np.any(np.diff(xi) > 1e-15):
-            raise ParameterError("budget_cutoff must be non-increasing with range [0, 1]", field="epsilons")
         psi = self.terminal_ramp(t.ravel())
         if np.any(psi < -1e-15) or np.any(psi > 1.0 + 1e-15) or np.any(np.diff(psi) < -1e-15):
             raise ParameterError("terminal_ramp must be non-decreasing with range [0, 1]", field="epsilons")
@@ -204,6 +191,7 @@ class SmoothingFamily:
         if np.any(self.terminal_reward(x) > eval_g(spec, x) + 1e-12 * self.reward_scale):
             raise ParameterError("terminal_reward exceeds the raw reward", field="epsilons")
         if spec.g_is_nondecreasing:
+            y = np.linspace(1e-3, max(1.5, spec.bounds.d1 * p.t_horizon + 1.0), n)
             xx, yy = np.meshgrid(np.linspace(0.0, 2.0 * p.s0, n), y)
             if np.any(self.ratio_reward(xx, yy) > eval_g(spec, xx / yy) + 1e-12 * self.reward_scale):
                 raise ParameterError("ratio_reward exceeds g at the weight ratio", field="epsilons")
@@ -211,8 +199,8 @@ class SmoothingFamily:
 
 def build_family(epsilon: float, spec: PayoffSpec, params: MarketParams) -> SmoothingFamily:
     """Construct and verify the family member for one epsilon."""
-    if not 0.0 < epsilon < min(0.5, params.t_horizon / 2.0):
-        raise ParameterError("epsilon must lie in (0, min(1/2, T/2))", field="epsilons")
+    if not 0.0 < epsilon < 0.5:
+        raise ParameterError("epsilon must lie in (0, 1/2)", field="epsilons")
     fam = SmoothingFamily(epsilon=epsilon, spec=spec, params=params)
     fam.self_check()
     return fam

@@ -94,7 +94,7 @@ def test_compare_passes_on_consistent_methods(recwarn):
 
 def test_compare_flags_deliberately_coarse_grid(recwarn):
     doc = _doc(methods=["closed_form", "hjb"],
-               grid={"nx": 5, "ny": 5, "nz": 9, "n_steps": 10})
+               grid={"nx": 5, "ny": 3, "nz": 3, "n_steps": 2})
     report, breach = run_compare(RunConfig.from_dict(doc))
     assert breach
 
@@ -205,7 +205,7 @@ def test_cli_exit_codes(tmp_path):
 
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps(_doc(methods=["closed_form", "hjb"],
-                                      grid={"nx": 5, "ny": 5, "nz": 9, "n_steps": 10})))
+                                      grid={"nx": 5, "ny": 3, "nz": 3, "n_steps": 2})))
     assert main(["compare", "--config", str(coarse)]) == 4
 
     missing = tmp_path / "nope.json"
@@ -369,6 +369,10 @@ def test_readme_config_example_loads():
 
 
 _CAP = {"g_kind": "cap", "g_cap": 8.0}
+# g = (100 - x)^+: the grid, free to leave budget unspent, priced every rung
+# 100.0 and exited 0, where every policy prices at most 6.51 by Monte Carlo
+_PUT_G = {"f_kind": "identity", "f_strike": None, "payment_timing": "spot",
+          "g_kind": "put", "g_strike": 100.0}
 
 
 @pytest.mark.parametrize("command,overrides,field", [
@@ -390,10 +394,12 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
     (["compare", "--methods", "monte_carlo,monte_carlo"], {}, "methods"),
     (["price-mc", "--policy", "hjb"], {"epsilons": []}, "epsilons"),
     (["export-value", "--out", "slice.csv"], {"epsilons": []}, "epsilons"),
+    (["price-hjb"], {"payoff": _PUT_G}, "payoff.g_kind"),
+    (["price-mc", "--policy", "hjb"], {"payoff": _PUT_G}, "payoff.g_kind"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
         "epsilon-0.7", "epsilon-5e-05", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
         "compare-normalized", "compare-methods-repeated", "mc-hjb-no-epsilons",
-        "export-no-epsilons"])
+        "export-no-epsilons", "hjb-decreasing-g", "mc-hjb-decreasing-g"])
 def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
     # fields that only one route reads, so these cases cannot join MALFORMED;
     # the closed form has no formula for the normalized weight, and compare

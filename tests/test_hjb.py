@@ -15,6 +15,7 @@ from controlled_options import (
     NumericalFailure,
     ParameterError,
     PayoffSpec,
+    PriceEstimate,
     StateGrid,
     ValueFunction,
     build_family,
@@ -28,6 +29,7 @@ from controlled_options import (
     solve,
 )
 from controlled_options.hjb import (
+    DESK_EPSILONS,
     TableRule,
     _Axis,
     _peak_rate,
@@ -187,11 +189,9 @@ def test_axis_nearest_breaks_ties_low():
 @settings(max_examples=60, deadline=None)
 @given(normalized=st.booleans(), ny=st.integers(3, 199), eps=st.floats(0.01, 0.2))
 @example(normalized=True, ny=41, eps=0.2)  # a fine node fell on a coarse one: 40 nodes
-@example(normalized=False, ny=32, eps=0.2)  # a band node fell on a base one: 31 nodes
+@example(normalized=False, ny=32, eps=0.2)
 def test_default_grid_lays_the_asked_y_count(normalized, ny, eps):
     spec = _spec(weight_mode="normalized") if normalized else _spec()
-    if not normalized:
-        ny = max(ny, 5)
     grid = default_grid(PARAMS, spec, build_family(eps, spec, PARAMS), ny=ny, nz=5, n_steps=4)
     assert grid.y_nodes.size == ny
 
@@ -293,7 +293,7 @@ def test_transport_kernel_matches_oracle_bit_for_bit(x, y, y0, halve, seed):
 
 @st.composite
 def _desk_y_axes(draw):
-    """The y axis default_grid lays: an even base merged with the eps^2 band or fine run."""
+    """The y axis default_grid lays: even on [0, 1], or an even base merged with the fine run."""
     spec = _spec(weight_mode="normalized") if draw(st.booleans()) else _spec()
     fam = build_family(draw(st.floats(0.01, 0.2)), spec, PARAMS)
     return default_grid(PARAMS, spec, fam, ny=draw(st.integers(5, 80)), nz=2, n_steps=1).y_nodes
@@ -322,7 +322,7 @@ def test_solver_rejects_uncovering_grids():
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
     z0 = math.log(100.0)
-    bad_y = StateGrid(y_nodes=np.linspace(0.0, 1.02, 21),
+    bad_y = StateGrid(y_nodes=np.linspace(0.0, 0.98, 21),
                       z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=20)
     with pytest.raises(ParameterError) as err:
         solve_linear_reduced(PARAMS, spec, fam, bad_y)
@@ -365,16 +365,6 @@ def test_planar_grid_refused_by_3d_variants(variant, overrides):
     with pytest.raises(ParameterError, match=f"the {variant} variant needs an x axis") as err:
         solve(PARAMS, _spec(**overrides), 0.1, planar)
     assert err.value.field == "grid.x_nodes"
-
-
-def test_coarse_grid_warns_about_cutoff_resolution():
-    spec = _spec()
-    fam = build_family(0.05, spec, PARAMS)
-    z0 = math.log(100.0)
-    coarse = StateGrid(y_nodes=np.linspace(0.0, 1.3, 11),
-                       z_nodes=np.linspace(z0 - 1, z0 + 1, 31), n_steps=40)
-    with pytest.warns(RuntimeWarning):
-        solve_linear_reduced(PARAMS, spec, fam, coarse)
 
 
 def test_ramp_advisory_only_for_the_normalized_weight():
@@ -420,6 +410,38 @@ def test_reduced_ladder_matches_quadrature_within_2pct():
     est, raw = _quiet_ladder(PARAMS, _spec(), epsilons=(0.2, 0.1, 0.05))
     assert abs(est.value - TAIL_PRICE) <= 0.02 * TAIL_PRICE
     assert all(r.value <= est.value + 0.05 for r in raw)  # raw rungs approach from below
+
+
+def test_desk_ladder_prices_the_deferral_contract_within_a_tenth_of_a_percent():
+    # the 2-D desk ladder stops paying at the budget: its rungs read 6.5073,
+    # 6.7697, 6.8399, and the smoothed cutoff that it replaced left the
+    # extrapolated price 0.40% low
+    est, _ = ladder_price(PARAMS, _spec())
+    assert abs(est.value - TAIL_PRICE) <= 1e-3 * TAIL_PRICE
+
+
+@pytest.mark.parametrize("variant", ["linear_reduced", "adapted", "adapted_d0"])
+def test_budget_price_ignores_y_nodes_above_the_budget(variant):
+    # no step pays past the budget, so no foot passes y = 1 and nodes above
+    # it are never read
+    spec = _spec(**PINS[variant][0])
+    fam = build_family(0.1, spec, PARAMS)
+    base = default_grid(PARAMS, spec, fam, **PIN_DIMS)
+    assert base.y_nodes[-1] == 1.0
+    taller = replace(base, y_nodes=np.append(base.y_nodes, np.linspace(1.0, 1.3, 7)[1:]))
+    prices = [price_from_value(solve(PARAMS, spec, 0.1, grid), PARAMS).value for grid in (base, taller)]
+    assert prices[1] == pytest.approx(prices[0], rel=1e-12, abs=0.0)
+
+
+def test_budget_grid_refuses_a_decreasing_reward():
+    # the grid may leave budget unspent, which prices "at most the budget":
+    # with g = (100 - x)^+ every rung read 100.0, where every policy the
+    # engine has prices at most 6.51 by Monte Carlo
+    spec = _spec(f_kind="identity", f_strike=None, payment_timing="spot", g_kind="put", g_strike=100.0)
+    for route in (solve, extract_policy):
+        with pytest.raises(ParameterError, match="nondecreasing g") as err:
+            route(PARAMS, spec, 0.05, PIN_DIMS)
+        assert err.value.field == "payoff.g_kind"
 
 
 def test_adapted_equals_reduced_for_identity_reward():
@@ -777,16 +799,15 @@ def test_discrete_comparison_principle():
 
 def test_values_bounded_by_data():
     # discrete maximum principle: no value exceeds what the reward data
-    # can pay (full effective budget at the largest capped rate)
+    # can pay (the whole budget, 1, at the largest capped rate)
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
     grid = default_grid(PARAMS, spec, fam, ny=21, nz=31, n_steps=40)
     history = _quiet_solve(_history, solve_linear_reduced, PARAMS, spec, fam, grid)
     t_probe = np.linspace(0.0, 1.0, 9)[:, None]
     phi_max = float(np.max(fam.payoff_rate(np.exp(grid.z_nodes)[None, :], t_probe)))
-    budget = float(fam.budget_cutoff_integral(2.0))  # saturated past the cutoff
     assert history.min() >= -1e-12
-    assert history.max() <= budget * phi_max * (1.0 + 1e-9)
+    assert history.max() <= phi_max * (1.0 + 1e-9)
 
 
 def test_epsilon_domination():
@@ -839,10 +860,10 @@ def test_grid_allowance_takes_a_state_grid():
 # price also pins both ends of the budget interval each step is clipped to.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
-    "linear_reduced": ({}, "0x1.958612693cc6ep+2", 1060, "0x1.b6999b8b3ea84p+2"),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.92c89d9b78abap+1", 14757, "0x1.ee73b576fc88ep+1"),
+    "linear_reduced": ({}, "0x1.b885cac0c112cp+2", 937, "0x1.b68b8f66407a0p+2"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.957bc6bf2fc7fp+1", 13445, "0x1.ee73b576fc88ep+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.803893f669afap+1", 16397, "0x1.f2284970482d5p+1"),
+                   "0x1.8a83821518324p+1", 15517, "0x1.f251c7f0f38dfp+1"),
     "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a101p+4", 7321, "0x1.f5b07c44f914cp+2"),
 }
 
@@ -916,6 +937,29 @@ def test_price_scales_with_s0(lam):
         assert got == pytest.approx(float.fromhex(price), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.25, 4.0])
+@pytest.mark.parametrize("variant", sorted(PINS))
+def test_time_rescaling_leaves_every_grid_price_bit_identical(variant, lam):
+    # (T, sigma, r, d0, d1) -> (T / lam, sigma sqrt(lam), lam r, lam d0, lam d1)
+    # is the same contract, and at a power of 4 every rescaled input is exact.
+    # Each eps is dimensionless, so no grid price may move.  With the ramp
+    # in absolute time, the normalized one moved by about 20%; at lam = 4
+    # (T = 0.25) the budget contract now prices on the desk ladder
+    base = replace(PARAMS, r=0.05)
+    scaled = MarketParams(s0=100.0, r=0.05 * lam, sigma=0.2 * math.sqrt(lam), t_horizon=1.0 / lam)
+    overrides = PINS[variant][0]
+    bounds = overrides.get("bounds", ControlBounds(0.0, 2.0))
+    spec = _spec(**overrides)
+    spec_lam = replace(spec, bounds=ControlBounds(lam * bounds.d0, lam * bounds.d1))
+    for eps in DESK_EPSILONS:
+        want = price_from_value(_quiet_solve(solve, base, spec, eps, PIN_DIMS), base).value
+        got = price_from_value(_quiet_solve(solve, scaled, spec_lam, eps, PIN_DIMS), scaled).value
+        assert got.hex() == want.hex()
+    if variant == "linear_reduced":
+        want = _quiet_ladder(base, spec, grid=PIN_DIMS)[0].value
+        assert _quiet_ladder(scaled, spec_lam, grid=PIN_DIMS)[0].value.hex() == want.hex()
+
+
 def test_tiny_spot_prices_at_scale():
     # at s0 = 1e-9 every x step of the knee axis lies below 1e-8; an absolute
     # uniformity tolerance called that axis uniform, located its feet by
@@ -927,8 +971,32 @@ def test_tiny_spot_prices_at_scale():
         params = MarketParams(s0=100.0 * scale, r=0.0, sigma=0.2, t_horizon=1.0)
         spec = _spec(f_strike=100.0 * scale, g_kind="call", g_strike=8.0 * scale)
         prices.append(_quiet_ladder(params, spec, epsilons=(0.2, 0.1), grid=dims)[0].value)
-    assert prices[0] == pytest.approx(3.5169, abs=1e-4)
+    assert prices[0] == pytest.approx(3.7143, abs=1e-4)
     assert prices[1] / lam == pytest.approx(prices[0], rel=1e-10, abs=0.0)
+
+
+def _stub_ladder(monkeypatch, prices, epsilons):
+    """``ladder_price`` over rungs that price as ``prices`` at ``epsilons``, with no grid solved."""
+    rungs = dict(zip(epsilons, prices))
+    monkeypatch.setattr("controlled_options.hjb.solve",
+                        lambda params, spec, eps, grid: ValueFunction(None, "stub", eps, None))
+    monkeypatch.setattr("controlled_options.hjb.price_from_value",
+                        lambda vf, params: PriceEstimate(rungs[vf.epsilon], 0.0, "hjb",
+                                                         {"grid_shape": [1], "n_steps": 1}))
+    return ladder_price(PARAMS, _spec(), epsilons=epsilons)[0].value
+
+
+def test_ladder_extrapolates_at_the_order_its_rungs_measure(monkeypatch):
+    # rungs 10 - 4^(1 - k): the gaps shrink fourfold, and Aitken's step lands on 10
+    assert _stub_ladder(monkeypatch, [6.0, 9.0, 9.75], [0.2, 0.1, 0.05]) == 10.0
+    assert _stub_ladder(monkeypatch, [2.0, 8.0, 9.5, 9.875], [0.4, 0.2, 0.1, 0.05]) == 10.0
+    # a gap ratio of 1.05 would take Aitken 20 gaps on; the step is held to
+    # the first-order one, last gap times e2 / (e1 - e2)
+    assert _stub_ladder(monkeypatch, [0.0, 1.05, 2.05], [0.2, 0.1, 0.05]) == pytest.approx(3.05)
+    assert _stub_ladder(monkeypatch, [0.0, 1.05, 2.05], [0.3, 0.2, 0.05]) == pytest.approx(2.05 + 1.0 / 3.0)
+    # two rungs take the first-order step
+    assert _stub_ladder(monkeypatch, [9.0, 9.75], [0.1, 0.05]) == 10.5
+    assert _stub_ladder(monkeypatch, [9.0, 9.75], [0.15, 0.05]) == pytest.approx(9.75 + 0.375)
 
 
 def test_diverging_ladder_raises_numerical_failure():
@@ -1017,9 +1085,6 @@ def test_nan_from_family_raises_numerical_failure():
 
         def payoff_rate(self, s, t):
             return np.full(np.shape(s), np.nan)
-
-        def budget_cutoff_integral(self, y):
-            return np.asarray(y, dtype=float)
 
     z0 = math.log(100.0)
     grid = StateGrid(y_nodes=np.linspace(0, 1.3, 9),

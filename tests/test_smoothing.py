@@ -30,20 +30,13 @@ def test_epsilon_range_checked():
         build_family(0.0, _spec(), PARAMS)
     with pytest.raises(ParameterError):
         build_family(0.6, _spec(), PARAMS)
+    # eps has no dimension: the ramp is measured in units of T, so a short
+    # horizon takes every eps below 1/2
     short = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=0.3)
     with pytest.raises(ParameterError):
-        build_family(0.2, _spec(), short)
-
-
-def test_budget_cutoff_plateaus():
-    fam = build_family(0.1, _spec(), PARAMS)
-    assert fam.budget_cutoff(0.5) == 1.0
-    assert fam.budget_cutoff(0.9) == 1.0  # 1 - eps inclusive
-    assert fam.budget_cutoff(0.91) == 0.0  # beyond 1 - eps + eps^2
-    y = np.linspace(0.0, 1.3, 1001)
-    xi = fam.budget_cutoff(y)
-    assert np.all(np.diff(xi) <= 1e-15)
-    assert xi.min() >= 0.0 and xi.max() <= 1.0
+        build_family(0.5, _spec(), short)
+    fam = build_family(0.2, _spec(), short)
+    assert fam.terminal_ramp(0.3 * 0.8) == 0.0 and fam.terminal_ramp(0.3 * 0.85) == 1.0
 
 
 def test_terminal_ramp_plateaus():
@@ -106,21 +99,11 @@ def test_terminal_reward_pointwise_monotone_in_epsilon():
 
 
 def test_smoothstep_family_monotone_in_epsilon_tight():
-    y = np.linspace(0.0, 1.3, 2001)
     t = np.linspace(0.0, 1.0, 2001)
     spec = _spec()
     fam1 = build_family(0.2, spec, PARAMS)
     fam2 = build_family(0.1, spec, PARAMS)
-    assert np.all(fam2.budget_cutoff(y) >= fam1.budget_cutoff(y) - 1e-12)
     assert np.all(fam2.terminal_ramp(t) <= fam1.terminal_ramp(t) + 1e-12)
-
-
-def test_cutoff_integral_matches_quadrature():
-    fam = build_family(0.1, _spec(), PARAMS)
-    for y in (0.0, 0.5, 0.895, 0.903, 0.9065, 0.95, 1.2):
-        ref, _ = quad(lambda s: float(fam.budget_cutoff(s)), 0.0, y,
-                      limit=400, epsabs=1e-12, epsrel=1e-12)
-        assert fam.budget_cutoff_integral(y) == pytest.approx(ref, abs=2e-9)
 
 
 def test_ramp_integral_matches_quadrature():
@@ -146,10 +129,9 @@ def test_centered_differences_second_order(probe):
     # is nonzero in the band and the classical h^2 rate is observable.
     # A smooth f has D(h) = f' + c h^2 + O(h^4) for the central difference D,
     # so D(h) - D(h/2) contracts about 4x per halving of h.  Steps are 1% of
-    # each band: eps^2 for the cutoff and ramp, eps * strike for the reward.
+    # each band: eps^2 T for the ramp, eps * strike for the reward.
     fam = build_family(0.1, _spec(g_kind="call", g_strike=40.0), PARAMS)
     checks = [
-        (fam.budget_cutoff, 0.9 + 0.01 * probe, 1e-4),
         (fam.terminal_ramp, 0.9 + 0.01 * probe, 1e-4),
         (fam.terminal_reward, 40.0 + 4.0 * (2.0 * probe - 1.0), 4e-2),
     ]
