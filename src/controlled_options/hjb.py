@@ -9,26 +9,28 @@ Three regularised problems share one sweep:
 * ``normalized``     -- state (x, y, z); dx = h(u, t) phi(S, t) dt,
   dy = h(u, t) dt, terminal reward g2(x, y).
 
-In budget mode a step from t_n pays v dt = dt min(u, max(0, (1 - y -
-d0 (T - t_{n+1})) / dt)), the upper end of the interval the Monte Carlo
-clips u to: no step pays past the budget int u dt = 1, so no foot passes
-y = 1.  Budget may be left unspent, so the grid prices "at most the
-budget", the contract's price for nondecreasing g; other g are refused.
+In budget mode a step from t_n pays v dt = dt min(u, max(0, hi)), hi the
+upper end of ``payoffs.budget_interval``, which the Monte Carlo clips u
+to: no step pays past the budget int u dt = 1, so no foot passes y = 1.
+Budget may be left unspent, so the grid prices "at most the budget", the
+contract's price for nondecreasing g; other g are refused in both modes.
 
 A normalized weight is solved as ``normalized``, a budget contract as
 ``adapted`` on a grid with an x axis and as ``linear_reduced`` on one
-without, which ``default_grid`` lays for identity g.
+without, which ``default_grid`` lays for identity g.  The payment x only
+grows and g_hat is affine above its bend (``_reward_bend``), so a budget
+x axis ends one cell past the bend, and a foot past it extrapolates.
 
-The scheme is monotone without a transport CFL restriction:
+The scheme is monotone but for that extrapolation, with no CFL limit:
 
 * x and y carry no diffusion, so their transport is semi-Lagrangian --
   each backward step reads the next slice at the foot of the (exact,
-  degenerate) characteristic, with feet clamped to the grid (the flow is
-  outward for non-negative rates).  The y-foot depends on y alone, so
-  each control locates its (ny,) line of feet and interpolates in y; the
-  x-foot x + gain(y) phi(z) depends on y only through the gain, so it is
-  located once per distinct gain value and then interpolated in x.  One
-  kernel, ``_Transport``, built once per sweep, does both steps and
+  degenerate) characteristic, clamped below each axis and extrapolated
+  above it.  The y-foot depends on y alone, so each control locates its
+  (ny,) line of feet and interpolates in y; the x-foot x + gain(y) phi(z)
+  depends on y only through the gain, so it is located once per distinct
+  gain value and then interpolated in x.  One kernel,
+  ``_Transport``, built once per sweep, does both steps and
   writes each control's candidate into a buffer the sweep reuses from
   step to step.  It keeps each control's located feet and locates them
   again only when that control's y-feet, gain or phi change: at r = 0
@@ -78,7 +80,7 @@ import numpy as np
 
 from .errors import NumericalFailure, ParameterError
 from .market import MarketParams
-from .payoffs import PayoffSpec
+from .payoffs import PayoffSpec, budget_interval
 from .results import PriceEstimate
 from .smoothing import SmoothingFamily, build_family
 
@@ -108,20 +110,20 @@ class _Axis:
         # every axis with steps below it uniform
         tol = 1e-9 * d[0] + 4.0 * np.spacing(np.max(np.abs(nodes)))
         self.uniform = bool(np.all(np.abs(d - d[0]) <= tol))
-        self.lo = nodes[0]
-        self.hi = nodes[-1]
 
     def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and in-cell fraction of each query, clamped to the axis.
+        """Cell index and in-cell fraction of each query.
 
         The cell is searched on every axis, uniform or not, and the fraction
         is (q - nodes[i]) / step[i], so node i is placed at (i, 0.0) exactly.
+        A query past the last node extrapolates the last cell.  One below
+        the first is clamped to it: a smoothed call or put rate dips below 0
+        in its strike blend, and extrapolating would count that as a loss.
         """
-        q = np.clip(q, self.lo, self.hi)
+        q = np.maximum(q, self.nodes[0])
         idx = np.searchsorted(self.nodes, q, side="right")
         np.clip(np.subtract(idx, 1, out=idx), 0, self.nodes.size - 2, out=idx)
-        frac = np.divide(np.subtract(q, self.nodes.take(idx), out=q), self.step.take(idx), out=q)
-        return idx, np.clip(frac, 0.0, 1.0, out=frac)
+        return idx, np.divide(np.subtract(q, self.nodes.take(idx), out=q), self.step.take(idx), out=q)
 
     def nearest(self, q: np.ndarray) -> np.ndarray:
         """Index of the node nearest each query; a query halfway between takes the lower.
@@ -205,13 +207,13 @@ def default_grid(
 ) -> StateGrid:
     """Desk-scale grid with the given node counts, z-range log s0 +- 5 sig sqrt(T).
 
-    Identity g in budget mode gets no x axis and ignores ``nx``.  The x
-    axis densifies below the reward kink (cap level or strike) when one
-    exists, so coarse far-field nodes do not starve the curved region.
+    Identity g in budget mode gets no x axis and ignores ``nx``.  Other
+    budget contracts get x even on [0, bend] plus one more step: above the
+    bend g_hat is affine, so the last cell, extrapolated, covers every x.
     """
     normalized = spec.weight_mode == "normalized"
     planar = _linear_in_x(spec)
-    # x is the origin, the kink region or eps^2 run, and the far field
+    # x is the origin and two nodes or more from the bend (the eps^2 scale) up
     if not planar and nx < 3:
         raise ParameterError(f"the x axis needs at least three nodes, not {nx}", field="grid.nx")
     # y is the origin, y_max, and the normalized eps^2 run or a budget node between
@@ -248,27 +250,20 @@ def default_grid(
         y_nodes = np.linspace(0.0, 1.0, ny)
 
     x_nodes = None
-    if not planar:
+    if normalized:
         phi_max = _peak_rate(params, fam, z_nodes)
-        x_max = _x_reach(params, spec, max(phi_max, 1e-12)) * (1.0 + 1e-9)
-        if normalized:
-            # log spacing from the eps^2 scale up: the reward depends on x/y,
-            # so cells near the origin must shrink in x as they do in y or
-            # interpolation corners see wildly inflated ratios
-            lo = max(0.25 * eps * eps * phi_max, 1e-12 * x_max)
-            if not lo < x_max:
-                raise ParameterError(f"x reach {x_max:g} (d1 T times the peak rate) does not "
-                                     f"pass the eps^2 scale {lo:g}", field="payoff.d1")
-            x_nodes = np.concatenate([[0.0], np.geomspace(lo, x_max, nx - 1)])
-        else:
-            knee = spec.g_cap if spec.g_kind == "cap" else spec.g_strike
-            if knee is not None and 3.0 * knee < 0.5 * x_max:
-                n_dense = max(2, int(round(0.8 * nx)))
-                dense = np.linspace(0.0, 3.0 * knee, n_dense)
-                coarse = np.linspace(3.0 * knee, x_max, nx - n_dense + 1)[1:]
-                x_nodes = np.concatenate([dense, coarse])
-            else:
-                x_nodes = np.linspace(0.0, x_max, nx)
+        x_max = spec.bounds.d1 * T * max(phi_max, 1e-12) * (1.0 + 1e-9)  # the reach
+        # log spacing from the eps^2 scale up: the reward depends on x/y,
+        # so cells near the origin must shrink in x as they do in y or
+        # interpolation corners see wildly inflated ratios
+        lo = max(0.25 * eps * eps * phi_max, 1e-12 * x_max)
+        if not lo < x_max:
+            raise ParameterError(f"x reach {x_max:g} (d1 T times the peak rate) does not "
+                                 f"pass the eps^2 scale {lo:g}", field="payoff.d1")
+        x_nodes = np.concatenate([[0.0], np.geomspace(lo, x_max, nx - 1)])
+    elif not planar:
+        bend = _reward_bend(spec, eps)
+        x_nodes = np.append(np.linspace(0.0, bend, nx - 1), bend + bend / (nx - 2))
     return StateGrid(y_nodes=y_nodes, z_nodes=z_nodes, n_steps=n_steps, x_nodes=x_nodes)
 
 
@@ -277,15 +272,15 @@ def _linear_in_x(spec: PayoffSpec) -> bool:
     return spec.weight_mode != "normalized" and spec.g_kind == "identity"
 
 
+def _reward_bend(spec: PayoffSpec, eps: float) -> float:
+    """The x above which g_hat is affine: its cap or strike past the eps blend, 0 for identity g."""
+    return {"identity": 0.0, "cap": spec.g_cap}.get(spec.g_kind, spec.g_strike) * (1.0 + eps)
+
+
 def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
     """Largest payment rate on the z axis over a 9-point time probe."""
     t_probe = np.linspace(0.0, params.t_horizon, 9)[:, None]
     return float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
-
-
-def _x_reach(params: MarketParams, spec: PayoffSpec, phi_max: float) -> float:
-    """The most x can gain by T at the payment rate ``phi_max``: d1 T phi_max."""
-    return spec.bounds.d1 * params.t_horizon * phi_max
 
 
 def refine_grid(grid: StateGrid, axis: str) -> StateGrid:
@@ -509,10 +504,9 @@ class TableRule:
 
 def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
     """The problem that the contract and the grid pose; (y, z) grids need identity g,
-    and a budget contract nondecreasing g (see the module notes)."""
-    if spec.weight_mode != "normalized" and not spec.g_is_nondecreasing:
-        raise ParameterError(f"a budget grid prices at most the budget, the price only for "
-                             f"nondecreasing g, not {spec.g_kind} g", field="payoff.g_kind")
+    and every grid nondecreasing g (see the module notes)."""
+    if not spec.g_is_nondecreasing:
+        raise ParameterError(f"the grid prices nondecreasing g, not {spec.g_kind} g", field="payoff.g_kind")
     variant = "normalized" if spec.weight_mode == "normalized" else "adapted"
     if grid.x_nodes is None:
         if _linear_in_x(spec):
@@ -527,16 +521,21 @@ def _validate(params, spec, fam, grid, variant):
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
         raise ParameterError("z axis must contain log s0", field="grid.z_nodes")
     # y must hold the budget, 1, or the normalized weight's reach, int h <= d1 T;
-    # a shorter axis would clamp the feet
+    # a shorter axis would extrapolate the value at feet the weight reaches
     need_y = spec.bounds.d1 * params.t_horizon if variant == "normalized" else 1.0
     if grid.y_nodes[-1] < need_y:
         raise ParameterError(f"y_max {grid.y_nodes[-1]:g} below reachable bound {need_y:g}",
                              field="grid.y_nodes")
-    if variant != "linear_reduced":
-        need = _x_reach(params, spec, _peak_rate(params, fam, grid.z_nodes))
+    if variant == "normalized":
+        need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise ParameterError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}",
                                  field="grid.x_nodes")
+    elif variant == "adapted":  # a foot past x_max extrapolates, exact only above the bend
+        bend = _reward_bend(spec, fam.epsilon)
+        if not grid.x_nodes[-2] >= bend:
+            raise ParameterError(f"the last x cell starts at {grid.x_nodes[-2]:g}, below the "
+                                 f"reward's bend {bend:g}", field="grid.x_nodes")
     # a resolution advisory (accuracy, not stability): only the normalized
     # weight ramps up near T; a budget contract has no ramp
     dt = params.t_horizon / grid.n_steps
@@ -589,7 +588,7 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
         if variant != "normalized":
             # the largest rate a step may pay and still leave d0 payable to T
-            room = np.maximum(0.0, (1.0 - y - d0 * (T - times[n + 1])) / dt)
+            room = np.maximum(0.0, budget_interval(y, dt, T - times[n + 1], d0, d1)[1])
         picks = []
         for slot, (u, cand) in enumerate(zip(controls, cands)):
             if variant == "normalized":

@@ -10,14 +10,11 @@ is exact as it is.  For a fixed control the walk then converges to the
 paper's integral at O(dt^2), where a left-endpoint sum is O(dt) away.
 
 Each step clips u once, to the payments that keep the contract
-feasible: [d0, d1] in the normalized mode.  In the budget mode, with
-need = 1 - y and left = T - t - dt, they are the u with
-need - d1 * left <= u * dt <= need - d0 * left, so
-[max(d0, (need - d1 * left) / dt), min(d1, (need - d0 * left) / dt)],
-the single point need / dt on the last step.  A step inside it keeps
-the next one non-empty, so only bounds at the edge of ``BUDGET_TOL``
-empty it; u then takes its upper end, and such path-steps are counted
-in ``meta["forced_ramp_warnings"]``.
+feasible: [d0, d1] in the normalized mode, ``payoffs.budget_interval``
+with left = T - t - dt in the budget mode.  A step inside that interval
+keeps the next one non-empty, so only bounds at the edge of
+``BUDGET_TOL`` empty it; u then takes its upper end, and such path-steps
+are counted in ``meta["forced_ramp_warnings"]``.
 
 Antithetic variates are on by default; estimates and standard errors are
 computed on pair averages.  The walk's own payment integral at u = 1,
@@ -83,48 +80,35 @@ from .closed_form import expected_payment_rate, switch_time
 from .errors import ParameterError
 from .hjb import Policy
 from .market import MarketParams, _block_stream
-from .payoffs import DEGENERATE_WEIGHT, PayoffSpec, eval_f, eval_g, validate_spec
+from .payoffs import (DEGENERATE_WEIGHT, FORCE_TOL, PayoffSpec, budget_interval, eval_f, eval_g,
+                       validate_spec)
 from .results import PriceEstimate
 
 PAIR_BLOCK = 1 << 16
 CHUNK_ROWS = 1 << 11  # rows of a block walked at once: 8 MB of growth factors per slot at 250 steps
 DRAW_ROWS = 1 << 9  # rows of normals drawn at once: 1 MB of staging at 250 steps
-_FORCE_TOL = 1e-12
 # the least share of P's variance the control is taken to leave: below it the
 # residual is the rounding of the sums it comes from (P = C leaves a few ulps)
 _RESIDUAL_FLOOR = 1e-12
 
 
-def _budget_interval(y, dt, left, d0, d1, out=(None, None, None, None)):
-    """The payments [lo, hi] of a budget-mode step that keep int u dt = 1
-    reachable with ``left`` time after it, and the number of rows whose
-    interval is empty by more than ``_FORCE_TOL`` of budget.  ``out`` may
-    hold arrays shaped like ``y`` for lo, hi, a scratch row and the flags."""
-    lo, hi, tmp, flags = out
-    need = np.subtract(1.0, y, out=tmp)
-    lo = np.maximum(np.divide(np.subtract(need, d1 * left, out=lo), dt, out=lo), d0, out=lo)
-    hi = np.minimum(np.divide(np.subtract(need, d0 * left, out=hi), dt, out=hi), d1, out=hi)
-    bad = np.greater(lo, np.add(hi, _FORCE_TOL / dt, out=tmp), out=flags)
-    return lo, hi, int(np.count_nonzero(bad))
-
-
 def _interval_at(y: float, dt, left, d0, d1):
-    """``_budget_interval``'s (lo, hi) at one spent weight y, by the same
+    """``budget_interval``'s (lo, hi) at one spent weight y, by the same
     correctly rounded steps."""
     need = 1.0 - y
     return max((need - d1 * left) / dt, d0), min((need - d0 * left) / dt, d1)
 
 
 def _chunk_interval(y, dt, left, d0, d1, out):
-    """``_budget_interval`` on a chunk's rows, as two scalars when its lowest
+    """``budget_interval`` on a chunk's rows, as two scalars when its lowest
     and its highest spent weight give the same ends: each step is correctly
     rounded and so monotone in y, and the rows between have those ends too.
     A NaN weight makes the ends unequal."""
     lo, hi = _interval_at(float(y.min()), dt, left, d0, d1)
     lo_top, hi_top = _interval_at(float(y.max()), dt, left, d0, d1)
     if lo == lo_top and hi == hi_top:
-        return lo, hi, y.size if lo > hi + _FORCE_TOL / dt else 0
-    return _budget_interval(y, dt, left, d0, d1, out)
+        return lo, hi, y.size if lo > hi + FORCE_TOL / dt else 0
+    return budget_interval(y, dt, left, d0, d1, out)
 
 
 def _control_mean(spec: PayoffSpec, params: MarketParams, times) -> float:

@@ -31,6 +31,8 @@ WEIGHT_MODES = ("adapted_fixed_cumulative", "normalized")
 DEGENERATE_WEIGHT = 1e-10
 # Tolerance on the trapezoidal budget check for adapted control paths.
 BUDGET_TOL = 1e-9
+# Budget by which a step's payment interval may be empty before it is counted.
+FORCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,21 @@ def validate_spec(spec: PayoffSpec, params: MarketParams) -> None:
     """Cross-field checks that need the market horizon."""
     if spec.weight_mode == "adapted_fixed_cumulative":
         spec.bounds.validate_budget_feasible(params.t_horizon)
+
+
+def budget_interval(y, dt, left, d0, d1, out=(None, None, None, None)):
+    """The payments [lo, hi] of a budget-mode step that keep int u dt = 1
+    reachable with ``left`` time after it: with need = 1 - y, [max(d0,
+    (need - d1 left) / dt), min(d1, (need - d0 left) / dt)], the single
+    point need / dt on the last step.  Also the number of rows whose
+    interval is empty by more than ``FORCE_TOL`` of budget.  ``out`` may
+    hold arrays shaped like ``y`` for lo, hi, a scratch row and the flags."""
+    lo, hi, tmp, flags = out
+    need = np.subtract(1.0, y, out=tmp)
+    lo = np.maximum(np.divide(np.subtract(need, d1 * left, out=lo), dt, out=lo), d0, out=lo)
+    hi = np.minimum(np.divide(np.subtract(need, d0 * left, out=hi), dt, out=hi), d1, out=hi)
+    bad = np.greater(lo, np.add(hi, FORCE_TOL / dt, out=tmp), out=flags)
+    return lo, hi, int(np.count_nonzero(bad))
 
 
 def eval_f(spec: PayoffSpec, params: MarketParams, s, t):

@@ -373,6 +373,9 @@ _CAP = {"g_kind": "cap", "g_cap": 8.0}
 # 100.0 and exited 0, where every policy prices at most 6.51 by Monte Carlo
 _PUT_G = {"f_kind": "identity", "f_strike": None, "payment_timing": "spot",
           "g_kind": "put", "g_strike": 100.0}
+# the same g on the normalized contract priced 31.536 and exited 0, above
+# E[(100 - min S)^+], about 14.4
+_PUT_G_NORMALIZED = {**_PUT_G, "weight_mode": "normalized"}
 
 
 @pytest.mark.parametrize("command,overrides,field", [
@@ -396,10 +399,13 @@ _PUT_G = {"f_kind": "identity", "f_strike": None, "payment_timing": "spot",
     (["export-value", "--out", "slice.csv"], {"epsilons": []}, "epsilons"),
     (["price-hjb"], {"payoff": _PUT_G}, "payoff.g_kind"),
     (["price-mc", "--policy", "hjb"], {"payoff": _PUT_G}, "payoff.g_kind"),
+    (["price-hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
+    (["price-mc", "--policy", "hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
         "epsilon-0.7", "epsilon-5e-05", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
         "compare-normalized", "compare-methods-repeated", "mc-hjb-no-epsilons",
-        "export-no-epsilons", "hjb-decreasing-g", "mc-hjb-decreasing-g"])
+        "export-no-epsilons", "hjb-decreasing-g", "mc-hjb-decreasing-g",
+        "hjb-normalized-decreasing-g", "mc-hjb-normalized-decreasing-g"])
 def test_grid_route_exits_2_and_names_field(tmp_path, capsys, command, overrides, field):
     # fields that only one route reads, so these cases cannot join MALFORMED;
     # the closed form has no formula for the normalized weight, and compare
@@ -514,7 +520,7 @@ def test_overflowing_quadrature_exits_3(tmp_path, capsys):
 
 def test_compare_gate_is_one_sided_for_monte_carlo(tmp_path, recwarn):
     # capped g = min(x, 8): the tail policy's MC price (about 3.36) is a
-    # lower bound, well below the grid optimum (about 3.92); not a breach
+    # lower bound, well below the grid optimum (about 4.18); not a breach
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(_doc(payoff={"g_kind": "cap", "g_cap": 8.0})))
     out = tmp_path / "out"

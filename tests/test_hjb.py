@@ -41,6 +41,7 @@ from controlled_options.hjb import (
     solve_linear_reduced,
     solve_normalized,
 )
+from controlled_options.payoffs import F_KINDS, G_KINDS, TIMINGS, WEIGHT_MODES
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 TAIL_PRICE = 6.868449472311021  # frozen quadrature oracle (see test_closed_form)
@@ -198,13 +199,13 @@ def test_default_grid_lays_the_asked_y_count(normalized, ny, eps):
 
 # The transport step as first written, before the buffered kernel: fresh
 # arrays throughout, each cell's width by subtraction, the x gather by
-# take_along_axis, and every foot located again at every call.  The kernel
-# must reproduce it bit for bit.
+# take_along_axis, and every foot located again at every call.  A foot
+# below an axis is clamped to its first node, and one above it extrapolates
+# the last cell.  The kernel must reproduce it bit for bit.
 def _oracle_locate(nodes, q):
-    q = np.clip(q, nodes[0], nodes[-1])
+    q = np.maximum(q, nodes[0])
     idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
-    frac = (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return idx, np.clip(frac, 0.0, 1.0)
+    return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
 
 
 def _oracle_transport(values, grid, foot_y, pay):
@@ -231,7 +232,8 @@ class _OracleTransport:
 
 @st.composite
 def _transport_axes(draw, kinds=("uniform", "knee", "geometric")):
-    """An axis from 0 of each kind the grids use: uniform, a knee, [0] + geomspace."""
+    """An axis from 0 of three kinds: uniform, a knee (dense below 3 knee, coarse above)
+    and [0] + geomspace, the normalized x axis."""
     n = draw(st.integers(3, 30))
     top = 10.0 ** draw(st.floats(-3.0, 3.0))
     kind = draw(st.sampled_from(kinds))
@@ -332,12 +334,19 @@ def test_solver_rejects_uncovering_grids():
     with pytest.raises(ParameterError) as err:
         solve_linear_reduced(PARAMS, spec, fam, off_z)
     assert err.value.field == "grid.z_nodes"
-    small_x = StateGrid(x_nodes=np.linspace(0.0, 1.0, 9),
-                        y_nodes=np.linspace(0.0, 1.3, 21),
-                        z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=20)
-    with pytest.raises(ParameterError) as err:
-        solve_adapted(PARAMS, spec, fam, small_x)
-    assert err.value.field == "grid.x_nodes"
+    # a foot past the x axis extrapolates its last cell, which must lie where
+    # g_hat is affine: at or above the cap's bend, 8 (1 + eps) = 8.8
+    cap = _spec(g_kind="cap", g_cap=8.0)
+    cap_fam = build_family(0.1, cap, PARAMS)
+    bend = 8.0 * 1.1
+    for x in (np.linspace(0.0, 1.0, 9), np.array([0.0, np.nextafter(bend, 0.0), 10.0])):
+        small_x = StateGrid(x_nodes=x, y_nodes=np.linspace(0.0, 1.3, 21),
+                            z_nodes=np.linspace(z0 - 1, z0 + 1, 41), n_steps=20)
+        with pytest.raises(ParameterError, match="below the reward's bend") as err:
+            solve_adapted(PARAMS, cap, cap_fam, small_x)
+        assert err.value.field == "grid.x_nodes"
+    at_bend = replace(small_x, x_nodes=np.array([0.0, bend, 10.0]))
+    assert np.isfinite(price_from_value(solve_adapted(PARAMS, cap, cap_fam, at_bend), PARAMS).value)
 
 
 def test_normalized_grid_short_of_the_y_reach_is_refused():
@@ -444,17 +453,66 @@ def test_budget_grid_refuses_a_decreasing_reward():
         assert err.value.field == "payoff.g_kind"
 
 
+@pytest.mark.parametrize("g_kind,slope", [("cap", 0.0), ("call", 1.0)])
+def test_value_is_affine_above_the_reward_bend(g_kind, slope):
+    # g_hat is affine above its bend, and the payment only grows: with a rate
+    # that never dips below 0 (identity f), a foot from a node at or above the
+    # bend stays there, and one past the axis extrapolates its last cell.  So
+    # in every slice each cell above the bend steps by slope times its width,
+    # on the default axis and on one with three more cells past it
+    spec = _spec(f_kind="identity", f_strike=None, payment_timing="spot",
+                 g_kind=g_kind, g_cap=30.0, g_strike=30.0)
+    fam = build_family(0.1, spec, PARAMS)
+    base = default_grid(PARAMS, spec, fam, **PIN_DIMS)
+    x = base.x_nodes
+    assert x[-2] == 30.0 * 1.1 > x[-3]
+    taller = replace(base, x_nodes=np.append(x, x[-1] + (x[-1] - x[-2]) * np.arange(1.0, 4.0)))
+    for grid in (base, taller):
+        above = grid.x_nodes >= x[-2]
+        width = np.diff(grid.x_nodes[above])[:, None, None]
+        for values in _history(solve_adapted, PARAMS, spec, fam, grid):
+            steps = np.diff(values[above], axis=0)
+            assert np.max(np.abs(steps - slope * width)) <= 1e-13 * np.max(np.abs(values))
+
+
 def test_adapted_equals_reduced_for_identity_reward():
     spec = _spec()
     fam = build_family(0.1, spec, PARAMS)
     g_r = default_grid(PARAMS, spec, fam, ny=31, nz=41, n_steps=80)
-    # the x axis that default_grid lays for a reward with no kink
+    # an x axis out to the payment's reach, d1 T times the peak rate
     x_max = spec.bounds.d1 * PARAMS.t_horizon * _peak_rate(PARAMS, fam, g_r.z_nodes) * (1.0 + 1e-9)
     g_a = replace(g_r, x_nodes=np.linspace(0.0, x_max, 31))
     p_r = price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, g_r), PARAMS)
     p_a = price_from_value(_quiet_solve(solve_adapted, PARAMS, spec, fam, g_a), PARAMS)
     # the value is linear in accumulated payout, so both routes coincide
     assert p_a.value == pytest.approx(p_r.value, rel=1e-9)
+    # identity g has no bend, and a foot past the axis extrapolates its last
+    # cell, so an x axis of two or three nodes prices it to rounding
+    for x in ([0.0, 1.0], [0.0, 0.5, 1.0]):
+        p_x = price_from_value(solve_adapted(PARAMS, spec, fam, replace(g_r, x_nodes=np.array(x))), PARAMS)
+        assert p_x.value == pytest.approx(p_r.value, rel=1e-12, abs=0.0)
+
+
+def test_capped_desk_ladder_holds_its_own_policy_by_mc():
+    # a policy's Monte Carlo price is a lower bound on the contract's.  With
+    # the x axis run out to d1 T times the peak rate, 343.7, and 11 of its 41
+    # nodes in [0, 8], the ladder read 4.0816, 16 stderr below its own
+    # policy's 4.1487 +- 0.0041 (the CLI's default seed); the axis that ends
+    # one cell past the cap's bend reads 4.1768, against 4.1525 +- 0.0041
+    spec = _spec(g_kind="cap", g_cap=8.0)
+    est, _ = ladder_price(PARAMS, spec)
+    pol = extract_policy(PARAMS, spec, DESK_EPSILONS[-1], None)
+    mc = evaluate_policy(pol, spec, PARAMS, 100_000, 250, seed=20240801)
+    assert est.value >= mc.value - 5.0 * mc.stderr
+
+
+def test_call_reward_rung_matches_a_fine_x_axis():
+    # 4.45113 is the eps = 0.05 desk rung of g = (x - 5)^+ on a 161-node x
+    # axis, packed below 3 K and run out to d1 T times the peak rate; that
+    # axis at 41 nodes read 4.47468
+    spec = _spec(g_kind="call", g_strike=5.0)
+    rung = price_from_value(solve(PARAMS, spec, 0.05, None), PARAMS).value
+    assert abs(rung - 4.45113) <= 0.002
 
 
 def test_singleton_control_matches_forced_mc():
@@ -861,10 +919,10 @@ def test_grid_allowance_takes_a_state_grid():
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
     "linear_reduced": ({}, "0x1.b885cac0c112cp+2", 937, "0x1.b68b8f66407a0p+2"),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.957bc6bf2fc7fp+1", 13445, "0x1.ee73b576fc88ep+1"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.a4059dfee8d98p+1", 12577, "0x1.ee7bb749a82c0p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.8a83821518324p+1", 15517, "0x1.f251c7f0f38dfp+1"),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.edf3f2126a101p+4", 7321, "0x1.f5b07c44f914cp+2"),
+                   "0x1.9f9b2f1af6ddep+1", 13658, "0x1.f25abd6504d30p+1"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.edef5d50c4144p+4", 6225, "0x1.f5b07c44f914cp+2"),
 }
 
 
@@ -960,10 +1018,49 @@ def test_time_rescaling_leaves_every_grid_price_bit_identical(variant, lam):
         assert _quiet_ladder(scaled, spec_lam, grid=PIN_DIMS)[0].value.hex() == want.hex()
 
 
+# every f kind and timing, every nondecreasing g kind, both weight modes and
+# d0 = 0 or 0.5; the bend scales with the cap or strike, so money rescaling
+# covers the budget x axis
+_GRID_CONTRACTS = st.fixed_dictionaries({
+    "f_kind": st.sampled_from(F_KINDS), "payment_timing": st.sampled_from(TIMINGS),
+    "g_kind": st.sampled_from([g for g in G_KINDS if g != "put"]),
+    "weight_mode": st.sampled_from(WEIGHT_MODES), "bounds": st.sampled_from([0.0, 0.5]).map(
+        lambda d0: ControlBounds(d0, 2.0)),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(contract=_GRID_CONTRACTS, k=st.integers(-3, 3), eps=st.sampled_from(DESK_EPSILONS))
+@example(contract={"f_kind": "call", "payment_timing": "spot", "g_kind": "cap", "weight_mode":
+                   "adapted_fixed_cumulative", "bounds": ControlBounds(0.5, 2.0)}, k=3, eps=0.05)
+def test_grid_price_is_invariant_under_time_and_money_rescaling(contract, k, eps):
+    # (T, sigma, r, d0, d1) -> (T / lam, sigma sqrt(lam), lam r, lam d0, lam d1)
+    # is the same contract.  At lam = 2^k every input is exact but sigma
+    # sqrt(lam) at odd k, where sqrt(2) rounds: the price is bit-identical
+    # to that of lam = 1 at even k and of lam = 2 at odd k, and the two agree
+    # to rounding.  Scaling s0, the strikes and the cap by 2^k scales it
+    spec = _spec(g_strike=8.0, g_cap=8.0, **contract)
+
+    def timed(lam):
+        params = MarketParams(s0=100.0, r=0.05 * lam, sigma=0.2 * math.sqrt(lam), t_horizon=1.0 / lam)
+        bounds = ControlBounds(lam * spec.bounds.d0, lam * spec.bounds.d1)
+        return price_from_value(_quiet_solve(solve, params, replace(spec, bounds=bounds), eps, PIN_DIMS),
+                                params).value
+
+    lam = 2.0**k
+    want, got = timed(1.0), timed(lam)
+    assert got.hex() == (want if k % 2 == 0 else timed(2.0)).hex()
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    params = MarketParams(s0=100.0 * lam, r=0.05, sigma=0.2, t_horizon=1.0)
+    money = replace(spec, f_strike=100.0 * lam, g_strike=8.0 * lam, g_cap=8.0 * lam)
+    scaled = price_from_value(_quiet_solve(solve, params, money, eps, PIN_DIMS), params).value / lam
+    assert scaled == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_tiny_spot_prices_at_scale():
-    # at s0 = 1e-9 every x step of the knee axis lies below 1e-8; an absolute
-    # uniformity tolerance called that axis uniform, located its feet by
-    # arithmetic, and the price came out 7.5 times too high
+    # at s0 = 1e-9 every x step lies below 1e-8; an absolute uniformity
+    # tolerance called a knee axis uniform, located its feet by arithmetic,
+    # and the price came out 7.5 times too high
     lam = 1e-11
     dims = {"nx": 21, "ny": 21, "nz": 41, "n_steps": 60}
     prices = []
@@ -971,7 +1068,7 @@ def test_tiny_spot_prices_at_scale():
         params = MarketParams(s0=100.0 * scale, r=0.0, sigma=0.2, t_horizon=1.0)
         spec = _spec(f_strike=100.0 * scale, g_kind="call", g_strike=8.0 * scale)
         prices.append(_quiet_ladder(params, spec, epsilons=(0.2, 0.1), grid=dims)[0].value)
-    assert prices[0] == pytest.approx(3.7143, abs=1e-4)
+    assert prices[0] == pytest.approx(3.6249, abs=1e-4)
     assert prices[1] / lam == pytest.approx(prices[0], rel=1e-10, abs=0.0)
 
 
@@ -1003,7 +1100,7 @@ def test_diverging_ladder_raises_numerical_failure():
     # on this coarse grid the normalized rungs read 9.35, 11.96, 15.49:
     # Richardson would report 19.01, above E[max S] - K = 16.98
     spec = _spec(weight_mode="normalized")
-    with pytest.raises(NumericalFailure, match="2.61501 then 3.52424"):
+    with pytest.raises(NumericalFailure, match="2.61497 then 3.52425"):
         _quiet_ladder(PARAMS, spec, grid={"nx": 21, "ny": 21, "nz": 41, "n_steps": 100})
 
 

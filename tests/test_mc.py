@@ -25,9 +25,9 @@ from controlled_options import (
 from controlled_options import mc
 from controlled_options.hjb import TableRule
 from controlled_options.market import _block_stream
-from controlled_options.mc import (CHUNK_ROWS, DRAW_ROWS, PAIR_BLOCK, _RESIDUAL_FLOOR, _budget_interval,
-                                   _chunk_interval, _control_mean)
-from controlled_options.payoffs import DEGENERATE_WEIGHT, eval_f, eval_g
+from controlled_options.mc import (CHUNK_ROWS, DRAW_ROWS, PAIR_BLOCK, _RESIDUAL_FLOOR, _chunk_interval,
+                                   _control_mean)
+from controlled_options.payoffs import DEGENERATE_WEIGHT, budget_interval, eval_f, eval_g
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 
@@ -401,7 +401,7 @@ def test_chunk_interval_is_the_row_interval(rows, bounds):
     out = tuple(np.empty(64) for _ in range(3)) + (np.empty(64, dtype=bool),)
     for i in range(n_steps):
         left = (n_steps - i - 1) * dt
-        want_lo, want_hi, want_bad = _budget_interval(y, dt, left, d0, d1)
+        want_lo, want_hi, want_bad = budget_interval(y, dt, left, d0, d1)
         lo, hi, bad = _chunk_interval(y, dt, left, d0, d1, out)
         assert np.array_equal(np.broadcast_to(lo, y.shape), want_lo, equal_nan=True)
         assert np.array_equal(np.broadcast_to(hi, y.shape), want_hi, equal_nan=True)
@@ -439,7 +439,7 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
             for i in range(n_steps):
                 u = np.broadcast_to(np.asarray(policy.evaluate(times[i], x, y, s), dtype=float), s.shape)
                 if budget_mode:
-                    lo, hi, bad = _budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
+                    lo, hi, bad = budget_interval(y, dt, (n_steps - i - 1) * dt, d0, d1)
                     warnings_count += bad
                 else:
                     lo, hi = d0, d1
