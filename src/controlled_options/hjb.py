@@ -25,19 +25,19 @@ The scheme is monotone but for that extrapolation, with no CFL limit:
 
 * x and y carry no diffusion, so their transport is semi-Lagrangian --
   each backward step reads the next slice at the foot of the (exact,
-  degenerate) characteristic, clamped below each axis and extrapolated
-  above it.  The y-foot depends on y alone, so each control locates its
-  (ny,) line of feet and interpolates in y; the x-foot x + gain(y) phi(z)
-  depends on y only through the gain, so it is located once per distinct
-  gain value and then interpolated in x.  One kernel,
-  ``_Transport``, built once per sweep, does both steps and
-  writes each control's candidate into a buffer the sweep reuses from
-  step to step.  It keeps each control's located feet and locates them
-  again only when that control's y-feet, gain or phi change: at r = 0
-  and d0 = 0 in budget mode, never after the first step.  Where phi is
-  exactly 0 (a call or put rate out of the money) the x-foot is the node
-  itself, so the x step runs only on the z columns from the first
-  nonzero phi to the last.
+  degenerate) characteristic, extrapolated past the top of an axis; no
+  foot moves down, since phi >= 0 (see ``smoothing``).  The y-foot
+  depends on y alone, so each control locates its (ny,) line of feet
+  and interpolates in y; the x-foot x + gain(y) phi(z) depends on y
+  only through the gain, so it is located once per distinct gain value
+  and then interpolated in x.  One kernel, ``_Transport``, built once
+  per sweep, does both steps and writes each control's candidate into
+  a buffer the sweep reuses from step to step.  It keeps each control's
+  located feet and locates them again only when that control's y-feet,
+  gain or phi change: at r = 0 and d0 = 0 in budget mode, never after
+  the first step.  Where phi is exactly 0 (a call or put rate out of
+  the money) the x-foot is the node itself, so the x step runs only on
+  the z columns from the first nonzero phi to the last.
 * A control whose y-shift is exactly 0 at every node (u = 0 in budget
   mode, and u = 0 before the ramp in normalized mode) has an x-shift of
   0 too, so its characteristic does not move: its candidate is the slice
@@ -116,14 +116,13 @@ class _Axis:
 
         The cell is searched on every axis, uniform or not, and the fraction
         is (q - nodes[i]) / step[i], so node i is placed at (i, 0.0) exactly.
-        A query past the last node extrapolates the last cell.  One below
-        the first is clamped to it: a smoothed call or put rate dips below 0
-        in its strike blend, and extrapolating would count that as a loss.
+        A query past either end extrapolates the end cell.  The caller's
+        array is left as it is.
         """
-        q = np.maximum(q, self.nodes[0])
         idx = np.searchsorted(self.nodes, q, side="right")
         np.clip(np.subtract(idx, 1, out=idx), 0, self.nodes.size - 2, out=idx)
-        return idx, np.divide(np.subtract(q, self.nodes.take(idx), out=q), self.step.take(idx), out=q)
+        frac = np.subtract(q, self.nodes.take(idx))
+        return idx, np.divide(frac, self.step.take(idx), out=frac)
 
     def nearest(self, q: np.ndarray) -> np.ndarray:
         """Index of the node nearest each query; a query halfway between takes the lower.

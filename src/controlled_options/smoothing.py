@@ -10,25 +10,28 @@ each role carries the scale it smooths:
 * ``terminal_ramp``   psi(t): 0 for t <= T (1 - eps), 1 for
   t >= T (1 - eps + eps^2), quintic-smoothstep ramp in between (C2
   joins); both the start and the width are in units of the horizon T.
-* ``effective_control`` h(u, t) = u (1 - psi) + d1 psi, which forces the
-  weight toward d1 on the last eps T of the horizon.
+  The normalized mode pays at h(u, t) = u (1 - psi) + d1 psi, which
+  forces the weight toward d1 on the last eps T of the horizon;
+  ``effective_control_integral`` is its exact integral over a step.
 * ``payoff_rate``     phi(s, t): the payment rate f with its strike kink
-  replaced by a C1 blend of half-width eps * K, then capped smoothly at
-  s0 / eps (softmin with temperature eps^2 * s0).  Always <= f.
+  blended from below over a width eps * K, then capped at s0 / eps by
+  a blend of half-width eps * s0.  0 <= phi <= f, and phi = 0 exactly
+  wherever f = 0.
 * ``terminal_reward`` g_hat(x):  g with its kink blended the same way and
-  smoothly clamped to scale / eps.  Always <= g.
+  clamped to scale / eps by the cap's blend.  Always <= g.
 * ``ratio_reward``    g2(x, y) = g_hat(x y / (y^2 + eps^4)), a bounded
   surrogate for g(x / y) that stays below it for x, y >= 0 and recovers
   g(c) along x/y -> c, y -> 0 with y >> eps^2.
 
-All kink blends sit *below* the function they replace so that the
-regularised value never exceeds the true price; convex kinks need a
-quartic bump correction on top of the quadratic blend to achieve that
-(see ``_pos_below``).  Blend widths, caps and clamp levels carry the
-strike, cap or spot scale, and the ramp carries T, so the family is
-invariant under quoting the spot in other units and under rescaling
-time: (T, sigma, r, d0, d1) -> (T / lam, sigma sqrt(lam), lam r, lam d0,
-lam d1) is the same contract.
+Two C1 blends do all the smoothing, and both sit *below* the function
+they replace and inside its range, so the regularised value never
+exceeds the true price and no payment rate is negative:
+``_pos_below`` for the convex kink of max(v, 0) and ``_min_below`` for
+the concave kink of min(a, cap).  Blend widths, caps and clamp levels
+carry the strike, cap or spot scale, and the ramp carries T, so the
+family is invariant under quoting the spot in other units and under
+rescaling time: (T, sigma, r, d0, d1) -> (T / lam, sigma sqrt(lam),
+lam r, lam d0, lam d1) is the same contract.
 """
 from __future__ import annotations
 
@@ -56,34 +59,28 @@ def smoothstep_integral(t):
     return np.where(t >= 1.0, band + (t - tc), band)
 
 
-def _pos_below(v, half_width):
-    """C1 approximation of max(v, 0) from below, exact outside [-d, d].
+def _pos_below(v, w):
+    """C1 approximation of max(v, 0) from below, exact outside (0, w).
 
-    Quadratic blend (v+d)^2/(4d) matches value and slope at the ends but
-    overshoots the kink by (|v|-d)^2/(4d); subtracting the quartic bump
-    (d/4)(1-(v/d)^2)^2 >= overshoot restores domination while keeping the
-    C1 joins.  Max deviation d/4, confined to the blend band.
+    max(v, 0) t (2 - t) with t = v / w clipped to [0, 1]: 0 for v <= 0,
+    v for v >= w, and value and slope matched at both ends.  Max
+    deviation 4w/27, at v = w/3.
     """
     v = np.asarray(v, dtype=float)
-    d = half_width
-    s = np.clip(v / d, -1.0, 1.0)
-    blend = (v + d) ** 2 / (4.0 * d) - 0.25 * d * (1.0 - s * s) ** 2
-    return np.where(v <= -d, 0.0, np.where(v >= d, v, blend))
+    t = np.clip(v / w, 0.0, 1.0)
+    return np.maximum(v, 0.0) * (t * (2.0 - t))
 
 
-def _pos_above(v, half_width):
-    """C1 approximation of max(v, 0) from above: plain quadratic blend."""
-    v = np.asarray(v, dtype=float)
-    d = half_width
-    blend = (v + d) ** 2 / (4.0 * d)
-    return np.where(v <= -d, 0.0, np.where(v >= d, v, blend))
+def _min_below(a, cap, d):
+    """C1 approximation of min(a, cap) from below, exact outside (cap - d, cap + d).
 
-
-def _softmin(a, cap, temperature):
-    """Smooth min(a, cap), always <= min(a, cap)."""
+    cap less the quadratic blend (v + d)^2 / (4d) of max(v, 0) at
+    v = cap - a, which lies above max(v, 0) and matches its value and
+    slope at v = -d and v = d; their difference is (d - |v|)^2 / (4d).
+    Max deviation d/4, at a = cap.
+    """
     a = np.asarray(a, dtype=float)
-    lo = np.minimum(a, cap)
-    return lo - temperature * np.log1p(np.exp(-np.abs(a - cap) / temperature))
+    return np.minimum(a, cap) - np.maximum(d - np.abs(cap - a), 0.0) ** 2 / (4.0 * d)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class SmoothingFamily:
     ramp_start: float = field(init=False)
     ramp_width: float = field(init=False)
     phi_cap: float = field(init=False)
-    phi_temperature: float = field(init=False)
     reward_scale: float = field(init=False)
     reward_cap: float = field(init=False)
 
@@ -107,12 +103,11 @@ class SmoothingFamily:
         object.__setattr__(self, "ramp_width", eps * eps * self.params.t_horizon)
         s0 = self.params.s0
         object.__setattr__(self, "phi_cap", s0 / eps)
-        object.__setattr__(self, "phi_temperature", eps * eps * s0)
         scale = s0 * max(1.0, self.spec.bounds.d1 * self.params.t_horizon)
         object.__setattr__(self, "reward_scale", scale)
         object.__setattr__(self, "reward_cap", scale / eps)
 
-    # -- terminal ramp psi and effective control h ------------------------
+    # -- terminal ramp psi and the integral of h --------------------------
     def terminal_ramp(self, t):
         return smoothstep((np.asarray(t, dtype=float) - self.ramp_start) / self.ramp_width)
 
@@ -120,10 +115,6 @@ class SmoothingFamily:
         """int_0^t psi(s) ds, exact."""
         width = self.ramp_width
         return width * smoothstep_integral((np.asarray(t, dtype=float) - self.ramp_start) / width)
-
-    def effective_control(self, u, t):
-        psi = self.terminal_ramp(t)
-        return np.asarray(u, dtype=float) * (1.0 - psi) + self.spec.bounds.d1 * psi
 
     def effective_control_integral(self, u, t0, t1):
         """int_{t0}^{t1} h(u, s) ds, exact in the ramp."""
@@ -136,16 +127,16 @@ class SmoothingFamily:
         s = np.asarray(s, dtype=float)
         if spec.f_kind == "identity":
             return s
-        d = self.epsilon * spec.f_strike
+        w = self.epsilon * spec.f_strike
         if spec.f_kind == "call":
-            return _pos_below(s - spec.f_strike, d)
-        return _pos_below(spec.f_strike - s, d)
+            return _pos_below(s - spec.f_strike, w)
+        return _pos_below(spec.f_strike - s, w)
 
     def payoff_rate(self, s, t):
         base = self._kinkless_f(s)
         if self.spec.payment_timing == "terminal_compounded":
             base = base * np.exp(self.params.r * (self.params.t_horizon - np.asarray(t, dtype=float)))
-        return _softmin(base, self.phi_cap, self.phi_temperature)
+        return _min_below(base, self.phi_cap, self.epsilon * self.params.s0)
 
     # -- smoothed terminal reward g_hat -----------------------------------
     def _kinkless_g(self, x):
@@ -157,12 +148,10 @@ class SmoothingFamily:
             return _pos_below(x - spec.g_strike, self.epsilon * spec.g_strike)
         if spec.g_kind == "put":
             return _pos_below(spec.g_strike - x, self.epsilon * spec.g_strike)
-        # cap: min(M, x) = x - max(x - M, 0); the above-blend keeps it below.
-        return x - _pos_above(x - spec.g_cap, self.epsilon * spec.g_cap)
+        return _min_below(x, spec.g_cap, self.epsilon * spec.g_cap)
 
     def terminal_reward(self, x):
-        cap, d = self.reward_cap, self.epsilon * self.reward_scale
-        return cap - _pos_above(cap - self._kinkless_g(x), d)
+        return _min_below(self._kinkless_g(x), self.reward_cap, self.epsilon * self.reward_scale)
 
     # -- two-argument terminal reward for the normalized mode -------------
     def ratio_substitute(self, x, y):
@@ -182,8 +171,9 @@ class SmoothingFamily:
         p, spec = self.params, self.spec
         s = np.linspace(0.2 * p.s0, 5.0 * p.s0, n)
         t = np.linspace(0.0, p.t_horizon, n)[:, None]
-        if np.any(self.payoff_rate(s[None, :], t) > eval_f(spec, p, s[None, :], t) + 1e-12 * p.s0):
-            raise ParameterError("payoff_rate exceeds the raw payment rate", field="epsilons")
+        phi = self.payoff_rate(s[None, :], t)
+        if np.any(phi < 0.0) or np.any(phi > eval_f(spec, p, s[None, :], t) + 1e-12 * p.s0):
+            raise ParameterError("payoff_rate leaves [0, f], the raw payment rate's range", field="epsilons")
         psi = self.terminal_ramp(t.ravel())
         if np.any(psi < -1e-15) or np.any(psi > 1.0 + 1e-15) or np.any(np.diff(psi) < -1e-15):
             raise ParameterError("terminal_ramp must be non-decreasing with range [0, 1]", field="epsilons")

@@ -387,7 +387,7 @@ _PUT_G_NORMALIZED = {**_PUT_G, "weight_mode": "normalized"}
     (["price-hjb"], {"payoff": {"weight_mode": "normalized", "d1": 0.0}}, "payoff.d1"),
     (["price-hjb"], {"grid": {"n_steps": 0}}, "grid.n_steps"),
     (["price-hjb"], {"epsilons": [0.7]}, "epsilons"),
-    (["price-hjb"], {"epsilons": [5e-05]}, "epsilons"),
+    (["price-hjb"], {"epsilons": [0.0]}, "epsilons"),
     (["price-mc"], {"mc": {"n_paths": 1}}, "mc.n_paths"),
     (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
     (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
@@ -402,7 +402,7 @@ _PUT_G_NORMALIZED = {**_PUT_G, "weight_mode": "normalized"}
     (["price-hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
     (["price-mc", "--policy", "hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
-        "epsilon-0.7", "epsilon-5e-05", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
+        "epsilon-0.7", "epsilon-0", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
         "compare-normalized", "compare-methods-repeated", "mc-hjb-no-epsilons",
         "export-no-epsilons", "hjb-decreasing-g", "mc-hjb-decreasing-g",
         "hjb-normalized-decreasing-g", "mc-hjb-normalized-decreasing-g"])

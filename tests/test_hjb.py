@@ -187,6 +187,14 @@ def test_axis_nearest_breaks_ties_low():
         assert _Axis(np.array(nodes), "q").nearest(np.array(q)).tolist() == want
 
 
+def test_axis_locate_extrapolates_past_either_end_and_leaves_its_query():
+    q = np.array([-1.0, 0.0, 2.0, 3.0, 5.0])
+    idx, w = _Axis(np.array([0.0, 1.0, 3.0]), "q").locate(q)
+    assert idx.tolist() == [0, 0, 1, 1, 1]
+    assert w.tolist() == [-1.0, 0.0, 0.5, 1.0, 2.0]
+    assert q.tolist() == [-1.0, 0.0, 2.0, 3.0, 5.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(normalized=st.booleans(), ny=st.integers(3, 199), eps=st.floats(0.01, 0.2))
 @example(normalized=True, ny=41, eps=0.2)  # a fine node fell on a coarse one: 40 nodes
@@ -200,10 +208,9 @@ def test_default_grid_lays_the_asked_y_count(normalized, ny, eps):
 # The transport step as first written, before the buffered kernel: fresh
 # arrays throughout, each cell's width by subtraction, the x gather by
 # take_along_axis, and every foot located again at every call.  A foot
-# below an axis is clamped to its first node, and one above it extrapolates
-# the last cell.  The kernel must reproduce it bit for bit.
+# past either end of an axis extrapolates the end cell.  The kernel must
+# reproduce it bit for bit.
 def _oracle_locate(nodes, q):
-    q = np.maximum(q, nodes[0])
     idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, nodes.size - 2)
     return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
 
@@ -507,12 +514,12 @@ def test_capped_desk_ladder_holds_its_own_policy_by_mc():
 
 
 def test_call_reward_rung_matches_a_fine_x_axis():
-    # 4.45113 is the eps = 0.05 desk rung of g = (x - 5)^+ on a 161-node x
-    # axis, packed below 3 K and run out to d1 T times the peak rate; that
-    # axis at 41 nodes read 4.47468
+    # 4.44794 is the eps = 0.05 desk rung of g = (x - 5)^+ on a 161-node x
+    # axis, 129 nodes up to 3 K and 32 more out to d1 T times the peak rate;
+    # that axis at 41 nodes read 4.47468 under an earlier smoothing family
     spec = _spec(g_kind="call", g_strike=5.0)
     rung = price_from_value(solve(PARAMS, spec, 0.05, None), PARAMS).value
-    assert abs(rung - 4.45113) <= 0.002
+    assert abs(rung - 4.44794) <= 0.002
 
 
 def test_singleton_control_matches_forced_mc():
@@ -601,7 +608,8 @@ def test_normalized_constant_rate_prices_to_one():
     dtf = 1.0 / n_fine
     xo = yo = 0.0
     for i in range(n_fine):
-        h = float(fam.effective_control(2.0, i * dtf))
+        psi = float(fam.terminal_ramp(i * dtf))
+        h = 2.0 * (1.0 - psi) + spec.bounds.d1 * psi
         xo += h * float(fam.payoff_rate(1.0, i * dtf)) * dtf
         yo += h * dtf
     oracle = float(fam.ratio_reward(xo, yo))
@@ -918,11 +926,11 @@ def test_grid_allowance_takes_a_state_grid():
 # price also pins both ends of the budget interval each step is clipped to.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
 PINS = {
-    "linear_reduced": ({}, "0x1.b885cac0c112cp+2", 937, "0x1.b68b8f66407a0p+2"),
-    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.a4059dfee8d98p+1", 12577, "0x1.ee7bb749a82c0p+1"),
+    "linear_reduced": ({}, "0x1.b885cac0c112cp+2", 963, "0x1.b68b8f66407a0p+2"),
+    "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.a4059dfee8d99p+1", 12836, "0x1.ee9c9f11e8950p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.9f9b2f1af6ddep+1", 13658, "0x1.f25abd6504d30p+1"),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.edef5d50c4144p+4", 6225, "0x1.f5b07c44f914cp+2"),
+                   "0x1.a0225a327568cp+1", 13434, "0x1.f2551bc848401p+1"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.ee79efca61260p+4", 6225, "0x1.eac715d151c04p+2"),
 }
 
 
@@ -1068,7 +1076,7 @@ def test_tiny_spot_prices_at_scale():
         params = MarketParams(s0=100.0 * scale, r=0.0, sigma=0.2, t_horizon=1.0)
         spec = _spec(f_strike=100.0 * scale, g_kind="call", g_strike=8.0 * scale)
         prices.append(_quiet_ladder(params, spec, epsilons=(0.2, 0.1), grid=dims)[0].value)
-    assert prices[0] == pytest.approx(3.6249, abs=1e-4)
+    assert prices[0] == pytest.approx(3.6713, abs=1e-4)
     assert prices[1] / lam == pytest.approx(prices[0], rel=1e-10, abs=0.0)
 
 
@@ -1097,10 +1105,10 @@ def test_ladder_extrapolates_at_the_order_its_rungs_measure(monkeypatch):
 
 
 def test_diverging_ladder_raises_numerical_failure():
-    # on this coarse grid the normalized rungs read 9.35, 11.96, 15.49:
-    # Richardson would report 19.01, above E[max S] - K = 16.98
+    # on this coarse grid the normalized rungs read 9.15, 11.94, 15.50:
+    # Richardson would report 19.06, above E[max S] - K = 16.98
     spec = _spec(weight_mode="normalized")
-    with pytest.raises(NumericalFailure, match="2.61497 then 3.52425"):
+    with pytest.raises(NumericalFailure, match="2.79256 then 3.56242"):
         _quiet_ladder(PARAMS, spec, grid={"nx": 21, "ny": 21, "nz": 41, "n_steps": 100})
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from controlled_options import (
     eval_f,
     eval_g,
 )
-from controlled_options.payoffs import F_KINDS, G_KINDS
+from controlled_options.payoffs import F_KINDS, G_KINDS, TIMINGS
 
 PARAMS = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1.0)
 
@@ -50,11 +52,12 @@ def test_terminal_ramp_plateaus():
 
 
 def test_effective_control_is_identity_before_ramp():
+    # h(u, t) integrates to u dt before the ramp, which starts at 0.9
     fam = build_family(0.1, _spec(), PARAMS)
     for u in (0.0, 0.7, 2.0):
-        assert fam.effective_control(u, 0.5) == pytest.approx(u)
-    # deep in the ramp it pins to d1
-    assert fam.effective_control(0.0, 0.999) == pytest.approx(2.0)
+        assert fam.effective_control_integral(u, 0.4, 0.5) == pytest.approx(0.1 * u)
+        # past the ramp's end, 0.91, it pins to d1 whatever u is
+        assert fam.effective_control_integral(u, 0.95, 1.0) == pytest.approx(0.05 * 2.0)
 
 
 def test_payoff_rate_dominated_by_f():
@@ -116,8 +119,13 @@ def test_ramp_integral_matches_quadrature():
 
 def test_effective_control_integral_matches_quadrature():
     fam = build_family(0.1, _spec(), PARAMS)
+
+    def h(u, t):
+        psi = float(fam.terminal_ramp(t))
+        return u * (1.0 - psi) + 2.0 * psi
+
     for u in (0.0, 0.5, 2.0):
-        ref, _ = quad(lambda s: float(fam.effective_control(u, s)), 0.88, 1.0, limit=200)
+        ref, _ = quad(lambda s: h(u, s), 0.88, 1.0, limit=200)
         got = fam.effective_control_integral(u, 0.88, 1.0)
         assert got == pytest.approx(ref, abs=1e-10)
 
@@ -125,15 +133,16 @@ def test_effective_control_integral_matches_quadrature():
 @pytest.mark.parametrize("probe", [0.37, 0.68, 0.49])
 def test_centered_differences_second_order(probe):
     # generic in-band points (band coordinate `probe`), away from the joins;
-    # the call-kind reward carries the quartic bump, so its third derivative
-    # is nonzero in the band and the classical h^2 rate is observable.
-    # A smooth f has D(h) = f' + c h^2 + O(h^4) for the central difference D,
-    # so D(h) - D(h/2) contracts about 4x per halving of h.  Steps are 1% of
-    # each band: eps^2 T for the ramp, eps * strike for the reward.
+    # the call-kind reward is cubic in its one-sided band (K, K + eps K), so
+    # its third derivative is nonzero there and the classical h^2 rate is
+    # observable.  A smooth f has D(h) = f' + c h^2 + O(h^4) for the central
+    # difference D, so D(h) - D(h/2) contracts about 4x per halving of h.
+    # Steps are 1% of each band: eps^2 T for the ramp, eps * strike for the
+    # reward.
     fam = build_family(0.1, _spec(g_kind="call", g_strike=40.0), PARAMS)
     checks = [
         (fam.terminal_ramp, 0.9 + 0.01 * probe, 1e-4),
-        (fam.terminal_reward, 40.0 + 4.0 * (2.0 * probe - 1.0), 4e-2),
+        (fam.terminal_reward, 40.0 + 4.0 * probe, 4e-2),
     ]
     for func, at, h in checks:
         d = [float(func(at + k) - func(at - k)) / (2.0 * k) for k in (h, h / 2.0, h / 4.0)]
@@ -165,6 +174,9 @@ def test_family_self_check_runs_at_build():
     # build_family re-verifies the inequalities numerically; a valid spec passes
     build_family(0.1, _spec(g_kind="cap", g_cap=10.0), PARAMS)
     build_family(0.1, _spec(weight_mode="normalized"), PARAMS)
+    # the clamps pass values below their blend band through exactly, so a
+    # small eps is not refused for the clamp's rounding
+    build_family(5e-5, _spec(weight_mode="normalized"), PARAMS)
 
 
 def _points(lo, hi):
@@ -172,15 +184,23 @@ def _points(lo, hi):
 
 
 @settings(max_examples=100, deadline=None)
-@given(eps=st.floats(1e-3, 0.49), f_kind=st.sampled_from(F_KINDS), g_kind=st.sampled_from(G_KINDS),
+@given(eps=st.floats(1e-6, 0.5, exclude_max=True), f_kind=st.sampled_from(F_KINDS),
+       g_kind=st.sampled_from(G_KINDS), timing=st.sampled_from(TIMINGS), r=st.sampled_from([0.0, 0.05]),
        s=_points(0.0, 600.0), t=st.floats(0.0, 1.0), x=_points(0.0, 300.0), y=_points(0.05, 3.0))
-def test_family_stays_below_the_raw_data(eps, f_kind, g_kind, s, t, x, y):
+def test_family_stays_below_the_raw_data(eps, f_kind, g_kind, timing, r, s, t, x, y):
     # the regularised problem prices below the raw one because every member
-    # of the family lies below the data it smooths; tolerances as above
-    spec = _spec(f_kind=f_kind, g_kind=g_kind, g_strike=40.0, g_cap=50.0)
-    fam = build_family(eps, spec, PARAMS)
-    assert np.all(fam.payoff_rate(s, t) <= eval_f(spec, PARAMS, s, t) + 1e-10)
+    # of the family lies below the data it smooths; tolerances as above.
+    # The payment rate also stays inside the raw range, 0 exactly where f
+    # is: the sweep's x-feet never move down, and it skips the x step on the
+    # z columns where phi is 0
+    params = replace(PARAMS, r=r)
+    spec = _spec(f_kind=f_kind, g_kind=g_kind, g_strike=40.0, g_cap=50.0, payment_timing=timing)
+    fam = build_family(eps, spec, params)
+    phi, f = fam.payoff_rate(s, t), eval_f(spec, params, s, t)
+    assert np.all(phi >= 0.0) and np.all(phi <= f)
+    assert np.array_equal(phi == 0.0, f == 0.0)
     assert np.all(fam.terminal_reward(x) <= eval_g(spec, x) + 1e-10)
     if spec.g_is_nondecreasing:  # g(xy / (y^2 + eps^4)) <= g(x / y) needs g nondecreasing
         xx, yy = x[:, None], y[None, :]
         assert np.all(fam.ratio_reward(xx, yy) <= eval_g(spec, xx / yy) + 1e-9)
+
