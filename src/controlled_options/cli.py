@@ -297,7 +297,7 @@ def run_export(cfg: RunConfig, what: str, epsilon: float, time_index: int, path:
     vf = solve(cfg.params, cfg.spec, epsilon, cfg.grid, observe=pick)
     with _writing("out"):
         export_csv(vf.grid, cfg.params.t_horizon, time_index, picked["slab"], path,
-                   "value" if what == "value" else "u")
+                   "value" if what == "value" else "u", vf.floor)
 
 
 # ---------------------------------------------------------------------------

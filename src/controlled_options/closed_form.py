@@ -1,28 +1,27 @@
 """Closed-form price of the deferred ("tail") strategy for the budget contract.
 
-For the budget payoff  int_0^T u(t) f(S(t), t) dt  with u in [0, d1],
-int u dt = 1 and f(x, t) = e^{r(T-t)} h(x) for convex h, deferring the
-whole budget to the last 1/d1 of the horizon is optimal (later payment
-dates dominate by Jensen's inequality on the risk-neutral martingale).
-The price is then a single time integral of Black-Scholes expectations,
+For the budget payoff  int_0^T u(t) f(S(t), t) dt  with u in [d0, d1],
+int u dt = 1 and f(x, t) = e^{r(T-t)} h(x) for convex h, every weight pays
+the floor d0 and places the excess W = 1 - d0 T at rates up to d1 - d0.
+Deferring the excess to the window [s, T], s = ``switch_time``, is optimal
+(later payment dates dominate by Jensen's inequality on the risk-neutral
+martingale), so the price is a time integral of Black-Scholes expectations,
 
-    price = e^{-rT} * d1 * int_{T-1/d1}^{T} E*[f(S(t), t)] dt,
+    price = e^{-rT} [d0 int_0^T E*[f] dt + (d1 - d0) int_s^T E*[f] dt],
 
-evaluated here by adaptive Gauss-Legendre quadrature.
+evaluated here by adaptive Gauss-Legendre quadrature as d0 on [0, s] and
+d1 (reported as ``cap``) on [s, T].
 
 The formula reads the contract from the ``PayoffSpec`` that every route
 shares, and ``tail_strategy_price`` refuses what it does not price:
 the normalized weight (it has no deferral formula), a reward g other
-than identity, d0 > 0, payments at spot time when r > 0, and contracts
-where neither optimality hypothesis of ``hypothesis_report`` holds.
-
-The leading factor is d1 (reported as ``cap``): the strategy pays at
-rate d1 over a window of length 1/d1, so the weight in front of the
-average integrand is d1 * (1/d1) = 1.
+than identity, payments at spot time when r > 0, and contracts where
+neither optimality hypothesis of ``hypothesis_report`` holds.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,20 +38,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def switch_time(spec: PayoffSpec, params: MarketParams) -> float:
-    """Start of the deferral window [T - 1/d1, T].
+    """Start s of the deferral window [s, T], s = T - W / (d1 - d0) for W = 1 - d0 T.
 
     0 when d1 * T <= 1: the budget cannot be exhausted, so u = d1 on the
-    whole horizon (the degenerate window).
+    whole horizon (the degenerate window); T when W = 0 (u = d0 is forced).
     """
-    d1, T = spec.bounds.d1, params.t_horizon
+    d0, d1, T = spec.bounds.d0, spec.bounds.d1, params.t_horizon
     if not d1 > 0.0:
         raise ParameterError("the deferral window needs d1 > 0", field="payoff.d1")
     if d1 * T <= 1.0:
         return 0.0
-    switch = T - 1.0 / d1
+    budget = 1.0 - d0 * T
+    if not budget > 0.0:
+        return T
+    switch = T - budget / (d1 - d0)
     if not switch < T:
-        raise ParameterError("the deferral window [T - 1/d1, T] has zero width in floating "
-                             "point at this horizon", field="market.t_horizon")
+        raise ParameterError("the deferral window [T - W/(d1 - d0), T] has zero width in "
+                             "floating point at this horizon", field="market.t_horizon")
     return switch
 
 
@@ -123,8 +125,6 @@ def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate
                              field="payoff.weight_mode")
     if spec.g_kind != "identity":
         raise ParameterError("closed form covers identity g only", field="payoff.g_kind")
-    if spec.bounds.d0 != 0.0:
-        raise ParameterError("closed form needs d0 = 0", field="payoff.d0")
     if spec.payment_timing != "terminal_compounded" and params.r != 0.0:
         raise ParameterError("closed form needs terminal-compounded payments when r > 0",
                              field="payoff.payment_timing")
@@ -132,10 +132,11 @@ def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate
         raise ParameterError(f"the deferral formula does not cover a {spec.f_kind} rate with "
                              "r > 0 (neither the scaling nor the zero-rate hypothesis holds)",
                              field="payoff.f_kind")
-    L, T, lo = spec.bounds.d1, params.t_horizon, switch_time(spec, params)
+    d0, L, T, lo = spec.bounds.d0, spec.bounds.d1, params.t_horizon, switch_time(spec, params)
     # at spot timing r = 0 here, so the rate is h without the compounding
-    integral = _adaptive_gl(lambda t: expected_payment_rate(spec, params, t), lo, T)
-    value = math.exp(-params.r * T) * L * integral
+    rate, disc = partial(expected_payment_rate, spec, params), math.exp(-params.r * T)
+    floor = disc * d0 * _adaptive_gl(rate, 0.0, lo) if d0 * lo > 0.0 else 0.0
+    value = floor + disc * L * _adaptive_gl(rate, lo, T)
     return PriceEstimate(
         value=value,
         stderr=0.0,

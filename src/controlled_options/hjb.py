@@ -9,9 +9,11 @@ Three regularised problems share one sweep:
 * ``normalized``     -- state (x, y, z); dx = h(u, t) phi(S, t) dt,
   dy = h(u, t) dt, terminal reward g2(x, y).
 
-In budget mode a step from t_n pays v dt = dt min(u, max(0, hi)), hi the
-upper end of ``payoffs.budget_interval``, which the Monte Carlo clips u
-to: no step pays past the budget int u dt = 1, so no foot passes y = 1.
+In budget mode y is the weight spent above the floor, w = y - d0 t, on
+[0, W] with W = 1 - d0 T ([0, 1] at W = 0: no foot leaves w = 0 there).
+A step pays v dt = dt min(u, max(0, hi)), hi the upper end of
+``payoffs.budget_interval``, which the Monte Carlo clips u to, and moves
+w by (v - d0) dt; in w, hi is the same at every step, and no foot passes W.
 Budget may be left unspent, so the grid prices "at most the budget", the
 contract's price for nondecreasing g; other g are refused in both modes.
 
@@ -34,8 +36,8 @@ The scheme is monotone but for that extrapolation, with no CFL limit:
   per sweep, does both steps and writes each control's candidate into
   a buffer the sweep reuses from step to step.  It keeps each control's
   located feet and locates them again only when that control's y-feet,
-  gain or phi change: at r = 0 and d0 = 0 in budget mode, never after
-  the first step.  Where phi is exactly 0 (a call or put rate out of
+  gain or phi change: at r = 0 in budget mode, never after the first
+  step.  Where phi is exactly 0 (a call or put rate out of
   the money) the x-foot is the node itself, so the x step runs only on
   the z columns from the first nonzero phi to the last.
 * A control whose y-shift is exactly 0 at every node (u = 0 in budget
@@ -245,8 +247,8 @@ def default_grid(
         else:
             raise ParameterError(f"the y axis cannot lay {ny} distinct nodes", field="grid.ny")
     else:
-        # no foot passes the budget, so the axis ends there
-        y_nodes = np.linspace(0.0, 1.0, ny)
+        # no foot passes the excess budget W = 1 - d0 T, so the axis ends there
+        y_nodes = np.linspace(0.0, max(1.0 - spec.bounds.d0 * T, 0.0) or 1.0, ny)
 
     x_nodes = None
     if normalized:
@@ -434,6 +436,7 @@ class ValueFunction:
     variant: str
     epsilon: float
     values: np.ndarray
+    floor: float = 0.0  # y is the weight spent above floor t: d0 on a budget grid
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +477,7 @@ class TableRule:
     t_horizon: float
     d0: float
     d1: float
+    floor: float = 0.0  # the rule reads y - floor t, the grid's y (see ``ValueFunction``)
 
     def __post_init__(self):
         want = (self.grid.n_steps, (math.prod(self.grid.shape) + 7) // 8)
@@ -485,6 +489,7 @@ class TableRule:
         n_steps = self.grid.n_steps
         dt = self.t_horizon / n_steps
         n = min(int(t / dt + 1e-12), n_steps - 1)
+        y = y - self.floor * t if self.floor else y
         query = (y, np.log(s)) if self.grid.x_nodes is None else (x, y, np.log(s))
         axes = self.grid.axes
         flat = axes[0].nearest(query[0])  # the node's offset in slice n, ((ix) ny + iy) nz + iz
@@ -516,12 +521,12 @@ def _variant(spec: PayoffSpec, grid: StateGrid) -> str:
 
 
 def _validate(params, spec, fam, grid, variant):
-    z0 = np.log(params.s0)
+    z0, T = np.log(params.s0), params.t_horizon
     if not grid.z_nodes[0] <= z0 <= grid.z_nodes[-1]:
         raise ParameterError("z axis must contain log s0", field="grid.z_nodes")
-    # y must hold the budget, 1, or the normalized weight's reach, int h <= d1 T;
+    # y must hold the excess budget W or the normalized weight's reach, int h <= d1 T;
     # a shorter axis would extrapolate the value at feet the weight reaches
-    need_y = spec.bounds.d1 * params.t_horizon if variant == "normalized" else 1.0
+    need_y = spec.bounds.d1 * T if variant == "normalized" else 1.0 - spec.bounds.d0 * T
     if grid.y_nodes[-1] < need_y:
         raise ParameterError(f"y_max {grid.y_nodes[-1]:g} below reachable bound {need_y:g}",
                              field="grid.y_nodes")
@@ -537,7 +542,7 @@ def _validate(params, spec, fam, grid, variant):
                                  f"reward's bend {bend:g}", field="grid.x_nodes")
     # a resolution advisory (accuracy, not stability): only the normalized
     # weight ramps up near T; a budget contract has no ramp
-    dt = params.t_horizon / grid.n_steps
+    dt = T / grid.n_steps
     if variant == "normalized" and dt > 0.5 * fam.ramp_width:
         warnings.warn(
             f"time step {dt:.4g} does not resolve the eps^2 ramp near T",
@@ -582,27 +587,27 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     if observe is not None:
         observe(nt, cur, None)
 
+    moves = [None] * len(controls)  # each control's (y-feet, gain); None where nothing moves
+    if variant != "normalized":
+        # a step's room, need - d0 left = W - w + d0 dt in w, is the first step's at every step
+        room = np.maximum(0.0, budget_interval(y, dt, T - dt, d0, d1)[1])
+        gains = (dt * np.minimum(u, room) for u in controls)
+        moves = [(y + (gain - d0 * dt), gain) if gain.any() else None for gain in gains]
     for n in range(nt - 1, -1, -1):
         t_n = times[n]
         phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
-        if variant != "normalized":
-            # the largest rate a step may pay and still leave d0 payable to T
-            room = np.maximum(0.0, budget_interval(y, dt, T - times[n + 1], d0, d1)[1])
         picks = []
         for slot, (u, cand) in enumerate(zip(controls, cands)):
             if variant == "normalized":
                 # the ramp integrates in closed form along the (deterministic)
                 # t characteristic, so the sub-cell eps^2 T band is credited exactly
                 shift = float(fam.effective_control_integral(u, t_n, times[n + 1]))
-                gain = None if shift == 0.0 else np.full(y.size, shift)
-            else:
-                gain = dt * np.minimum(u, room)
-                gain = gain if gain.any() else None
-            if gain is None:
+                moves[slot] = None if shift == 0.0 else (y + shift, np.full(y.size, shift))
+            if moves[slot] is None:
                 # the characteristic does not move: the candidate is the slice as it is
                 picks.append(cur)
                 continue
-            picks.append(transport(cur, y + gain, gain, phi, out=cand, slot=slot))
+            picks.append(transport(cur, *moves[slot], phi, out=cand, slot=slot))
         d1_wins = None
         if observe is not None:
             d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]
@@ -614,7 +619,8 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
         if observe is not None:
             observe(n, cur, d1_wins)
 
-    return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon, values=cur)
+    return ValueFunction(grid=grid, variant=variant, epsilon=fam.epsilon, values=cur,
+                         floor=0.0 if variant == "normalized" else d0)
 
 
 # ``solve`` dispatches through ``_SOLVERS``.  Its three entries are the one
@@ -676,7 +682,7 @@ def extract_policy(params: MarketParams, spec: PayoffSpec, epsilon: float,
             bits[n] = np.packbits(d1_wins.reshape(-1), bitorder="little")
 
     vf = solve(params, spec, epsilon, grid, observe=record)
-    rule = TableRule(bits, vf.grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1)
+    rule = TableRule(bits, vf.grid, params.t_horizon, spec.bounds.d0, spec.bounds.d1, vf.floor)
     return Policy(f"hjb[{vf.variant}]", rule)
 
 
@@ -793,10 +799,11 @@ def refinement_delta(
 # ---------------------------------------------------------------------------
 
 def export_csv(grid: StateGrid, t_horizon: float, time_index: int, slab: np.ndarray,
-               path: str, col: str) -> None:
+               path: str, col: str, floor: float = 0.0) -> None:
     """Write slice ``time_index`` of ``grid`` as CSV with columns t,x,y,z,<col>.
 
-    The reduced variant has no x state; its x column is written as 0.
+    The reduced variant has no x state; its x column is written as 0.  The y
+    column is the spent weight, y + ``floor`` t (see ``ValueFunction``).
     """
     t = float(np.linspace(0.0, t_horizon, grid.n_steps + 1)[time_index])
     x_nodes = grid.x_nodes if grid.x_nodes is not None else np.array([0.0])
@@ -804,6 +811,6 @@ def export_csv(grid: StateGrid, t_horizon: float, time_index: int, slab: np.ndar
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"t,x,y,z,{col}\n")
         for i, xv in enumerate(x_nodes):
-            for j, yv in enumerate(grid.y_nodes):
+            for j, yv in enumerate(grid.y_nodes + floor * t):
                 for k, zv in enumerate(grid.z_nodes):
                     fh.write(f"{t:.12g},{xv:.12g},{yv:.12g},{zv:.12g},{vals[i, j, k]:.12g}\n")

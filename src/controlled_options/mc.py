@@ -306,17 +306,17 @@ def builtin_policies(spec: PayoffSpec, params: MarketParams) -> list[Policy]:
     """Reference policies: uniform, tail, a small threshold ladder on the
     payment rate, and the constant floor.
 
-    ``tail`` (offered when d0 = 0 < d1) pays d1 from ``closed_form.switch_time``
-    on: over [T - 1/d1, T] it spends the unit budget exactly, and when
-    d1 T <= 1 it pays d1 throughout.
+    ``tail`` (offered when d0 < d1) pays d0 before ``closed_form.switch_time``
+    s and d1 from s on: over [s, T] it spends the excess budget 1 - d0 T
+    exactly, and when d1 T <= 1 it pays d1 throughout.
     """
     params.check_log_band()  # the threshold levels lie inside the band
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     T = params.t_horizon
     out = [Policy("uniform", lambda t, x, y, s, level=1.0 / T: level)]
-    if d0 == 0.0 < d1:
+    if d0 < d1:
         switch = switch_time(spec, params)
-        out.append(Policy("tail", lambda t, x, y, s: d1 if t >= switch else 0.0))
+        out.append(Policy("tail", lambda t, x, y, s: d1 if t >= switch else d0))
     for q in (-0.5, 0.0, 0.5):
         level = params.s0 * math.exp(params.sigma * math.sqrt(T) * q)
         c = float(eval_f(spec, params, level, 0.5 * T))

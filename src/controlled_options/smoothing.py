@@ -175,7 +175,7 @@ class SmoothingFamily:
         if np.any(phi < 0.0) or np.any(phi > eval_f(spec, p, s[None, :], t) + 1e-12 * p.s0):
             raise ParameterError("payoff_rate leaves [0, f], the raw payment rate's range", field="epsilons")
         psi = self.terminal_ramp(t.ravel())
-        if np.any(psi < -1e-15) or np.any(psi > 1.0 + 1e-15) or np.any(np.diff(psi) < -1e-15):
+        if not (np.all(psi >= -1e-15) and np.all(psi <= 1.0 + 1e-15) and np.all(np.diff(psi) >= -1e-15)):
             raise ParameterError("terminal_ramp must be non-decreasing with range [0, 1]", field="epsilons")
         x = np.linspace(0.0, 4.0 * self.reward_scale, n)
         if np.any(self.terminal_reward(x) > eval_g(spec, x) + 1e-12 * self.reward_scale):
@@ -192,5 +192,7 @@ def build_family(epsilon: float, spec: PayoffSpec, params: MarketParams) -> Smoo
     if not 0.0 < epsilon < 0.5:
         raise ParameterError("epsilon must lie in (0, 1/2)", field="epsilons")
     fam = SmoothingFamily(epsilon=epsilon, spec=spec, params=params)
+    if not fam.ramp_start < min(fam.ramp_start + fam.ramp_width, params.t_horizon):
+        raise ParameterError(f"{epsilon:g} leaves the terminal ramp empty in floating point", field="epsilons")
     fam.self_check()
     return fam

@@ -232,6 +232,38 @@ def test_export_value_csv(tmp_path, recwarn):
     assert u_values.issubset({"0", "2"})
 
 
+def test_export_value_writes_the_spent_weight_on_a_floor_contract(tmp_path, recwarn):
+    # the grid's y is the excess weight w = y - d0 t on [0, 1 - d0 T]; the
+    # y column is the spent weight w + d0 t at the slice's t, to its 12 digits
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_doc(epsilons=[0.1], payoff={"d0": 0.5}, grid={"n_steps": 20})))
+    rows = {}
+    for index in (0, 10, 20):
+        out_csv = tmp_path / f"slice{index}.csv"
+        assert main(["export-value", "--config", str(cfg_path), "--time-index", str(index),
+                     "--out", str(out_csv)]) == 0
+        lines = out_csv.read_text().splitlines()[1:]
+        rows[index] = sorted({float(line.split(",")[2]) for line in lines})
+        t = float(lines[0].split(",")[0])
+        assert t == pytest.approx(index / 20)
+        assert rows[index] == pytest.approx([0.5 * j / 24 + 0.5 * t for j in range(25)], rel=1e-11, abs=1e-15)
+    assert rows[0][0] == 0.0 and rows[20][-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d0", [0.5, 0.9375, 0.99, 1.0])
+def test_grid_and_closed_form_agree_on_floor_contracts(tmp_path, capsys, recwarn, d0):
+    # AC-2 on the desk grid with a floor: the closed form prices d0 before the
+    # switch and d1 after, and the grid carries the excess weight.  The closed
+    # form used to refuse every d0 > 0; at d0 = 1 the weight is forced
+    path = tmp_path / "floor.json"
+    doc = {"market": BASE_DOC["market"], "payoff": {**BASE_DOC["payoff"], "d0": d0},
+           "methods": ["closed_form", "hjb"]}
+    path.write_text(json.dumps(doc))
+    assert main(["compare", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["breach"]
+
+
 @pytest.mark.parametrize("what,index,code", [
     ("value", 20, 0), ("value", 500, 2), ("value", -1, 2),
     ("policy", 19, 0), ("policy", 20, 2), ("policy", -1, 2),
@@ -388,6 +420,8 @@ _PUT_G_NORMALIZED = {**_PUT_G, "weight_mode": "normalized"}
     (["price-hjb"], {"grid": {"n_steps": 0}}, "grid.n_steps"),
     (["price-hjb"], {"epsilons": [0.7]}, "epsilons"),
     (["price-hjb"], {"epsilons": [0.0]}, "epsilons"),
+    # eps^2 T adds nothing to T (1 - eps): the normalized grid crashed with exit 1
+    (["price-hjb"], {"payoff": {"weight_mode": "normalized"}, "epsilons": [1e-170]}, "epsilons"),
     (["price-mc"], {"mc": {"n_paths": 1}}, "mc.n_paths"),
     (["price-mc"], {"mc": {"n_steps": 0}}, "mc.n_steps"),
     (["price-closed-form"], {"payoff": {"weight_mode": "normalized"}}, "payoff.weight_mode"),
@@ -402,7 +436,7 @@ _PUT_G_NORMALIZED = {**_PUT_G, "weight_mode": "normalized"}
     (["price-hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
     (["price-mc", "--policy", "hjb"], {"payoff": _PUT_G_NORMALIZED}, "payoff.g_kind"),
 ], ids=["cap-nx-0", "cap-nx-1", "cap-nx-2", "cap-nz-0", "ny-0", "normalized-d1-0", "steps-0",
-        "epsilon-0.7", "epsilon-0", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
+        "epsilon-0.7", "epsilon-0", "epsilon-1e-170", "mc-paths-1", "mc-steps-0", "closed-form-normalized",
         "compare-normalized", "compare-methods-repeated", "mc-hjb-no-epsilons",
         "export-no-epsilons", "hjb-decreasing-g", "mc-hjb-decreasing-g",
         "hjb-normalized-decreasing-g", "mc-hjb-normalized-decreasing-g"])

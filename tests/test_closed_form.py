@@ -164,6 +164,29 @@ def _undisc_call_ref(s0, K, r, sigma, t):
     return s0 * math.exp(r * t) * norm.cdf(d1) - K * norm.cdf(d1 - st)
 
 
+@settings(max_examples=40, deadline=None)
+@given(t_horizon=st.floats(0.25, 4.0), r=st.sampled_from([0.0, 0.05]), floor_reach=st.floats(0.0, 1.0),
+       budget_reach=st.floats(1.0, 8.0))
+@example(t_horizon=1.0, r=0.0, floor_reach=1.0, budget_reach=2.0)   # u = 1 is forced: 5.31392
+@example(t_horizon=1.0, r=0.0, floor_reach=0.5, budget_reach=2.0)   # 6.28759
+@example(t_horizon=1.0, r=0.0, floor_reach=1.0, budget_reach=1.0)   # d0 = d1
+@example(t_horizon=1.0, r=0.0, floor_reach=0.99, budget_reach=1.0)  # d1 T = 1: d1 throughout
+def test_floor_contract_matches_the_floor_plus_deferral_quadrature(t_horizon, r, floor_reach, budget_reach):
+    # every admissible weight pays the floor d0 and places the excess budget
+    # W = 1 - d0 T at rates up to d1 - d0, deferred to the window [s, T]
+    T, d0, d1 = t_horizon, floor_reach / t_horizon, budget_reach / t_horizon
+    params = MarketParams(s0=100.0, r=r, sigma=0.2, t_horizon=T)
+    excess = 1.0 - d0 * T
+    s = 0.0 if d1 * T <= 1.0 else T if excess <= 0.0 else T - excess / (d1 - d0)
+    rate = lambda t: math.exp(r * (T - t)) * _undisc_call_ref(100.0, 100.0, r, 0.2, t)
+    whole, _ = quad(rate, 0.0, T, epsabs=1e-13, epsrel=1e-12)
+    window, _ = quad(rate, s, T, epsabs=1e-13, epsrel=1e-12)
+    want = math.exp(-r * T) * (d0 * whole + (d1 - d0) * window)
+    est = tail_strategy_price(_spec(d1, bounds=ControlBounds(d0, d1)), params)
+    assert est.value == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert switch_time(_spec(d1, bounds=ControlBounds(d0, d1)), params) == pytest.approx(s, rel=1e-12, abs=1e-15)
+
+
 def test_zero_width_window_refused():
     # at T = 1e300, T - 1/L rounds to T: the window would integrate to 0.0
     params = MarketParams(s0=100.0, r=0.0, sigma=0.2, t_horizon=1e300)
@@ -175,10 +198,9 @@ def test_zero_width_window_refused():
 @pytest.mark.parametrize("overrides,rate,field", [
     ({"weight_mode": "normalized"}, 0.0, "payoff.weight_mode"),
     ({"g_kind": "cap", "g_cap": 8.0}, 0.0, "payoff.g_kind"),
-    ({"bounds": ControlBounds(0.25, 2.0)}, 0.0, "payoff.d0"),
     ({"payment_timing": "spot"}, 0.05, "payoff.payment_timing"),
     ({"bounds": ControlBounds(0.0, 0.0)}, 0.0, "payoff.d1"),
-], ids=["normalized", "capped-g", "d0", "spot-timing", "d1-zero"])
+], ids=["normalized", "capped-g", "spot-timing", "d1-zero"])
 def test_refuses_contracts_it_does_not_price(overrides, rate, field):
     # the normalized weight has no deferral formula: pricing it as the budget
     # contract returned the budget price 6.8684 with "applicable": true

@@ -28,6 +28,7 @@ from controlled_options import (
     refinement_delta,
     solve,
 )
+from controlled_options import hjb
 from controlled_options.hjb import (
     DESK_EPSILONS,
     TableRule,
@@ -438,13 +439,14 @@ def test_desk_ladder_prices_the_deferral_contract_within_a_tenth_of_a_percent():
 
 @pytest.mark.parametrize("variant", ["linear_reduced", "adapted", "adapted_d0"])
 def test_budget_price_ignores_y_nodes_above_the_budget(variant):
-    # no step pays past the budget, so no foot passes y = 1 and nodes above
-    # it are never read
+    # no step pays past the budget, so no foot passes the excess budget
+    # W = 1 - d0 T and nodes above it are never read
     spec = _spec(**PINS[variant][0])
     fam = build_family(0.1, spec, PARAMS)
     base = default_grid(PARAMS, spec, fam, **PIN_DIMS)
-    assert base.y_nodes[-1] == 1.0
-    taller = replace(base, y_nodes=np.append(base.y_nodes, np.linspace(1.0, 1.3, 7)[1:]))
+    excess = 1.0 - spec.bounds.d0 * PARAMS.t_horizon
+    assert base.y_nodes[-1] == excess
+    taller = replace(base, y_nodes=np.append(base.y_nodes, np.linspace(excess, excess + 0.3, 7)[1:]))
     prices = [price_from_value(solve(PARAMS, spec, 0.1, grid), PARAMS).value for grid in (base, taller)]
     assert prices[1] == pytest.approx(prices[0], rel=1e-12, abs=0.0)
 
@@ -562,6 +564,25 @@ def _bounded_price(d0, d1):
     spec = _spec(bounds=ControlBounds(d0, d1))
     est, _ = _quiet_ladder(PARAMS, spec, epsilons=(0.1,), grid={"ny": 31, "nz": 41, "n_steps": 80})
     return est.value
+
+
+@pytest.mark.parametrize("g", [{}, {"g_kind": "cap", "g_cap": 8.0}], ids=["identity", "capped"])
+def test_a_forced_weight_prices_alike_whatever_its_upper_bound(g):
+    # d0 T = 1 forces u = d0 = 1, so (d0, d1) = (1, 1) and (1, 2) are one
+    # contract (exact price 5.31392); a y axis of spent weight on [0, 1] read
+    # them as 4.96792 and 5.68511
+    prices = [ladder_price(PARAMS, _spec(bounds=ControlBounds(1.0, d1), **g))[0].value for d1 in (1.0, 2.0)]
+    assert prices[1] == pytest.approx(prices[0], rel=1e-12, abs=0.0)
+
+
+def test_budget_sweep_takes_each_controls_room_once(monkeypatch):
+    # in the excess weight w = y - d0 t a step's room does not depend on t,
+    # so a budget sweep asks for the budget interval once, not at every step
+    calls = []
+    interval = hjb.budget_interval
+    monkeypatch.setattr(hjb, "budget_interval", lambda *args: calls.append(args) or interval(*args))
+    _quiet_solve(solve, PARAMS, _spec(g_kind="cap", g_cap=8.0, bounds=ControlBounds(0.5, 2.0)), 0.1, PIN_DIMS)
+    assert len(calls) == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -921,7 +942,8 @@ def test_grid_allowance_takes_a_state_grid():
 # Carlo price of that table (20k paths, 40 steps, seed 11).  Any change to
 # the order of the sweep's arithmetic, or to the table lookup, shows here.
 # ``adapted_d0`` puts a floor d0 = 0.5 under the capped contract, so both of
-# its controls move the state and both take the transport.  Its policy pays
+# its controls pay and both take the transport; its y axis is the excess
+# weight on [0, 0.5], which the table reads as y - d0 t.  Its policy pays
 # d1 early on some paths and d0 up to the ramp on others, so its Monte Carlo
 # price also pins both ends of the budget interval each step is clipped to.
 PIN_DIMS = {"nx": 9, "ny": 11, "nz": 15, "n_steps": 12}
@@ -929,7 +951,7 @@ PINS = {
     "linear_reduced": ({}, "0x1.b885cac0c112cp+2", 963, "0x1.b68b8f66407a0p+2"),
     "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.a4059dfee8d99p+1", 12836, "0x1.ee9c9f11e8950p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
-                   "0x1.a0225a327568cp+1", 13434, "0x1.f2551bc848401p+1"),
+                   "0x1.a3b5d169b94c8p+1", 11516, "0x1.f260dd2a07e4ap+1"),
     "normalized": ({"weight_mode": "normalized"}, "0x1.ee79efca61260p+4", 6225, "0x1.eac715d151c04p+2"),
 }
 

@@ -252,9 +252,12 @@ def test_builtin_policy_structure():
         if name.startswith("threshold"):
             u = pol.evaluate(0.25, 0.0, 0.0, np.array([60.0, 100.0, 180.0]))
             assert set(np.unique(u)).issubset({0.0, 2.0})
-    # tail is only offered with a zero floor
+    # tail lays the deferral over the floor: d0 before the switch
+    # 1 - 0.75 / 1.75 and d1 from it on; a forced weight has no tail
     lifted = _spec(bounds=ControlBounds(0.25, 2.0))
-    assert "tail" not in _policies_by_name(lifted, PARAMS)
+    tail = _policies_by_name(lifted, PARAMS)["tail"]
+    assert [tail.evaluate(t, 0.0, 0.0, 100.0) for t in (0.0, 0.57, 0.58, 1.0)] == [0.25, 0.25, 2.0, 2.0]
+    assert "tail" not in _policies_by_name(_spec(bounds=ControlBounds(1.0, 1.0)), PARAMS)
 
 
 # a policy that ignores the budget entirely: seeded uniform controls in
