@@ -9,8 +9,10 @@ martingale), so the price is a time integral of Black-Scholes expectations,
 
     price = e^{-rT} [d0 int_0^T E*[f] dt + (d1 - d0) int_s^T E*[f] dt],
 
-evaluated here by adaptive Gauss-Legendre quadrature as d0 on [0, s] and
-d1 (reported as ``cap``) on [s, T].
+evaluated here by adaptive Gauss-Legendre quadrature term by term, so no
+integral ends at s from the left: a switch time within rounding of 0 would
+bisect [0, s] down to times where the at-the-money expectation is
+cancellation noise. d1 is reported as ``cap``.
 
 The formula reads the contract from the ``PayoffSpec`` that every route
 shares, and ``tail_strategy_price`` refuses what it does not price:
@@ -135,8 +137,8 @@ def tail_strategy_price(spec: PayoffSpec, params: MarketParams) -> PriceEstimate
     d0, L, T, lo = spec.bounds.d0, spec.bounds.d1, params.t_horizon, switch_time(spec, params)
     # at spot timing r = 0 here, so the rate is h without the compounding
     rate, disc = partial(expected_payment_rate, spec, params), math.exp(-params.r * T)
-    floor = disc * d0 * _adaptive_gl(rate, 0.0, lo) if d0 * lo > 0.0 else 0.0
-    value = floor + disc * L * _adaptive_gl(rate, lo, T)
+    floor = disc * d0 * _adaptive_gl(rate, 0.0, T) if d0 > 0.0 else 0.0
+    value = floor + disc * (L - d0) * _adaptive_gl(rate, lo, T)
     return PriceEstimate(
         value=value,
         stderr=0.0,

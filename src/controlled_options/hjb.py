@@ -20,8 +20,8 @@ contract's price for nondecreasing g; other g are refused in both modes.
 A normalized weight is solved as ``normalized``, a budget contract as
 ``adapted`` on a grid with an x axis and as ``linear_reduced`` on one
 without, which ``default_grid`` lays for identity g.  The payment x only
-grows and g_hat is affine above its bend (``_reward_bend``), so a budget
-x axis ends one cell past the bend, and a foot past it extrapolates.
+grows and g_hat is affine above ``SmoothingFamily.reward_bend``, so a
+budget x axis ends one cell past the bend, and a foot past it extrapolates.
 
 The scheme is monotone but for that extrapolation, with no CFL limit:
 
@@ -34,12 +34,15 @@ The scheme is monotone but for that extrapolation, with no CFL limit:
   only through the gain, so it is located once per distinct gain value
   and then interpolated in x.  One kernel, ``_Transport``, built once
   per sweep, does both steps and writes each control's candidate into
-  a buffer the sweep reuses from step to step.  It keeps each control's
-  located feet and locates them again only when that control's y-feet,
-  gain or phi change: at r = 0 in budget mode, never after the first
-  step.  Where phi is exactly 0 (a call or put rate out of
-  the money) the x-foot is the node itself, so the x step runs only on
-  the z columns from the first nonzero phi to the last.
+  a buffer the sweep reuses from step to step.  A control's move follows
+  u and t alone, so the sweep fixes every step's moves and phi before
+  its loop.  The kernel keeps each control's located feet and locates
+  them again only when its y-feet, gain or phi change: at r = 0, never
+  after the first step in budget mode, and in normalized mode only from
+  the ramp's start T (1 - eps) on, as the shift is u dt exactly before
+  it (d1 dt throughout for d1).  Where phi is 0 (a call or put rate out
+  of the money) the x-foot is the node itself, so the x step runs only
+  on the z columns from the first nonzero phi to the last.
 * A control whose y-shift is exactly 0 at every node (u = 0 in budget
   mode, and u = 0 before the ramp in normalized mode) has an x-shift of
   0 too, so its characteristic does not move: its candidate is the slice
@@ -252,7 +255,7 @@ def default_grid(
 
     x_nodes = None
     if normalized:
-        phi_max = _peak_rate(params, fam, z_nodes)
+        phi_max = _peak_rate(fam, z_nodes)
         x_max = spec.bounds.d1 * T * max(phi_max, 1e-12) * (1.0 + 1e-9)  # the reach
         # log spacing from the eps^2 scale up: the reward depends on x/y,
         # so cells near the origin must shrink in x as they do in y or
@@ -263,7 +266,7 @@ def default_grid(
                                  f"pass the eps^2 scale {lo:g}", field="payoff.d1")
         x_nodes = np.concatenate([[0.0], np.geomspace(lo, x_max, nx - 1)])
     elif not planar:
-        bend = _reward_bend(spec, eps)
+        bend = fam.reward_bend
         x_nodes = np.append(np.linspace(0.0, bend, nx - 1), bend + bend / (nx - 2))
     return StateGrid(y_nodes=y_nodes, z_nodes=z_nodes, n_steps=n_steps, x_nodes=x_nodes)
 
@@ -273,15 +276,9 @@ def _linear_in_x(spec: PayoffSpec) -> bool:
     return spec.weight_mode != "normalized" and spec.g_kind == "identity"
 
 
-def _reward_bend(spec: PayoffSpec, eps: float) -> float:
-    """The x above which g_hat is affine: its cap or strike past the eps blend, 0 for identity g."""
-    return {"identity": 0.0, "cap": spec.g_cap}.get(spec.g_kind, spec.g_strike) * (1.0 + eps)
-
-
-def _peak_rate(params: MarketParams, fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
-    """Largest payment rate on the z axis over a 9-point time probe."""
-    t_probe = np.linspace(0.0, params.t_horizon, 9)[:, None]
-    return float(np.max(fam.payoff_rate(np.exp(z_nodes)[None, :], t_probe)))
+def _peak_rate(fam: SmoothingFamily, z_nodes: np.ndarray) -> float:
+    """Largest payment rate on the z axis, at t = 0: phi does not increase in t, as r >= 0."""
+    return float(np.max(fam.payoff_rate(np.exp(z_nodes), 0.0)))
 
 
 def refine_grid(grid: StateGrid, axis: str) -> StateGrid:
@@ -531,12 +528,12 @@ def _validate(params, spec, fam, grid, variant):
         raise ParameterError(f"y_max {grid.y_nodes[-1]:g} below reachable bound {need_y:g}",
                              field="grid.y_nodes")
     if variant == "normalized":
-        need = spec.bounds.d1 * params.t_horizon * _peak_rate(params, fam, grid.z_nodes)
+        need = spec.bounds.d1 * params.t_horizon * _peak_rate(fam, grid.z_nodes)
         if grid.x_nodes[-1] < need * (1.0 - 1e-9):
             raise ParameterError(f"x_max {grid.x_nodes[-1]:g} below reachable bound {need:g}",
                                  field="grid.x_nodes")
     elif variant == "adapted":  # a foot past x_max extrapolates, exact only above the bend
-        bend = _reward_bend(spec, fam.epsilon)
+        bend = fam.reward_bend
         if not grid.x_nodes[-2] >= bend:
             raise ParameterError(f"the last x cell starts at {grid.x_nodes[-2]:g}, below the "
                                  f"reward's bend {bend:g}", field="grid.x_nodes")
@@ -569,7 +566,6 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     times = np.linspace(0.0, T, nt + 1)
     y = grid.y_nodes
     z = grid.z_nodes
-    s_of_z = np.exp(z)
     d0, d1 = spec.bounds.d0, spec.bounds.d1
     controls = (d0,) if d1 == d0 else (d0, d1)
     mt = _z_step_matrix(params, z, dt)
@@ -587,28 +583,25 @@ def _sweep(params: MarketParams, spec: PayoffSpec, fam: SmoothingFamily,
     if observe is not None:
         observe(nt, cur, None)
 
-    moves = [None] * len(controls)  # each control's (y-feet, gain); None where nothing moves
-    if variant != "normalized":
+    # every step's payment rate (identity f gives one (1, nz) row) and each
+    # control's move, its (y-feet, gain) or None where nothing moves, are fixed here
+    phis = np.broadcast_to(fam.payoff_rate(np.exp(z)[None, :], times[:-1, None]), (nt, z.size))
+    if variant == "normalized":
+        # int h over each step, in closed form, credits the sub-cell eps^2 T band
+        # exactly; before the ramp it is u dt exactly, and each distinct shift gets one move
+        u = np.array(controls)
+        shifts = u * dt + (d1 - u) * np.diff(fam.terminal_ramp_integral(times))[:, None]
+        move = {s: None if s == 0.0 else (y + s, np.full(y.size, s)) for s in np.unique(shifts).tolist()}
+        moves = [[move[s] for s in row] for row in shifts.tolist()]
+    else:
         # a step's room, need - d0 left = W - w + d0 dt in w, is the first step's at every step
         room = np.maximum(0.0, budget_interval(y, dt, T - dt, d0, d1)[1])
         gains = (dt * np.minimum(u, room) for u in controls)
-        moves = [(y + (gain - d0 * dt), gain) if gain.any() else None for gain in gains]
+        moves = [[(y + (gain - d0 * dt), gain) if gain.any() else None for gain in gains]] * nt
     for n in range(nt - 1, -1, -1):
-        t_n = times[n]
-        phi = fam.payoff_rate(s_of_z, t_n)  # (nz,)
-        picks = []
-        for slot, (u, cand) in enumerate(zip(controls, cands)):
-            if variant == "normalized":
-                # the ramp integrates in closed form along the (deterministic)
-                # t characteristic, so the sub-cell eps^2 T band is credited exactly
-                shift = float(fam.effective_control_integral(u, t_n, times[n + 1]))
-                moves[slot] = None if shift == 0.0 else (y + shift, np.full(y.size, shift))
-            if moves[slot] is None:
-                # the characteristic does not move: the candidate is the slice as it is
-                picks.append(cur)
-                continue
-            picks.append(transport(cur, *moves[slot], phi, out=cand, slot=slot))
-        d1_wins = None
+        # a control that does not move takes the slice as it is for its candidate
+        picks = [cur if move is None else transport(cur, *move, phis[n], out=cand, slot=slot)
+                 for slot, (move, cand) in enumerate(zip(moves[n], cands))]
         if observe is not None:
             d1_wins = np.ones(cur.shape, dtype=bool) if len(picks) == 1 else picks[1] >= picks[0]
         # the d0 buffer holds no d1 candidate, and cur is never written

@@ -12,7 +12,7 @@ each role carries the scale it smooths:
   joins); both the start and the width are in units of the horizon T.
   The normalized mode pays at h(u, t) = u (1 - psi) + d1 psi, which
   forces the weight toward d1 on the last eps T of the horizon;
-  ``effective_control_integral`` is its exact integral over a step.
+  ``terminal_ramp_integral`` integrates psi exactly, so h does too.
 * ``payoff_rate``     phi(s, t): the payment rate f with its strike kink
   blended from below over a width eps * K, then capped at s0 / eps by
   a blend of half-width eps * s0.  0 <= phi <= f, and phi = 0 exactly
@@ -116,11 +116,6 @@ class SmoothingFamily:
         width = self.ramp_width
         return width * smoothstep_integral((np.asarray(t, dtype=float) - self.ramp_start) / width)
 
-    def effective_control_integral(self, u, t0, t1):
-        """int_{t0}^{t1} h(u, s) ds, exact in the ramp."""
-        ramp = self.terminal_ramp_integral(t1) - self.terminal_ramp_integral(t0)
-        return np.asarray(u, dtype=float) * (t1 - t0) + (self.spec.bounds.d1 - np.asarray(u, dtype=float)) * ramp
-
     # -- smoothed payment rate phi ----------------------------------------
     def _kinkless_f(self, s):
         spec = self.spec
@@ -152,6 +147,12 @@ class SmoothingFamily:
 
     def terminal_reward(self, x):
         return _min_below(self._kinkless_g(x), self.reward_cap, self.epsilon * self.reward_scale)
+
+    @property
+    def reward_bend(self) -> float:
+        """The x above which g_hat is affine: g's cap or strike past its eps blend, 0 for identity g."""
+        spec = self.spec
+        return {"identity": 0.0, "cap": spec.g_cap}.get(spec.g_kind, spec.g_strike) * (1.0 + self.epsilon)
 
     # -- two-argument terminal reward for the normalized mode -------------
     def ratio_substitute(self, x, y):

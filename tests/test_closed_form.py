@@ -171,6 +171,7 @@ def _undisc_call_ref(s0, K, r, sigma, t):
 @example(t_horizon=1.0, r=0.0, floor_reach=0.5, budget_reach=2.0)   # 6.28759
 @example(t_horizon=1.0, r=0.0, floor_reach=1.0, budget_reach=1.0)   # d0 = d1
 @example(t_horizon=1.0, r=0.0, floor_reach=0.99, budget_reach=1.0)  # d1 T = 1: d1 throughout
+@example(t_horizon=1.0, r=0.0, floor_reach=0.5, budget_reach=1.0000000000000002)  # s ~ 4e-16
 def test_floor_contract_matches_the_floor_plus_deferral_quadrature(t_horizon, r, floor_reach, budget_reach):
     # every admissible weight pays the floor d0 and places the excess budget
     # W = 1 - d0 T at rates up to d1 - d0, deferred to the window [s, T]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from controlled_options import (
@@ -489,7 +490,7 @@ def test_adapted_equals_reduced_for_identity_reward():
     fam = build_family(0.1, spec, PARAMS)
     g_r = default_grid(PARAMS, spec, fam, ny=31, nz=41, n_steps=80)
     # an x axis out to the payment's reach, d1 T times the peak rate
-    x_max = spec.bounds.d1 * PARAMS.t_horizon * _peak_rate(PARAMS, fam, g_r.z_nodes) * (1.0 + 1e-9)
+    x_max = spec.bounds.d1 * PARAMS.t_horizon * _peak_rate(fam, g_r.z_nodes) * (1.0 + 1e-9)
     g_a = replace(g_r, x_nodes=np.linspace(0.0, x_max, 31))
     p_r = price_from_value(_quiet_solve(solve_linear_reduced, PARAMS, spec, fam, g_r), PARAMS)
     p_a = price_from_value(_quiet_solve(solve_adapted, PARAMS, spec, fam, g_a), PARAMS)
@@ -645,6 +646,90 @@ def test_normalized_constant_rate_prices_to_one():
     vf = _quiet_solve(solve_normalized, params, spec, fam, grid)
     got = price_from_value(vf, params).value
     assert abs(got - oracle) <= 0.02
+
+
+@pytest.mark.parametrize("timing", TIMINGS)
+@pytest.mark.parametrize("r", [0.0, 0.05])
+@settings(max_examples=20, deadline=None)
+@given(f_kind=st.sampled_from(F_KINDS), strike=st.floats(50.0, 200.0), eps=st.floats(0.01, 0.45))
+def test_peak_rate_is_the_rate_at_the_start(r, timing, f_kind, strike, eps):
+    # r >= 0, so e^{r (T - t)} and the rate phi do not increase in t: their
+    # largest value on the z axis is the one at t = 0, here up into the cap
+    params = replace(PARAMS, r=r)
+    spec = _spec(f_kind=f_kind, f_strike=None if f_kind == "identity" else strike, payment_timing=timing)
+    fam = build_family(eps, spec, params)
+    z = np.linspace(math.log(20.0), math.log(100.0 + 200.0 / eps), 61)
+    probe = fam.payoff_rate(np.exp(z)[None, :], np.linspace(0.0, params.t_horizon, 1001)[:, None])
+    assert _peak_rate(fam, z) == np.max(probe)
+
+
+def _sweep_shifts(d0):
+    """Each control's (d0, d1) y-shift at every step of a normalized sweep of 25 steps at
+    eps = 0.1, read off the y-feet the sweep hands its transport; a control it hands none
+    does not move, and its shift is 0.  Also returns the family and the step times."""
+    spec = _spec(weight_mode="normalized", bounds=ControlBounds(d0, 2.0))
+    fam = build_family(0.1, spec, PARAMS)
+    grid = default_grid(PARAMS, spec, fam, nx=9, ny=9, nz=11, n_steps=25)
+    assert grid.y_nodes[0] == 0.0  # so node 0's foot is the shift itself
+    shifts, step = np.zeros((grid.n_steps, 2)), {}
+    call = hjb._Transport.__call__
+
+    def record(self, cur, foot_y, *args, **kw):
+        step[kw.get("slot", 0)] = foot_y[0]
+        return call(self, cur, foot_y, *args, **kw)
+
+    def observe(n, slice_n, d1_wins):
+        if d1_wins is not None:
+            shifts[n] = [step.pop(slot, 0.0) for slot in (0, 1)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hjb._Transport, "__call__", record)
+        _quiet_solve(solve_normalized, PARAMS, spec, fam, grid, observe=observe)
+    return fam, np.linspace(0.0, PARAMS.t_horizon, grid.n_steps + 1), shifts
+
+
+def test_sweep_shift_is_u_dt_before_the_ramp_and_d1_dt_after():
+    # h(u, t) integrates to u dt on a step before the ramp, which starts at
+    # 0.9, and to d1 dt on one past its end, 0.91, whatever u is; 25 steps
+    # put one step across the ramp and two past it
+    dt = PARAMS.t_horizon / 25
+    for d0 in (0.0, 0.7):
+        fam, times, shifts = _sweep_shifts(d0)
+        before, after = times[1:] <= fam.ramp_start, times[:-1] >= fam.ramp_start + fam.ramp_width
+        assert before.sum() == 22 and after.sum() == 2
+        for u, shift in zip((d0, 2.0), shifts.T):
+            assert np.all(shift[before] == u * dt)
+            assert shift[after] == pytest.approx(2.0 * dt, rel=0.0, abs=1e-12)
+
+
+def test_sweep_shifts_sum_to_the_quadrature_of_h():
+    # the sweep credits the ramp in closed form: each control's shifts over
+    # the horizon add up to int_0^T h(u, t) dt, h = u (1 - psi) + d1 psi
+    for d0 in (0.0, 0.5):
+        fam, _, shifts = _sweep_shifts(d0)
+        ramp = [fam.ramp_start, fam.ramp_start + fam.ramp_width]
+        for u, shift in zip((d0, 2.0), shifts.T):
+            ref, _ = quad(lambda t: u + (2.0 - u) * float(fam.terminal_ramp(t)), 0.0, PARAMS.t_horizon,
+                          points=ramp, limit=200)
+            assert shift.sum() == pytest.approx(ref, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("eps", DESK_EPSILONS)
+def test_normalized_sweep_locates_its_y_feet_again_only_in_the_ramp(eps, monkeypatch):
+    # outside the ramp each control's shift is u dt exactly, so the feet it
+    # kept serve every step there: the y-feet are located once per control
+    # and at most once more per step that meets the ramp.  With the shift
+    # taken from each step's own linspace width, this sweep at eps = 0.05
+    # located them 54 times, where the bound is 9
+    spec = _spec(weight_mode="normalized")
+    fam = build_family(eps, spec, PARAMS)
+    grid = default_grid(PARAMS, spec, fam, nx=27, ny=27, nz=53, n_steps=130)
+    located = []
+    locate = _Axis.locate
+    monkeypatch.setattr(_Axis, "locate", lambda axis, q: located.append(axis) or locate(axis, q))
+    _quiet_solve(solve_normalized, PARAMS, spec, fam, grid)
+    ramp_steps = np.count_nonzero(np.diff(fam.terminal_ramp_integral(np.linspace(0.0, 1.0, 131))))
+    assert sum(axis is grid.axes[-2] for axis in located) <= ramp_steps + 2
 
 
 def test_normalized_value_invariant_under_taller_y_axis():
@@ -952,7 +1037,7 @@ PINS = {
     "adapted": ({"g_kind": "cap", "g_cap": 8.0}, "0x1.a4059dfee8d99p+1", 12836, "0x1.ee9c9f11e8950p+1"),
     "adapted_d0": ({"g_kind": "cap", "g_cap": 8.0, "bounds": ControlBounds(0.5, 2.0)},
                    "0x1.a3b5d169b94c8p+1", 11516, "0x1.f260dd2a07e4ap+1"),
-    "normalized": ({"weight_mode": "normalized"}, "0x1.ee79efca61260p+4", 6225, "0x1.eac715d151c04p+2"),
+    "normalized": ({"weight_mode": "normalized"}, "0x1.ee79efca61264p+4", 6068, "0x1.caf329008728ep+2"),
 }
 
 

@@ -51,15 +51,6 @@ def test_terminal_ramp_plateaus():
     assert np.all(np.diff(psi) >= -1e-15)
 
 
-def test_effective_control_is_identity_before_ramp():
-    # h(u, t) integrates to u dt before the ramp, which starts at 0.9
-    fam = build_family(0.1, _spec(), PARAMS)
-    for u in (0.0, 0.7, 2.0):
-        assert fam.effective_control_integral(u, 0.4, 0.5) == pytest.approx(0.1 * u)
-        # past the ramp's end, 0.91, it pins to d1 whatever u is
-        assert fam.effective_control_integral(u, 0.95, 1.0) == pytest.approx(0.05 * 2.0)
-
-
 def test_payoff_rate_dominated_by_f():
     for spec in (_spec(), _spec(f_kind="identity"), _spec(f_kind="put", f_strike=80.0)):
         fam = build_family(0.1, spec, PARAMS)
@@ -115,19 +106,6 @@ def test_ramp_integral_matches_quadrature():
         ref, _ = quad(lambda s: float(fam.terminal_ramp(s)), 0.0, t,
                       limit=400, epsabs=1e-12, epsrel=1e-12)
         assert fam.terminal_ramp_integral(t) == pytest.approx(ref, abs=2e-9)
-
-
-def test_effective_control_integral_matches_quadrature():
-    fam = build_family(0.1, _spec(), PARAMS)
-
-    def h(u, t):
-        psi = float(fam.terminal_ramp(t))
-        return u * (1.0 - psi) + 2.0 * psi
-
-    for u in (0.0, 0.5, 2.0):
-        ref, _ = quad(lambda s: h(u, s), 0.88, 1.0, limit=200)
-        got = fam.effective_control_integral(u, 0.88, 1.0)
-        assert got == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("probe", [0.37, 0.68, 0.49])
