@@ -34,31 +34,33 @@ Paths stream through fixed-size blocks with per-block substreams (see
 walked in chunks of ``CHUNK_ROWS`` rows, and each chunk runs in two
 parts.  *Prepare* draws the chunk's normals in turn from the block's
 generator, ``DRAW_ROWS`` rows at a time into a small staging buffer, and
-writes the growth factors exp(drift + vol * (sign * z)) of all its steps
-and of both antithetic legs into a step-major slot: leg + in columns
-[0, n), leg - in [n, 2n), whose vol * (-z) is the negated vol * z of
-leg +, exactly.  *Walk* is the step loop; it advances both legs at once on 2n
-rows, so step i multiplies the spots by one contiguous row of the slot
-and the policy sees one call per step.  It clips u and advances x, y and
-s in place, in rows it allocates once per call; it never writes into an
-array that the policy or ``eval_f`` returns (``eval_f`` returns s itself
-for an identity rate paid at spot).  It writes the pair averages of the
-discounted payoffs P and of C into the block's (2, rows) array.  A NaN
-proposal survives the clip into the spent weight y, so y is checked once
-per chunk and such a policy is refused by name.  One worker thread
-prepares chunk k + 1 into the other slot while the main thread walks
-chunk k: the draws and the exp are numpy calls that release the
-interpreter lock, and the policy, ``eval_f`` and ``eval_g`` run on the
-main thread only.  The worker prepares the chunks in stream order, every
-value is the same elementwise arithmetic on the same normals, and the
-block's sums run over the same arrays in the same order, so neither the
-chunking nor the thread changes a result.  Memory stays flat in the
-number of paths: two slots of 2 * ``CHUNK_ROWS`` rows (8 MB each at 250
-steps), the staging buffer and the block's pair averages of P and C,
-rather than a block of normals.  The second moments are summed about the
-first block's mean P and first C and divided by their largest values, so
-the standard error scales with the price instead of overflowing or
-underflowing at extreme spot levels.
+writes vol * z of all its steps for leg + alone into a step-major slot,
+n_steps rows of n.  *Walk* is the step loop; it advances both legs at
+once on 2n rows, so the policy sees one call per step.  Step i writes
+its growth factors into one 2n-row: drift + vol * z for leg + in
+[0, n), drift - vol * z for leg - in [n, 2n), then one exp, and the
+spots are multiplied by that row.  Subtracting vol * z is adding its
+negation, so leg -'s factor is exp(drift + vol * (-z)) bit for bit.
+The walk clips u and advances x, y and s in place, in rows it allocates
+once per call; it never writes into an array that the policy or
+``eval_f`` returns (``eval_f`` returns s itself for an identity rate
+paid at spot).  It writes the pair averages of the discounted payoffs P
+and of C into the block's (2, rows) array.  A NaN proposal survives the
+clip into the spent weight y, so y is checked once per chunk and such a
+policy is refused by name.  One worker thread prepares chunk k + 1 into
+the other slot while the main thread walks chunk k: the draws and the
+product are numpy calls that release the interpreter lock, and the
+policy, ``eval_f`` and ``eval_g`` run on the main thread only.  The
+worker prepares the chunks in stream order, every value is the same
+elementwise arithmetic on the same normals, and the block's sums run
+over the same arrays in the same order, so neither the chunking nor the
+thread changes a result.  Memory stays flat in the number of paths: two
+slots of ``CHUNK_ROWS`` rows (4 MB each at 250 steps), the staging
+buffer and the block's pair averages of P and C, rather than a block of
+normals.  The second moments are summed about the first block's mean P
+and first C and divided by their largest values, so the standard error
+scales with the price instead of overflowing or underflowing at extreme
+spot levels.
 
 In the budget mode a step whose chunk has the same interval at its
 lowest and its highest y (every step of ``tail``, whose y is the same on
@@ -85,7 +87,7 @@ from .payoffs import (DEGENERATE_WEIGHT, FORCE_TOL, PayoffSpec, budget_interval,
 from .results import PriceEstimate
 
 PAIR_BLOCK = 1 << 16
-CHUNK_ROWS = 1 << 11  # rows of a block walked at once: 8 MB of growth factors per slot at 250 steps
+CHUNK_ROWS = 1 << 11  # rows of a block walked at once: 4 MB of leg +'s vol * z per slot at 250 steps
 DRAW_ROWS = 1 << 9  # rows of normals drawn at once: 1 MB of staging at 250 steps
 # the least share of P's variance the control is taken to leave: below it the
 # residual is the rounding of the sums it comes from (P = C leaves a few ulps)
@@ -171,37 +173,33 @@ def evaluate_policy(
                  for first in range(0, rows, CHUNK_ROWS)]
     chunk = min(CHUNK_ROWS, n_rows_total)
     staging = np.empty(min(DRAW_ROWS, chunk) * n_steps)
-    slots = [np.empty(n_steps * legs * chunk) for _ in range(2)]
+    slots = [np.empty(n_steps * chunk) for _ in range(2)]
     # the walk's rows: the state s, x, y, the control's sum c, the rate f_i
     # carried from the step before, the step's payment at u = 1, the
-    # clipped u, and the budget interval's lo, hi, scratch and flags
-    walk_rows = [np.empty(legs * chunk) for _ in range(10)] + [np.empty(legs * chunk, dtype=bool)]
+    # clipped u, the step's growth factors, and the budget interval's lo,
+    # hi, scratch and flags
+    walk_rows = [np.empty(legs * chunk) for _ in range(11)] + [np.empty(legs * chunk, dtype=bool)]
 
     def prepare(k):
-        """Growth factors of chunk k's legs, step-major, into slot k % 2."""
+        """vol * z of chunk k's leg +, step-major, into slot k % 2."""
         stream, _, n, _ = plan[k]
-        growth = slots[k % 2][: n_steps * legs * n].reshape(n_steps, legs * n)
+        vz = slots[k % 2][: n_steps * n].reshape(n_steps, n)
         for r in range(0, n, DRAW_ROWS):
             m = min(DRAW_ROWS, n - r)
             z = stream.standard_normal(out=staging[: m * n_steps].reshape(m, n_steps))
-            plus = np.multiply(z.T, vol, out=growth[:, r : r + m])
-            if antithetic:
-                # vol * (-z) is -(vol * z) exactly, so each factor is bit for
-                # bit the one-step exp(drift + vol * (sign * z))
-                np.negative(plus, out=growth[:, n + r : n + r + m])
-        np.add(growth, drift, out=growth)
-        return np.exp(growth, out=growth)
+            np.multiply(z.T, vol, out=vz[:, r : r + m])
+        return vz
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = worker.submit(prepare, 0)
         mu_c = _control_mean(spec, params, times)
         for k, (_, first, n, rows) in enumerate(plan):
-            growth = pending.result()
+            vz = pending.result()
             if k + 1 < len(plan):  # its slot held chunk k - 1, which is walked
                 pending = worker.submit(prepare, k + 1)
             if first == 0:
                 block = np.empty((2, rows))  # the pair averages of P and of C
-            s, x, y, c, f_now, pay, u, lo_row, hi_row, tmp, flags = (
+            s, x, y, c, f_now, pay, u, growth, lo_row, hi_row, tmp, flags = (
                 row[: legs * n] for row in walk_rows)
             s.fill(params.s0)
             x.fill(0.0)
@@ -221,7 +219,12 @@ def evaluate_policy(
                 # rule's answer and f_next may be x, y, s or a kept array, so
                 # only the walk's own rows are written
                 np.minimum(np.maximum(policy.evaluate(t, x, y, s), lo, out=u), hi, out=u)
-                np.multiply(s, growth[i], out=s)
+                # drift - vol * z is drift + vol * (-z) exactly, so leg -'s
+                # factor is bit for bit exp(drift + vol * (sign * z))
+                np.add(vz[i], drift, out=growth[:n])
+                if antithetic:
+                    np.subtract(drift, vz[i], out=growth[n:])
+                np.multiply(s, np.exp(growth, out=growth), out=s)
                 f_next = eval_f(spec, params, s, times[i + 1])
                 np.add(y, np.multiply(u, dt, out=tmp), out=y)
                 np.multiply(np.add(f_now, f_next, out=pay), half_dt, out=pay)

@@ -702,10 +702,10 @@ def test_walk_never_writes_into_what_it_is_handed(case, monkeypatch):
 def test_evaluate_policy_holds_two_half_size_slots():
     # the worker's two slots, its staging buffer and the block's payoffs; the
     # walk's own rows and a NumPy temporary or two fit in the margin.  A slot
-    # of the former 4,096-pair chunks, or any buffer of the block's draws,
+    # that holds both antithetic legs, or any buffer of the block's draws,
     # does not
     n_steps, rows = 250, 3 * C + 1  # four chunks: both slots are reused
-    assert 8 * n_steps * 2 * C <= 8 << 20  # each slot holds at most 8 MiB at 250 steps
+    assert 8 * n_steps * C <= 4 << 20  # each slot holds at most 4 MiB at 250 steps
     spec = _spec(f_kind="call", f_strike=100.0)
     pol = _policies_by_name(spec, PARAMS)["tail"]
     evaluate_policy(pol, spec, PARAMS, 2 * 8, n_steps, seed=5)  # lazy imports, the thread pool
@@ -715,7 +715,7 @@ def test_evaluate_policy_holds_two_half_size_slots():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slots = 2 * (8 * n_steps * 2 * C)
+    slots = 2 * (8 * n_steps * C)  # leg +'s vol * z only
     staging = 8 * n_steps * DRAW_ROWS
     payoffs = 8 * 2 * min(rows, PAIR_BLOCK)
     margin = 1 << 20
