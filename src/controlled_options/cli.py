@@ -222,10 +222,12 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
 
     Tolerance for a pair = 3 * combined stderr + the discretisation
     allowance of any grid method involved + ``rel_floor`` of the larger
-    price.  Monte Carlo prices one fixed policy, a lower bound on the
-    optimum, so a pair with ``monte_carlo`` breaches only when the MC
-    price exceeds the other by more than the tolerance; other pairs
-    breach on the absolute gap.  Returns (report, breach?).
+    price; each row reports the three, summed in that order, as
+    ``tolerance_terms`` (``stderr``, ``allowance``, ``rel_floor``).  Monte
+    Carlo prices one fixed policy, a lower bound on the optimum, so a pair
+    with ``monte_carlo`` breaches only when the MC price exceeds the other
+    by more than the tolerance; other pairs breach on the absolute gap.
+    Returns (report, breach?).
     """
     if len(cfg.methods) < 2:
         raise ParameterError("compare needs at least two methods", field="methods")
@@ -243,13 +245,13 @@ def run_compare(cfg: RunConfig) -> tuple[dict, bool]:
         for b_name in names[i + 1:]:
             ea, eb = report["estimates"][a], report["estimates"][b_name]
             gap = abs(ea["value"] - eb["value"])
-            tol = 3.0 * math.hypot(ea["stderr"], eb["stderr"])
-            if "hjb" in (a, b_name):
-                tol += delta_grid
-            tol += cfg.rel_floor * max(abs(ea["value"]), abs(eb["value"]))
+            terms = {"stderr": 3.0 * math.hypot(ea["stderr"], eb["stderr"]),
+                     "allowance": delta_grid if "hjb" in (a, b_name) else 0.0,
+                     "rel_floor": cfg.rel_floor * max(abs(ea["value"]), abs(eb["value"]))}
+            tol = terms["stderr"] + terms["allowance"] + terms["rel_floor"]
             ratio = gap / tol if tol > 0 else math.inf
-            rows.append({"method_a": a, "method_b": b_name, "gap": gap,
-                         "tolerance": tol, "gap_over_tolerance": ratio})
+            rows.append({"method_a": a, "method_b": b_name, "gap": gap, "tolerance": tol,
+                         "tolerance_terms": terms, "gap_over_tolerance": ratio})
             excess = gap
             if "monte_carlo" in (a, b_name):
                 mc, other = (ea, eb) if a == "monte_carlo" else (eb, ea)

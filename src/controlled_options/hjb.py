@@ -699,8 +699,18 @@ def solve(params: MarketParams, spec: PayoffSpec, epsilon: float, grid: StateGri
 
 
 def _state_grid(params, spec, fam, grid: StateGrid | dict | None) -> StateGrid:
-    """``grid`` itself, or the default grid with its node counts (see ``solve``)."""
-    return grid if isinstance(grid, StateGrid) else default_grid(params, spec, fam, **(grid or {}))
+    """``grid`` itself, or the default grid with its node counts (see ``solve``).
+
+    A budget grid keeps its y nodes up to the first one at or past the
+    excess budget W = 1 - d0 T, and at least two: no foot passes W, so a
+    node below W reads none past that one, and no node past it is solved.
+    """
+    if not isinstance(grid, StateGrid):
+        grid = default_grid(params, spec, fam, **(grid or {}))
+    if spec.weight_mode == "normalized":
+        return grid
+    keep = max(int(np.searchsorted(grid.y_nodes, 1.0 - spec.bounds.d0 * params.t_horizon)) + 1, 2)
+    return grid if keep >= grid.y_nodes.size else replace(grid, y_nodes=grid.y_nodes[:keep])
 
 
 def ladder_price(

@@ -17,17 +17,28 @@ keeps the next one non-empty, so only bounds at the edge of
 are counted in ``meta["forced_ramp_warnings"]``.
 
 Antithetic variates are on by default; estimates and standard errors are
-computed on pair averages.  The walk's own payment integral at u = 1,
-C = sum_i (f_i + f_{i+1}) / 2 * dt, is a control variate: its mean E[C]
-is the same trapezoid over the Black-Scholes E*[f(S(t_i), t_i)], exact
-because the walk steps log S exactly, and the estimate is
-mean(P) - beta (mean(C) - E[C]) with beta = Cov(P, C) / Var(C) fitted on
-the same pair averages; the standard error is that of the residual
-P - beta C, on n - 2 degrees of freedom for n pair averages.  With fewer
-than three of them, or where C cannot be told from its rounding
+computed on pair averages, and two controls with known means are fitted
+on them.  The walk's own payment integral at u = 1,
+C = sum_i (f_i + f_{i+1}) / 2 * dt, has E[C] the same trapezoid over the
+Black-Scholes E*[f(S(t_i), t_i)], exact because the walk steps log S
+exactly; the discounted terminal spot D = e^{-rT} S(T), from the walk's
+last s row, has E[D] = s0 for the same reason.  The estimate is
+mean(P) - beta_C (mean(C) - E[C]) - beta_D (mean(D) - s0), with
+(beta_C, beta_D) fitted by least squares on the same pair averages, and
+the standard error is the residual's, on n - 3 degrees of freedom for n
+pair averages.  D is fitted only together with C.  It is dropped, and
+the fit of C alone comes back bit for bit (beta = Cov(P, C) / Var(C), on
+n - 2 degrees of freedom), with fewer than four pair averages, where
+Var(D) = 0, where the 2 x 2 fit is singular (its determinant within
+1e-12 of Var(C) Var(D)), or where either beta times its control's
+rounding bound is not under a tenth of the error left.  C is dropped in
+turn, and the plain mean and its standard error returned unchanged, with
+fewer than three of them, or where C cannot be told from its rounding
 (Var(C) = 0, as with a rate that never pays, or beta times C's rounding
 bound is not under a tenth of the error left, as with a spot that barely
-moves), the plain mean and its standard error are returned unchanged.
+moves).  The bounds are (n_steps + 2) 2 eps times |E[C]| and s0: C sums
+n_steps + 2 rounded terms, and D is n_steps products of an exp (within
+an ulp) and a rounded factor, then the discount and the pair average.
 
 Paths stream through fixed-size blocks with per-block substreams (see
 ``market``), and block partials reduce in index order.  Each block is
@@ -44,23 +55,23 @@ negation, so leg -'s factor is exp(drift + vol * (-z)) bit for bit.
 The walk clips u and advances x, y and s in place, in rows it allocates
 once per call; it never writes into an array that the policy or
 ``eval_f`` returns (``eval_f`` returns s itself for an identity rate
-paid at spot).  It writes the pair averages of the discounted payoffs P
-and of C into the block's (2, rows) array.  A NaN proposal survives the
-clip into the spent weight y, so y is checked once per chunk and such a
-policy is refused by name.  One worker thread prepares chunk k + 1 into
-the other slot while the main thread walks chunk k: the draws and the
-product are numpy calls that release the interpreter lock, and the
-policy, ``eval_f`` and ``eval_g`` run on the main thread only.  The
-worker prepares the chunks in stream order, every value is the same
-elementwise arithmetic on the same normals, and the block's sums run
-over the same arrays in the same order, so neither the chunking nor the
-thread changes a result.  Memory stays flat in the number of paths: two
-slots of ``CHUNK_ROWS`` rows (4 MB each at 250 steps), the staging
-buffer and the block's pair averages of P and C, rather than a block of
-normals.  The second moments are summed about the first block's mean P
-and first C and divided by their largest values, so the standard error
-scales with the price instead of overflowing or underflowing at extreme
-spot levels.
+paid at spot).  It writes the pair averages of the discounted payoffs P,
+of C and of D into one (3, rows) array that every block reuses.  A NaN
+proposal survives the clip into the spent weight y, so y is checked once
+per chunk and such a policy is refused by name.  One worker thread
+prepares chunk k + 1 into the other slot while the main thread walks
+chunk k: the draws and the product are numpy calls that release the
+interpreter lock, and the policy, ``eval_f`` and ``eval_g`` run on the
+main thread only.  The worker prepares the chunks in stream order, every
+value is the same elementwise arithmetic on the same normals, and the
+block's sums run over the same arrays in the same order, so neither the
+chunking nor the thread changes a result.  Memory stays flat in the
+number of paths: two slots of ``CHUNK_ROWS`` rows (4 MB each at 250
+steps), the staging buffer and the block's pair averages of P, C and D,
+rather than a block of normals.  The second moments are summed about the
+first block's mean P and first C and D and divided by their largest
+values, so the standard error scales with the price instead of
+overflowing or underflowing at extreme spot levels.
 
 In the budget mode a step whose chunk has the same interval at its
 lowest and its highest y (every step of ``tail``, whose y is the same on
@@ -89,8 +100,9 @@ from .results import PriceEstimate
 PAIR_BLOCK = 1 << 16
 CHUNK_ROWS = 1 << 11  # rows of a block walked at once: 4 MB of leg +'s vol * z per slot at 250 steps
 DRAW_ROWS = 1 << 9  # rows of normals drawn at once: 1 MB of staging at 250 steps
-# the least share of P's variance the control is taken to leave: below it the
-# residual is the rounding of the sums it comes from (P = C leaves a few ulps)
+# the least share of P's variance the controls are taken to leave, and of
+# Var(C) Var(D) the 2 x 2 determinant: below it the residual or the
+# determinant is the rounding of the sums it comes from (P = C leaves a few ulps)
 _RESIDUAL_FLOOR = 1e-12
 
 
@@ -132,12 +144,15 @@ def evaluate_policy(
     antithetic: bool = True,
 ) -> PriceEstimate:
     """Discounted mean of the controlled payoff P under ``policy``, less
-    beta (mean C - E[C]) for the payment integral C at u = 1.
+    beta_C (mean C - E[C]) + beta_D (mean D - s0) for the payment integral
+    C at u = 1 and the discounted terminal spot D.
 
     Each step pays u (f_i + f_{i+1}) / 2 dt (the trapezoid rule), with u
-    fixed at t_i.  ``stderr`` is that of the residual P - beta C, and
-    ``meta["control_variate"]`` gives beta and the residual's share of
-    P's variance; both read 0 and 1 where the plain mean is returned.
+    fixed at t_i.  ``stderr`` is that of the residual, and
+    ``meta["control_variate"]`` gives ``beta`` (beta_C), ``beta_spot``
+    (beta_D, there only where D is fitted) and ``variance_ratio``, the
+    residual's share of P's variance; ``beta`` and ``variance_ratio`` read
+    0 and 1 where the plain mean is returned (see the module notes).
     """
     validate_spec(spec, params)
     params.check_log_band()
@@ -156,9 +171,9 @@ def evaluate_policy(
     legs = 2 if antithetic else 1
     n_rows_total = (n_paths + 1) // 2 if antithetic else n_paths
 
-    # sums over the pair averages: of P and C, and of d, e (P and C shifted
-    # and scaled by the first block), their squares and their product
-    sum_w = sum_c = sum_d = sum_e = sum_d2 = sum_e2 = sum_de = 0.0
+    # sums over the pair averages: of P and C, and of d, e, g (P, C and D
+    # shifted and scaled by the first block), their squares and products
+    sum_w = sum_c = sum_d = sum_e = sum_g = sum_d2 = sum_e2 = sum_g2 = sum_de = sum_dg = sum_eg = 0.0
     n_obs = 0
     warnings_count = 0
     disc = math.exp(-params.r * T)
@@ -179,6 +194,8 @@ def evaluate_policy(
     # clipped u, the step's growth factors, and the budget interval's lo,
     # hi, scratch and flags
     walk_rows = [np.empty(legs * chunk) for _ in range(11)] + [np.empty(legs * chunk, dtype=bool)]
+    # the pair averages of P, C and D, one block at a time
+    block = np.empty((3, min(PAIR_BLOCK, n_rows_total)))
 
     def prepare(k):
         """vol * z of chunk k's leg +, step-major, into slot k % 2."""
@@ -197,8 +214,6 @@ def evaluate_policy(
             vz = pending.result()
             if k + 1 < len(plan):  # its slot held chunk k - 1, which is walked
                 pending = worker.submit(prepare, k + 1)
-            if first == 0:
-                block = np.empty((2, rows))  # the pair averages of P and of C
             s, x, y, c, f_now, pay, u, growth, lo_row, hi_row, tmp, flags = (
                 row[: legs * n] for row in walk_rows)
             s.fill(params.s0)
@@ -238,55 +253,75 @@ def evaluate_policy(
             else:  # f_now is f(S(T), T)
                 ratio = np.where(y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), f_now)
                 ends = eval_g(spec, ratio)
-            w, cv = block[0, first : first + n], block[1, first : first + n]
-            if antithetic:
-                np.multiply(np.add(ends[:n], ends[n:], out=w), 0.5, out=w)
-                np.multiply(np.add(c[:n], c[n:], out=cv), 0.5, out=cv)
-            else:
-                w[:] = ends
-                cv[:] = c
+            w, cv, ds = block[:, first : first + n]
+            for out, legs_row in ((w, ends), (cv, c), (ds, s)):  # s is S(T)
+                if antithetic:
+                    np.multiply(np.add(legs_row[:n], legs_row[n:], out=out), 0.5, out=out)
+                else:
+                    out[:] = legs_row
             np.multiply(w, disc, out=w)
+            np.multiply(ds, disc, out=ds)
             if first + n < rows:
                 continue
-            w, cv = block
-            if n_obs == 0:  # moments about the first block's mean P and first C, in its units
+            w, cv, ds = block[:, :rows]
+            if n_obs == 0:  # moments about the first block's mean P and first C and D, in its units
                 shift = float(np.mean(w))
                 scale = float(np.max(np.abs(w))) or 1.0
                 shift_c = float(cv[0])  # a constant C then has e = 0 exactly
                 scale_c = float(np.max(np.abs(cv))) or 1.0
+                shift_s = float(ds[0])
+                scale_s = float(np.max(np.abs(ds))) or 1.0
             sum_w += float(np.sum(w))
             sum_c += float(np.sum(cv))
             d = np.divide(np.subtract(w, shift, out=w), scale, out=w)
             e = np.divide(np.subtract(cv, shift_c, out=cv), scale_c, out=cv)
+            g = np.divide(np.subtract(ds, shift_s, out=ds), scale_s, out=ds)
             sum_d += float(np.sum(d))
             sum_e += float(np.sum(e))
+            sum_g += float(np.sum(g))
             sum_d2 += float(np.sum(d * d))
             sum_e2 += float(np.sum(e * e))
+            sum_g2 += float(np.sum(g * g))
             sum_de += float(np.sum(d * e))
+            sum_dg += float(np.sum(d * g))
+            sum_eg += float(np.sum(e * g))
             n_obs += rows
 
     mean = sum_w / n_obs
     ss = max(sum_d2 - sum_d * sum_d / n_obs, 0.0)  # P's scaled sum of squares about its mean
-    beta, share, dof = 0.0, 1.0, n_obs - 1
+    resid, dof, control = ss, n_obs - 1, {"beta": 0.0, "variance_ratio": 1.0}
     ss_c = sum_e2 - sum_e * sum_e / n_obs
-    # two observations fit any line exactly and leave the residual no degree
-    # of freedom, so the control needs three
+    # a control's mean can sit this far from its exact one by the walk's
+    # rounding alone (see the module notes); where beta times that is not
+    # under a tenth of the error left, the control is taken to be rounding
+    rounding_c = (n_steps + 2) * 2.0 * sys.float_info.epsilon * abs(mu_c)
+    rounding_s = (n_steps + 2) * 2.0 * sys.float_info.epsilon * params.s0
+    # a fit of k controls leaves the residual n - 1 - k degrees of freedom, so
+    # C needs three observations and D, which is fitted only with C, four
     if n_obs >= 3 and ss_c > 0.0 and ss > 0.0:
         sp = sum_de - sum_d * sum_e / n_obs
-        resid = max(ss - sp * sp / ss_c, _RESIDUAL_FLOOR * ss)
+        resid_c = max(ss - sp * sp / ss_c, _RESIDUAL_FLOOR * ss)
         b = sp / ss_c * scale / scale_c
-        # mean C can sit about (n_steps + 2) * 2 eps * E[C] from E[C] by the
-        # walk's rounding alone; where C barely varies, beta times that is
-        # not small against the error left, and the plain mean is kept
-        rounding = (n_steps + 2) * 2.0 * sys.float_info.epsilon * abs(mu_c)
-        if abs(b) * rounding <= 0.1 * scale * math.sqrt(resid / (n_obs - 2) / n_obs):
-            mean -= b * (sum_c / n_obs - mu_c)
-            beta, share, ss, dof = b, resid / ss, resid, n_obs - 2  # beta is fitted on the sample
-    if n_obs > 1:
-        var = ss / dof
-        stderr = scale * math.sqrt(var / n_obs)
-    else:
-        stderr = 0.0
+        if abs(b) * rounding_c <= 0.1 * scale * math.sqrt(resid_c / (n_obs - 2) / n_obs):
+            offset_c = sum_c / n_obs - mu_c
+            mean, resid, dof = sum_w / n_obs - b * offset_c, resid_c, n_obs - 2
+            control = {"beta": b, "variance_ratio": resid_c / ss}
+            # D with C: the 2 x 2 normal equations
+            ss_s = sum_g2 - sum_g * sum_g / n_obs
+            cross = sum_eg - sum_e * sum_g / n_obs
+            det = ss_c * ss_s - cross * cross
+            if n_obs >= 4 and ss_s > 0.0 and det > _RESIDUAL_FLOOR * ss_c * ss_s:
+                sp_s = sum_dg - sum_d * sum_g / n_obs
+                k_c, k_s = (ss_s * sp - cross * sp_s) / det, (ss_c * sp_s - cross * sp) / det
+                resid_2 = max(ss - k_c * sp - k_s * sp_s, _RESIDUAL_FLOOR * ss)
+                b_c, b_s = k_c * scale / scale_c, k_s * scale / scale_s
+                left = 0.1 * scale * math.sqrt(resid_2 / (n_obs - 3) / n_obs)
+                if abs(b_c) * rounding_c <= left and abs(b_s) * rounding_s <= left:
+                    offset_s = shift_s + scale_s * (sum_g / n_obs) - params.s0  # E[D] = s0
+                    mean = sum_w / n_obs - b_c * offset_c - b_s * offset_s
+                    resid, dof = resid_2, n_obs - 3
+                    control = {"beta": b_c, "beta_spot": b_s, "variance_ratio": resid_2 / ss}
+    stderr = scale * math.sqrt(resid / dof / n_obs) if n_obs > 1 else 0.0
     # keep the stderr > 0 contract at every price scale
     stderr = max(stderr, 1e-16 * abs(mean), math.ulp(0.0))
     return PriceEstimate(
@@ -300,7 +335,7 @@ def evaluate_policy(
             "seed": seed,
             "antithetic": antithetic,
             "forced_ramp_warnings": warnings_count,
-            "control_variate": {"beta": beta, "variance_ratio": share},
+            "control_variate": control,
         },
     )
 

@@ -24,6 +24,7 @@ from controlled_options import (
     ladder_price,
     price_from_value,
     refinement_delta,
+    solve,
     tail_strategy_price,
 )
 from controlled_options.hjb import _solve_z, _z_step_matrix, refine_grid, solve_adapted, solve_linear_reduced
@@ -114,6 +115,7 @@ def test_ac3_bang_bang_and_strategy_recovery(policy_table):
                      z_nodes=np.linspace(Z0 - 1.0, Z0 + 1.0, 81), n_steps=200)
     pol = _quiet(extract_policy, PARAMS, spec, eps, grid)
     table = policy_table(pol.rule)
+    grid = pol.rule.grid  # the y nodes up to the excess budget W = 1, which ``solve`` keeps
     values = np.where(table, pol.rule.d1, pol.rule.d0)
     bang_ok = set(np.unique(values)) <= {0.0, 2.0}
 
@@ -145,7 +147,8 @@ def _singleton_grid(spec, fam, nz, knee=None):
         x = np.concatenate([dense, np.linspace(3.0 * knee, x_max, 9)[1:]])
     else:
         x = np.linspace(0.0, x_max, 41)
-    # y spacing equal to u dt: the forced trajectory lands on nodes
+    # the forced weight leaves no excess budget (W = 0), so ``solve`` keeps
+    # the first two of these y nodes, and no foot leaves w = 0
     return StateGrid(x_nodes=x, y_nodes=np.arange(0.0, 1.1 + 1e-12, 0.005),
                      z_nodes=z, n_steps=200)
 
@@ -160,7 +163,7 @@ def test_ac4_singleton_control():
         for eps in (0.025, 0.0125):
             fam = build_family(eps, spec, PARAMS)
             grid = _singleton_grid(spec, fam, nz, knee)
-            vf = _quiet(solve_adapted, PARAMS, spec, fam, grid)
+            vf = _quiet(solve, PARAMS, spec, eps, grid)
             vals.append(price_from_value(vf, PARAMS).value)
         extrap = 2.0 * vals[1] - vals[0]
         forced = builtin_policies(spec, PARAMS)[0]  # uniform == the only control
@@ -296,16 +299,17 @@ def test_ac8_normalized_degeneracy():
     a = evaluate_policy(zero, spec, PARAMS, 200_000, 250, seed=808)
 
     # direct terminal MC: a straight loop over the engine's blocks of normals,
-    # with the trapezoid of the rate along each path as the control variate
+    # with the trapezoid of the rate along each path and the discounted
+    # terminal spot (r = 0) as the control variates
     n_rows, n_steps = 100_000, 250
     dt = PARAMS.t_horizon / n_steps
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
-    terminal, paid = [], []
+    terminal, paid, spot = [], [], []
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
         z = _block_stream(808, b).standard_normal((rows, n_steps))
-        ends, sums = [], []
+        ends, sums, spots = [], [], []
         for sign in (1.0, -1.0):
             s = np.full(rows, 100.0)
             c = np.zeros(rows)
@@ -315,15 +319,18 @@ def test_ac8_normalized_degeneracy():
                 c = c + 0.5 * (f_now + np.maximum(s - 100.0, 0.0)) * dt
             ends.append(np.maximum(s - 100.0, 0.0))
             sums.append(c)
+            spots.append(s)
         terminal.append(0.5 * (ends[0] + ends[1]))
         paid.append(0.5 * (sums[0] + sums[1]))
-    p, c = np.concatenate(terminal), np.concatenate(paid)
+        spot.append(0.5 * (spots[0] + spots[1]))
+    p, c, d = np.concatenate(terminal), np.concatenate(paid), np.concatenate(spot)
     times = [i * dt for i in range(n_steps)] + [PARAMS.t_horizon]
     mu_c = math.fsum(0.5 * (bs_expected_payoff(PARAMS, "call", t0, 100.0)
                             + bs_expected_payoff(PARAMS, "call", t1, 100.0)) * dt
                      for t0, t1 in zip(times, times[1:]))
-    beta = np.cov(p, c)[0, 1] / np.var(c, ddof=1)
-    direct = float(np.mean(p) - beta * (np.mean(c) - mu_c))
+    cov = np.cov(np.vstack([p, c, d]))
+    beta_c, beta_d = np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+    direct = float(np.mean(p) - beta_c * (np.mean(c) - mu_c) - beta_d * (np.mean(d) - 100.0))
     gap = abs(a.value - direct)
     ok = gap <= 1e-12
     _report("AC-8", ok, f"zero-weight policy {a.value:.10f} vs direct terminal MC "

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,7 +70,7 @@ def test_price_report_all_methods_agree_on_martingale_config(recwarn):
     hjb = report["estimates"]["hjb"]
     assert cf["value"] == pytest.approx(100.0, rel=1e-9)
     assert abs(mc["value"] - 100.0) <= 3.0 * mc["stderr"]
-    assert set(mc["meta"]["control_variate"]) == {"beta", "variance_ratio"}
+    assert set(mc["meta"]["control_variate"]) == {"beta", "beta_spot", "variance_ratio"}
     assert abs(hjb["value"] - 100.0) <= 2.0
     assert report["config"]["grid"]["nx"] == 15  # defaults echoed back
 
@@ -90,6 +91,25 @@ def test_compare_passes_on_consistent_methods(recwarn):
     assert len(report["comparison"]) == 1
     row = report["comparison"][0]
     assert row["gap"] <= row["tolerance"]
+
+
+def test_compare_reports_its_tolerance_by_its_terms(recwarn):
+    # deferral_compare's contract (AC-2) with all three methods: each row
+    # names 3 combined stderr, the grid allowance where hjb is in the pair and
+    # rel_floor times the larger price, and their sum in that order is its
+    # tolerance bit for bit
+    report, _ = run_compare(RunConfig.from_dict(_doc()))
+    est = report["estimates"]
+    assert len(report["comparison"]) == 3
+    for row in report["comparison"]:
+        pair = (row["method_a"], row["method_b"])
+        a, b = (est[name] for name in pair)
+        terms = row["tolerance_terms"]
+        assert list(terms) == ["stderr", "allowance", "rel_floor"]
+        assert terms["stderr"] == 3.0 * math.hypot(a["stderr"], b["stderr"])
+        assert terms["allowance"] == (est["hjb"]["delta_grid"] if "hjb" in pair else 0.0)
+        assert terms["rel_floor"] == 0.02 * max(abs(a["value"]), abs(b["value"]))
+        assert terms["stderr"] + terms["allowance"] + terms["rel_floor"] == row["tolerance"]
 
 
 def test_compare_flags_deliberately_coarse_grid(recwarn):
@@ -484,6 +504,15 @@ def _spendable(doc):
     return {**doc, "payoff": {**payoff, "d1": (1.0 + payoff["d1"]) / t_horizon}}
 
 
+def _budget_twin(doc):
+    """The drawn contract in the budget mode, which the closed form prices, lifted
+    spendable as ``_spendable`` lifts a budget draw; a budget draw is its own twin."""
+    payoff = doc["payoff"]
+    if payoff["weight_mode"] == "adapted_fixed_cumulative":
+        return doc
+    return _spendable({**doc, "payoff": {**payoff, "weight_mode": "adapted_fixed_cumulative"}})
+
+
 _fuzz_docs = st.fixed_dictionaries({
     "market": st.fixed_dictionaries({"s0": st.floats(1e-3, 1e4),
                                      "r": _mostly(st.floats(0.0, 0.2), st.floats(-0.05, 0.2)),
@@ -509,10 +538,16 @@ _fuzz_configs = _mostly(_fuzz_docs.map(_spendable), _fuzz_docs)
 @given(doc=_fuzz_configs)
 def test_fuzzed_configs_never_end_in_a_traceback(tmp_path_factory, doc):
     # every input is priced (0), refused naming its field (2) or reported as
-    # a numerical failure (3); an uncaught exception would surface here
-    path = tmp_path_factory.mktemp("fuzz") / "run.json"
-    path.write_text(json.dumps(doc))
-    for command in ("price-closed-form", "price-mc", "price-hjb"):
+    # a numerical failure (3); an uncaught exception would surface here.  The
+    # closed form has no formula for the normalized weight, so it runs on the
+    # draw's budget twin, where it reaches its formula
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, drawn in (("run", doc), ("twin", _budget_twin(doc))):
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(drawn))
+    for command, path in (("price-closed-form", paths["twin"]), ("price-mc", paths["run"]),
+                          ("price-hjb", paths["run"])):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path)])

@@ -100,7 +100,7 @@ def test_singleton_control_matches_direct_evaluation():
     vol = params.sigma * math.sqrt(dt)
     rate = lambda s, t: np.maximum(s - 100.0, 0.0) * math.exp(params.r * (t_horizon - t))
     z = _block_stream(13, 0).standard_normal((PAIR_BLOCK, n_steps))[:n_rows]
-    acc = []
+    acc, spots = [], []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
         x = np.zeros(n_rows)
@@ -109,22 +109,31 @@ def test_singleton_control_matches_direct_evaluation():
             s = s * np.exp(drift + vol * (sign * z[:, i]))
             x = x + 1.0 * 0.5 * (f_now + rate(s, times[i + 1])) * dt
         acc.append(x)
+        spots.append(s)
+    disc = math.exp(-params.r * t_horizon)
     paid = 0.5 * (acc[0] + acc[1])
-    p = math.exp(-params.r * t_horizon) * 0.5 * (np.maximum(acc[0] - 5.0, 0.0)
-                                                 + np.maximum(acc[1] - 5.0, 0.0))
+    spot = disc * 0.5 * (spots[0] + spots[1])
+    p = disc * 0.5 * (np.maximum(acc[0] - 5.0, 0.0) + np.maximum(acc[1] - 5.0, 0.0))
     # with u = 1 the payments are the control, whose exact mean is built
-    # here from the Black-Scholes expectations; their plain mean lies near it
+    # here from the Black-Scholes expectations; their plain mean lies near
+    # it, and that of the discounted terminal spot near s0
     mean_rate = [bs_expected_payoff(params, "call", t, 100.0) * math.exp(params.r * (t_horizon - t))
                  for t in times]
     expected = math.fsum(0.5 * dt * (a + b) for a, b in zip(mean_rate, mean_rate[1:]))
-    assert abs(float(np.mean(paid)) - expected) <= 3.0 * float(np.std(paid, ddof=1)) / math.sqrt(n_rows)
-    # the control-variate estimate, and the residual's stderr on n - 2
-    # degrees of freedom, since beta is fitted on the same pairs
-    beta = np.cov(p, paid)[0, 1] / np.var(paid, ddof=1)
-    resid = p - beta * paid
-    stderr = math.sqrt(float(np.sum((resid - np.mean(resid)) ** 2)) / (n_rows - 2) / n_rows)
-    assert est.value == pytest.approx(float(np.mean(p) - beta * (np.mean(paid) - expected)), abs=1e-10)
-    assert est.meta["control_variate"]["beta"] == pytest.approx(beta, rel=1e-9)
+    for control, mean in ((paid, expected), (spot, 100.0)):
+        assert abs(float(np.mean(control)) - mean) <= 3.0 * float(np.std(control, ddof=1)) / math.sqrt(n_rows)
+    # the estimate with both controls, (beta_C, beta_D) from the normal
+    # equations of the sample covariances, and the residual's stderr on
+    # n - 3 degrees of freedom, since both are fitted on the same pairs
+    cov = np.cov(np.vstack([p, paid, spot]))
+    beta_c, beta_d = np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+    resid = p - beta_c * paid - beta_d * spot
+    stderr = math.sqrt(float(np.sum((resid - np.mean(resid)) ** 2)) / (n_rows - 3) / n_rows)
+    want = float(np.mean(p) - beta_c * (np.mean(paid) - expected) - beta_d * (np.mean(spot) - 100.0))
+    assert est.value == pytest.approx(want, abs=1e-10)
+    control = est.meta["control_variate"]
+    assert control["beta"] == pytest.approx(beta_c, rel=1e-9)
+    assert control["beta_spot"] == pytest.approx(beta_d, rel=1e-9)
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
 
 
@@ -206,7 +215,7 @@ def test_normalized_zero_policy_hits_terminal_branch_exactly():
     drift = (PARAMS.r - 0.5 * PARAMS.sigma**2) * dt
     vol = PARAMS.sigma * math.sqrt(dt)
     z = _block_stream(21, 0).standard_normal((n_rows, n_steps))
-    ends, paid = [], []
+    ends, paid, spots = [], [], []
     for sign in (1.0, -1.0):
         s = np.full(n_rows, 100.0)
         c = np.zeros(n_rows)
@@ -216,15 +225,18 @@ def test_normalized_zero_policy_hits_terminal_branch_exactly():
             c = c + 0.5 * (f_now + np.maximum(s - 100.0, 0.0)) * dt
         ends.append(np.maximum(s - 100.0, 0.0))
         paid.append(c)
-    p, c = 0.5 * (ends[0] + ends[1]), 0.5 * (paid[0] + paid[1])
+        spots.append(s)
+    p, c, spot = 0.5 * (ends[0] + ends[1]), 0.5 * (paid[0] + paid[1]), 0.5 * (spots[0] + spots[1])
     times = [i * dt for i in range(n_steps)] + [PARAMS.t_horizon]
     mu_c = math.fsum(0.5 * (bs_expected_payoff(PARAMS, "call", t0, 100.0)
                             + bs_expected_payoff(PARAMS, "call", t1, 100.0)) * dt
                      for t0, t1 in zip(times, times[1:]))
-    beta = np.cov(p, c)[0, 1] / np.var(c, ddof=1)
-    direct = float(np.mean(p) - beta * (np.mean(c) - mu_c))
+    cov = np.cov(np.vstack([p, c, spot]))
+    beta_c, beta_d = np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+    direct = float(np.mean(p) - beta_c * (np.mean(c) - mu_c) - beta_d * (np.mean(spot) - 100.0))
     assert abs(a.value - direct) <= 1e-12
-    assert a.meta["control_variate"]["beta"] == pytest.approx(beta, rel=1e-9)
+    assert a.meta["control_variate"]["beta"] == pytest.approx(beta_c, rel=1e-9)
+    assert a.meta["control_variate"]["beta_spot"] == pytest.approx(beta_d, rel=1e-9)
 
 
 def test_pinned_values_across_two_blocks():
@@ -234,11 +246,11 @@ def test_pinned_values_across_two_blocks():
     pol = _policies_by_name(spec, PARAMS)["threshold[+0.0]"]
     assert 140_000 > 2 * PAIR_BLOCK
     anti = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77)
-    assert anti.value == pytest.approx(5.655891914833519, rel=1e-12)
-    assert anti.stderr == pytest.approx(0.006730396129033116, rel=1e-9)
+    assert anti.value == pytest.approx(5.652940872040849, rel=1e-12)
+    assert anti.stderr == pytest.approx(0.006336826923694194, rel=1e-9)
     plain = evaluate_policy(pol, spec, PARAMS, 140_000, 16, seed=77, antithetic=False)
-    assert plain.value == pytest.approx(5.650697873790692, rel=1e-12)
-    assert plain.stderr == pytest.approx(0.006796866230904577, rel=1e-9)
+    assert plain.value == pytest.approx(5.650437343983893, rel=1e-12)
+    assert plain.stderr == pytest.approx(0.006795552367734852, rel=1e-9)
 
 
 def test_builtin_policy_structure():
@@ -349,7 +361,7 @@ def test_estimates_carry_positive_stderr_and_meta():
     assert est.method == "monte_carlo"
     assert est.meta["n_paths"] == 10_000
     assert est.meta["seed"] == 1
-    assert set(est.meta["control_variate"]) == {"beta", "variance_ratio"}
+    assert set(est.meta["control_variate"]) == {"beta", "beta_spot", "variance_ratio"}
 
 
 def test_uniform_weight_on_the_spot_prices_as_the_control_mean():
@@ -388,6 +400,48 @@ def test_control_that_cannot_be_resolved_keeps_the_plain_mean(case):
     assert (est.value, est.stderr) == (value, stderr)
 
 
+# the spot from barely moving to sigma = 1.5, at every price scale, with
+# as few pair averages as a fit of both controls takes and a few more.  In
+# the example D leaves so little error that C's rounding bound no longer
+# fits under it, and D is dropped
+@settings(max_examples=60, deadline=None)
+@given(s0=st.floats(1e-3, 1e4), sigma=st.floats(1e-12, 1.5), r=st.floats(0.0, 0.2),
+       mode=st.sampled_from(["adapted_fixed_cumulative", "normalized"]),
+       f_kind=st.sampled_from(["identity", "call"]), rows=st.integers(2, 64),
+       antithetic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(s0=100.0, sigma=1.6608827826277165e-06, r=0.05, mode="adapted_fixed_cumulative",
+         f_kind="identity", rows=64, antithetic=True, seed=3)
+def test_two_control_fit_and_its_fallbacks_match_the_oracle(s0, sigma, r, mode, f_kind, rows, antithetic, seed):
+    params = MarketParams(s0=s0, r=r, sigma=sigma, t_horizon=1.0)
+    spec = _spec(weight_mode=mode, f_kind=f_kind, f_strike=s0 if f_kind == "call" else None)
+    pol = _threshold_policy(spec, params)
+    n_paths = 2 * rows if antithetic else rows
+    est = evaluate_policy(pol, spec, params, n_paths, 6, seed=seed, antithetic=antithetic)
+    control = est.meta["control_variate"]
+    assert math.isfinite(est.value) and est.stderr > 0.0
+    assert 0.0 < control["variance_ratio"] <= 1.0
+    want = _full_block_loop(pol, spec, params, n_paths, 6, seed, antithetic)
+    assert (est.value, est.stderr, est.meta["forced_ramp_warnings"], control) == want
+
+
+def test_terminal_spot_control_prices_the_normalized_floor_as_the_call():
+    # the floor pays nothing on the normalized contract with d0 = 0, so every
+    # path takes the terminal branch and its payoff is the call on S(T).  The
+    # payment integral alone left 0.41 of its variance; with the discounted
+    # terminal spot fitted too, twenty seeds must still average to the call
+    params = MarketParams(s0=100.0, r=0.03, sigma=0.2, t_horizon=1.0)
+    spec = _spec(weight_mode="normalized", f_kind="call", f_strike=100.0,
+                 payment_timing="terminal_compounded")
+    floor = _policies_by_name(spec, params)["floor"]
+    ests = [evaluate_policy(floor, spec, params, 20_000, 50, seed=seed) for seed in range(20)]
+    T = params.t_horizon
+    call = math.exp(-params.r * T) * bs_expected_payoff(params, "call", T, 100.0)
+    mean = math.fsum(e.value for e in ests) / len(ests)
+    stderr = math.sqrt(math.fsum(e.stderr**2 for e in ests)) / len(ests)
+    assert abs(mean - call) <= 3.0 * stderr
+    assert all(e.meta["control_variate"]["variance_ratio"] < 0.2 for e in ests)
+
+
 @pytest.mark.parametrize("bounds", [(0.0, 2.0), (0.5, 2.0), (0.25, 1.0 - 5e-10)])
 @pytest.mark.parametrize("rows", ["equal", "random", "spent", "full", "nan", "close"])
 def test_chunk_interval_is_the_row_interval(rows, bounds):
@@ -415,8 +469,9 @@ def test_chunk_interval_is_the_row_interval(rows, bounds):
 
 def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
     """(value, stderr, forced_ramp_warnings, control_variate) from one draw
-    per block and z[:, i] per step, with trapezoid payments and the payment
-    integral at u = 1 as the control."""
+    per block and z[:, i] per step, with trapezoid payments, the payment
+    integral at u = 1 as the first control and the discounted terminal
+    spot as the second."""
     T = params.t_horizon
     dt = T / n_steps
     drift = (params.r - 0.5 * params.sigma**2) * dt
@@ -427,12 +482,12 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
     n_rows = (n_paths + 1) // 2 if antithetic else n_paths
     disc = math.exp(-params.r * T)
     times = [i * dt for i in range(n_steps)] + [T]
-    sum_w = sum_c = sum_d = sum_e = sum_d2 = sum_e2 = sum_de = 0.0
+    sum_w = sum_c = sum_d = sum_e = sum_g = sum_d2 = sum_e2 = sum_g2 = sum_de = sum_dg = sum_eg = 0.0
     warnings_count = 0
     for b, start in enumerate(range(0, n_rows, PAIR_BLOCK)):
         rows = min(PAIR_BLOCK, n_rows - start)
         z = _block_stream(seed, b).standard_normal((rows, n_steps))
-        payoffs, controls = [], []
+        payoffs, controls, spots = [], [], []
         for sign in signs:
             s = np.full(rows, params.s0)
             x = np.zeros(rows)
@@ -460,35 +515,61 @@ def _full_block_loop(policy, spec, params, n_paths, n_steps, seed, antithetic):
                 payoffs.append(eval_g(spec, np.where(
                     y >= DEGENERATE_WEIGHT, x / np.where(y == 0.0, 1.0, y), f_now)))
             controls.append(c)
+            spots.append(s)
         w = disc * (0.5 * (payoffs[0] + payoffs[1]) if antithetic else payoffs[0])
         cv = 0.5 * (controls[0] + controls[1]) if antithetic else controls[0]
+        ds = disc * (0.5 * (spots[0] + spots[1]) if antithetic else spots[0])
         if b == 0:
             shift, scale = float(np.mean(w)), float(np.max(np.abs(w))) or 1.0
             shift_c, scale_c = float(cv[0]), float(np.max(np.abs(cv))) or 1.0
+            shift_s, scale_s = float(ds[0]), float(np.max(np.abs(ds))) or 1.0
         d = (w - shift) / scale
         e = (cv - shift_c) / scale_c
+        g = (ds - shift_s) / scale_s
         sum_w += float(np.sum(w))
         sum_c += float(np.sum(cv))
         sum_d += float(np.sum(d))
         sum_e += float(np.sum(e))
+        sum_g += float(np.sum(g))
         sum_d2 += float(np.sum(d * d))
         sum_e2 += float(np.sum(e * e))
+        sum_g2 += float(np.sum(g * g))
         sum_de += float(np.sum(d * e))
+        sum_dg += float(np.sum(d * g))
+        sum_eg += float(np.sum(e * g))
     mu_c = _control_mean(spec, params, times)
     mean = sum_w / n_rows
     ss = max(sum_d2 - sum_d * sum_d / n_rows, 0.0)
     ss_c = sum_e2 - sum_e * sum_e / n_rows
     control = {"beta": 0.0, "variance_ratio": 1.0}
     dof = n_rows - 1
+    rounding = (n_steps + 2) * 2.0 * sys.float_info.epsilon * abs(mu_c)
+    rounding_s = (n_steps + 2) * 2.0 * sys.float_info.epsilon * params.s0
     if n_rows >= 3 and ss_c > 0.0 and ss > 0.0:
         sp = sum_de - sum_d * sum_e / n_rows
         resid = max(ss - sp * sp / ss_c, _RESIDUAL_FLOOR * ss)
         beta = sp / ss_c * scale / scale_c
-        rounding = (n_steps + 2) * 2.0 * sys.float_info.epsilon * abs(mu_c)
         if abs(beta) * rounding <= 0.1 * scale * math.sqrt(resid / (n_rows - 2) / n_rows):
-            mean -= beta * (sum_c / n_rows - mu_c)
+            plain, offset_c = mean, sum_c / n_rows - mu_c
+            mean -= beta * offset_c
             control = {"beta": beta, "variance_ratio": resid / ss}
-            ss, dof = resid, n_rows - 2
+            ss_p, ss, dof = ss, resid, n_rows - 2
+            # D only with C, from the 2 x 2 normal equations
+            ss_s = sum_g2 - sum_g * sum_g / n_rows
+            cross = sum_eg - sum_e * sum_g / n_rows
+            det = ss_c * ss_s - cross * cross
+            if n_rows >= 4 and ss_s > 0.0 and det > _RESIDUAL_FLOOR * ss_c * ss_s:
+                sp_s = sum_dg - sum_d * sum_g / n_rows
+                k_c = (ss_s * sp - cross * sp_s) / det
+                k_s = (ss_c * sp_s - cross * sp) / det
+                resid = max(ss_p - k_c * sp - k_s * sp_s, _RESIDUAL_FLOOR * ss_p)
+                beta, beta_s = k_c * scale / scale_c, k_s * scale / scale_s
+                left = 0.1 * scale * math.sqrt(resid / (n_rows - 3) / n_rows)
+                if abs(beta) * rounding <= left and abs(beta_s) * rounding_s <= left:
+                    offset_s = shift_s + scale_s * (sum_g / n_rows) - params.s0
+                    mean = plain - beta * offset_c - beta_s * offset_s
+                    control = {"beta": beta, "beta_spot": beta_s, "variance_ratio": resid / ss_p}
+                    ss, dof = resid, n_rows - 3
     var = ss / dof if n_rows > 1 else 0.0
     stderr = max(scale * math.sqrt(var / n_rows), 1e-16 * abs(mean), math.ulp(0.0))
     return mean, stderr, warnings_count, control
@@ -548,6 +629,7 @@ def test_row_chunks_match_full_block_loop(rows, antithetic, case):
     assert est.stderr == stderr
     assert est.meta["forced_ramp_warnings"] == warnings_count
     assert est.meta["control_variate"] == control
+    assert rows == 1 or "beta_spot" in control  # both controls are fitted past one pair
     if case == "budget" and rows >= C:
         assert warnings_count > 0  # the projection is exercised
 
@@ -700,7 +782,7 @@ def test_walk_never_writes_into_what_it_is_handed(case, monkeypatch):
 
 
 def test_evaluate_policy_holds_two_half_size_slots():
-    # the worker's two slots, its staging buffer and the block's payoffs; the
+    # the worker's two slots, its staging buffer and the block's pair averages; the
     # walk's own rows and a NumPy temporary or two fit in the margin.  A slot
     # that holds both antithetic legs, or any buffer of the block's draws,
     # does not
@@ -717,6 +799,6 @@ def test_evaluate_policy_holds_two_half_size_slots():
         tracemalloc.stop()
     slots = 2 * (8 * n_steps * C)  # leg +'s vol * z only
     staging = 8 * n_steps * DRAW_ROWS
-    payoffs = 8 * 2 * min(rows, PAIR_BLOCK)
+    pairs = 8 * 3 * min(rows, PAIR_BLOCK)  # of P, C and D
     margin = 1 << 20
-    assert peak < slots + staging + payoffs + margin
+    assert peak < slots + staging + pairs + margin
